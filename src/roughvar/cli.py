@@ -21,7 +21,6 @@ from importlib import metadata as _im
 import numpy as np
 
 from . import grid, isometry, pathgen, roughness, schauder, variation
-from ._util import parallel_map
 from .errors import FormatError, NumericalError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -151,6 +150,12 @@ def _resolve_source(args) -> variation.PVarSource | None:
     raise ValidationError(f"unknown source mode {mode!r}")
 
 
+def _flag_or(args, name: str, default):
+    """A flag's value, or ``default`` when it is unset (an explicit 0 stays 0)."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _generator_spec(args) -> pathgen.GeneratorSpec:
     kind = args.kind
     level = getattr(args, "level", None)
@@ -172,11 +177,11 @@ def _generator_spec(args) -> pathgen.GeneratorSpec:
         if level is None:
             raise ValidationError("--kind smooth requires --level")
         params["shape"] = getattr(args, "smooth_kind", None) or "sine"
-        params["amplitude"] = getattr(args, "amplitude", None) or 1.0
+        params["amplitude"] = _flag_or(args, "amplitude", 1.0)
         if getattr(args, "coeffs", None):
             params["coeffs"] = [float(c) for c in args.coeffs.split(",")]
         else:
-            params["freq"] = getattr(args, "freq", None) or 1.0
+            params["freq"] = _flag_or(args, "freq", 1.0)
     elif kind == "custom_schauder":
         if not getattr(args, "coeffs_file", None):
             raise ValidationError("--kind custom_schauder requires --coeffs-file")
@@ -238,29 +243,39 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _profile_run(args, build, label: str) -> int:
-    """Shared driver for pvar / sqv / classical."""
+def _profile_run(args, label: str, kind: str, p: float = 2.0,
+                 gamma: float | None = None,
+                 src: variation.PVarSource | None = None) -> int:
+    """Shared driver for pvar / sqv / classical.
+
+    Every level's terminal and metadata come from one pass down the dyadic
+    pyramid; full profiles are built only for ``--profiles-out``.
+    """
     t0 = time.perf_counter()
     x, inputs, extra = _load_path(args)
     levels = _resolve_levels(args, x)
 
-    profiles = parallel_map(
-        lambda n: build(x, grid.dyadic_partition(n, x.grid_level)), levels)
-    terminals = [prof.terminal for prof in profiles]
+    per_level = variation._level_metadata(x, levels, kind, p, gamma, src)
+    terminals = [meta["terminal"] for meta in per_level]
     report = None
     if len(levels) >= 3:
         window = _resolve_window(args, len(levels))
         report = variation.limit_diagnostics(terminals, window=window, levels=levels)
 
     payload = {"command": label, "levels": levels, "terminals": terminals,
-               "per_level": [prof.metadata() for prof in profiles],
+               "per_level": per_level,
                "limit_report": report.to_dict() if report else None}
     for key in ("p", "gamma"):
         if getattr(args, key, None) is not None:
             payload[key] = getattr(args, key)
 
     if getattr(args, "profiles_out", None):
-        _write_profiles(profiles, args.profiles_out, label)
+        build = {"pth": lambda part: variation.pth_variation(x, part, p),
+                 "scaled": lambda part: variation.scaled_qv(x, part, p, src),
+                 "classical_scaled": lambda part: variation.classical_scaled_qv(
+                     x, part, gamma)}[kind]
+        _write_profiles((build(grid.dyadic_partition(n, x.grid_level)) for n in levels),
+                        args.profiles_out, label)
     if args.out:
         _write_json(payload, args.out)
         _write_manifest(args, t0, inputs, args.out, extra)
@@ -277,30 +292,19 @@ def _profile_run(args, build, label: str) -> int:
 def _cmd_pvar(args) -> int:
     if args.p is None:
         raise ValidationError("pvar requires --p")
-    return _profile_run(args, lambda x, part: variation.pth_variation(x, part, args.p),
-                        "pvar")
+    return _profile_run(args, "pvar", "pth", args.p)
 
 
 def _cmd_sqv(args) -> int:
     if args.p is None:
         raise ValidationError("sqv requires --p")
-    src_holder = {}
-
-    def build(x, part):
-        if "src" not in src_holder:
-            src_holder["src"] = (_resolve_source(args) or variation.PVarSource()
-                                 ).materialized(x, args.p)
-        return variation.scaled_qv(x, part, args.p, src_holder["src"])
-
-    return _profile_run(args, build, "sqv")
+    return _profile_run(args, "sqv", "scaled", args.p, src=_resolve_source(args))
 
 
 def _cmd_classical(args) -> int:
     if args.gamma is None:
         raise ValidationError("classical requires --gamma")
-    return _profile_run(
-        args, lambda x, part: variation.classical_scaled_qv(x, part, args.gamma),
-        "classical")
+    return _profile_run(args, "classical", "classical_scaled", gamma=args.gamma)
 
 
 def _cmd_roughness(args) -> int:

@@ -19,16 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import parallel_map
 from .errors import EvaluationError, ValidationError
-from .grid import Path, dyadic_partition
+from .grid import Path
 from .variation import (
     PVarSource,
     VariationProfile,
+    _dyadic_levels,
+    _level_terminals,
+    _level_total,
     accurate_cumsum,
     limit_diagnostics,
-    pth_variation,
-    scaled_qv,
 )
 
 __all__ = [
@@ -302,8 +302,7 @@ def holder_proxy(x: Path, levels) -> float:
 
 def _index_warning(x: Path, p: float, levels) -> list:
     """Warn when the path's p-th variation is visibly not levelling off."""
-    vals = [pth_variation(x, dyadic_partition(n, x.grid_level), p).terminal
-            for n in levels]
+    vals = _level_terminals(x, levels, "pth", p)
     rep = limit_diagnostics(vals, window=len(vals), levels=levels) \
         if len(vals) >= 3 else None
     if rep is not None and abs(rep.trend_slope) > 0.5:
@@ -311,6 +310,22 @@ def _index_warning(x: Path, p: float, levels) -> list:
                 f"{rep.trend_slope:+.2f}; the path's critical index appears "
                 f"far from p={p:g}"]
     return []
+
+
+def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, lhs_levels,
+                      rhs_levels) -> tuple:
+    """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
+
+    ``lhs_levels`` and ``rhs_levels`` are :func:`_dyadic_levels` passes over
+    the same levels; the right side is the left-endpoint Stieltjes sum of
+    :func:`stieltjes_integral`, reduced like every other level terminal.
+    """
+    lhs, rhs = {}, {}
+    for (n, lhs_terms, *_), (_, x_terms, *_) in zip(lhs_levels, rhs_levels):
+        g = np.abs(f.f1(x.samples[:-1:1 << (x.grid_level - n)])) ** p
+        lhs[n] = _level_total(lhs_terms)
+        rhs[n] = _level_total(g * x_terms)
+    return tuple(lhs[n] for n in levels), tuple(rhs[n] for n in levels)
 
 
 def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
@@ -329,8 +344,7 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     lv = _check_levels(x, levels if levels is not None else
                        range(6, x.grid_level - 1))
     fx = compose_path(f, x)
-    src_x = (src or PVarSource()).materialized(x, p)
-    src_f = PVarSource().materialized(fx, p)
+    src_x = src or PVarSource()
 
     warnings = _index_warning(x, p, lv)
     deriv_floor = float(np.min(np.abs(f.f1(x.samples))))
@@ -338,17 +352,8 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
         warnings.append(f"map {f.id} has vanishing derivative on the path's "
                         "range; degenerate blocks contribute zero")
 
-    def one_level(n):
-        part = dyadic_partition(n, x.grid_level)
-        lhs = scaled_qv(fx, part, p, src_f).terminal
-        mu = scaled_qv(x, part, p, src_x)
-        g = np.abs(f.f1(x.samples[part.indices])) ** p
-        rhs = float(stieltjes_integral(g, mu)[-1])
-        return lhs, rhs
-
-    pairs = parallel_map(one_level, lv)
-    lhs = tuple(a for a, _ in pairs)
-    rhs = tuple(b for _, b in pairs)
+    lhs, rhs = _integrated_sides(x, f, p, lv, _dyadic_levels(fx, lv, "scaled", p),
+                                 _dyadic_levels(x, lv, "scaled", p, src=src_x))
     absd, rel, slope, success = _verdict(lv, lhs, rhs)
     return IsometryReport(kind="isometry", p=float(p), levels=tuple(lv),
                           lhs_terminal=lhs, rhs_terminal=rhs,
@@ -367,18 +372,8 @@ def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryRe
                        range(6, x.grid_level - 1))
     fx = compose_path(f, x)
     warnings = _index_warning(x, p, lv)
-
-    def one_level(n):
-        part = dyadic_partition(n, x.grid_level)
-        lhs = pth_variation(fx, part, p).terminal
-        mu = pth_variation(x, part, p)
-        g = np.abs(f.f1(x.samples[part.indices])) ** p
-        rhs = float(stieltjes_integral(g, mu)[-1])
-        return lhs, rhs
-
-    pairs = parallel_map(one_level, lv)
-    lhs = tuple(a for a, _ in pairs)
-    rhs = tuple(b for _, b in pairs)
+    lhs, rhs = _integrated_sides(x, f, p, lv, _dyadic_levels(fx, lv, "pth", p),
+                                 _dyadic_levels(x, lv, "pth", p))
     absd, rel, slope, success = _verdict(lv, lhs, rhs)
     return IsometryReport(kind="chain_rule", p=float(p), levels=tuple(lv),
                           lhs_terminal=lhs, rhs_terminal=rhs,
@@ -408,8 +403,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
               label=f"{x.label}+{A.label}" if x.label and A.label else "perturbed")
 
     warnings = []
-    a_vals = [pth_variation(A, dyadic_partition(n, x.grid_level), p).terminal
-              for n in lv]
+    a_vals = _level_terminals(A, lv, "pth", p)
     if len(a_vals) >= 3:
         a_cls = limit_diagnostics(a_vals, window=len(a_vals), levels=lv).classification
         if a_cls != "vanishing":
@@ -418,17 +412,9 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
                 "vanishing; invariance hypothesis violated"
             )
 
-    src_x = (src or PVarSource()).materialized(x, p)
-    src_xa = PVarSource().materialized(xa, p)
-
-    def one_level(n):
-        part = dyadic_partition(n, x.grid_level)
-        return (scaled_qv(xa, part, p, src_xa).terminal,
-                scaled_qv(x, part, p, src_x).terminal)
-
-    pairs = parallel_map(one_level, lv)
-    lhs = tuple(a for a, _ in pairs)
-    rhs = tuple(b for _, b in pairs)
+    src_x = src or PVarSource()
+    lhs = tuple(_level_terminals(xa, lv, "scaled", p))
+    rhs = tuple(_level_terminals(x, lv, "scaled", p, src=src_x))
     absd, rel, slope, success = _verdict(lv, lhs, rhs)
     return IsometryReport(kind="invariance", p=float(p), levels=tuple(lv),
                           lhs_terminal=lhs, rhs_terminal=rhs,

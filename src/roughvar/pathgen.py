@@ -35,52 +35,55 @@ __all__ = [
 GENERATOR_VERSION = "1"
 
 _FBM_MAX_LEVEL = 22          # memory guard for the O(N log N) sampler
-_FBM_CHOLESKY_MAX_LEVEL = 12  # the O(N^2) fallback is only viable when small
-_EIGEN_CLIP = 1e-10           # relative tolerance for benign negative eigenvalues
 
 
 def _fgn_covariance(H: float, N: int) -> np.ndarray:
-    """Autocovariance of unit-spaced fractional Gaussian noise, lags 0..N."""
-    k = np.arange(N + 1, dtype=np.float64)
-    return 0.5 * (np.abs(k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H)
-                  - 2.0 * np.abs(k) ** (2 * H))
+    """Autocovariance of unit-spaced fractional Gaussian noise, lags 0..N.
+
+    ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H)`` cancels catastrophically at
+    large lags, where the covariance is a second difference many orders
+    below ``k**2H``; it is evaluated as
+    ``0.5 * k**2H * (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k)))`` for
+    k >= 2, and in closed form at k = 0 (1) and k = 1 (``2**(2H-1) - 1``).
+    """
+    two_h = 2.0 * H
+    gamma = np.empty(N + 1)
+    gamma[0] = 1.0
+    if N >= 1:
+        gamma[1] = np.expm1((two_h - 1.0) * np.log(2.0))
+    if N >= 2:
+        k = np.arange(2, N + 1, dtype=np.float64)
+        inv = 1.0 / k
+        gamma[2:] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
+                                        + np.expm1(two_h * np.log1p(-inv)))
+    return gamma
 
 
 def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     """Sample N fractional-Gaussian-noise increments by circulant embedding.
 
-    Returns None if the embedding has a negative eigenvalue beyond the
-    benign-roundoff tolerance (callers fall back to exact factorization).
+    The length-2N circulant is real and symmetric, so its eigenvalues are
+    the N+1 real bins of one real FFT, and the Hermitian spectrum of the
+    sample needs only its N+1 nonnegative-frequency bins for one inverse
+    real FFT.  A negative eigenvalue means the embedding is not a valid
+    covariance: that raises :class:`NumericalError` and is never clipped.
     """
     gamma = _fgn_covariance(H, N)
-    circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2N
-    lam = np.fft.fft(circ).real
-    floor = -_EIGEN_CLIP * float(lam.max())
-    if lam.min() < floor:
-        return None
-    lam = np.maximum(lam, 0.0)
-    w = rng.standard_normal(2 * N)
-    spectrum = np.zeros(2 * N, dtype=np.complex128)
-    spectrum[0] = np.sqrt(lam[0]) * w[0]
-    spectrum[N] = np.sqrt(lam[N]) * w[N]
-    half = np.sqrt(lam[1:N] / 2.0)
-    spectrum[1:N] = half * (w[1:N] + 1j * w[N + 1:])
-    spectrum[N + 1:] = np.conj(spectrum[1:N][::-1])
-    return (np.fft.ifft(spectrum).real[:N]) * np.sqrt(2 * N)
-
-
-def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact-covariance fallback: factorize the dense N x N fGN covariance."""
-    gamma = _fgn_covariance(H, N)
-    idx = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
-    cov = gamma[idx]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+    lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real.copy()  # bins 0..N
+    del gamma  # free the covariance before the 2N draws: peak memory is here
+    if lam.min() < 0.0:
         raise NumericalError(
-            f"fractional-noise covariance not positive definite at H={H}, N={N}"
-        ) from exc
-    return chol @ rng.standard_normal(N)
+            f"circulant embedding of the fractional-noise covariance has a "
+            f"negative eigenvalue ({lam.min():.3g}) at H={H}, N={N}"
+        )
+    w = rng.standard_normal(2 * N)
+    half = np.zeros(N + 1, dtype=np.complex128)
+    half.real[0] = np.sqrt(lam[0]) * w[0]
+    half.real[N] = np.sqrt(lam[N]) * w[N]
+    scale = np.sqrt(lam[1:N] / 2.0)
+    np.multiply(scale, w[1:N], out=half.real[1:N])
+    np.multiply(scale, w[N + 1:], out=half.imag[1:N])
+    return np.fft.irfft(half, n=2 * N)[:N] * np.sqrt(2 * N)
 
 
 def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> Path:
@@ -89,9 +92,8 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     Increments are exact-in-distribution via circulant embedding of the
     stationary fGN covariance, scaled by ``2**(-grid_level * H)`` so that
     ``Var(B(t) - B(s)) = |t - s|**(2H)`` on the grid.  Deterministic given
-    the seed.  If the embedding fails beyond roundoff tolerance, an exact
-    Cholesky factorization is used for grids up to level 12; otherwise a
-    diagnosable error is raised.
+    the seed.  A circulant embedding with a negative eigenvalue raises
+    :class:`NumericalError`.
     """
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
@@ -102,16 +104,7 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
         )
     rng = np.random.default_rng(seed)
     N = 1 << grid_level
-    fgn = _fgn_circulant(H, N, rng)
-    if fgn is None:
-        if grid_level > _FBM_CHOLESKY_MAX_LEVEL:
-            raise NumericalError(
-                f"circulant embedding failed for H={H} at grid level {grid_level} "
-                f"and the exact fallback is limited to level {_FBM_CHOLESKY_MAX_LEVEL}; "
-                f"reduce the grid level"
-            )
-        fgn = _fgn_cholesky(H, N, rng)
-    increments = fgn * 2.0 ** (-grid_level * H)
+    increments = _fgn_circulant(H, N, rng) * 2.0 ** (-grid_level * H)
     samples = np.concatenate([[0.0], np.cumsum(increments)])
     return Path(grid_level=grid_level, samples=samples,
                 label=label if label is not None else f"fbm(H={H}, seed={seed})")

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import parallel_map
 from .errors import BracketError, InconclusiveError, ValidationError
-from .grid import Path, dyadic_partition
+from .grid import Path
 from .variation import (
     ClassificationThresholds,
     LimitReport,
     PVarSource,
+    _level_terminals,
     limit_diagnostics,
-    scaled_qv,
 )
 
 __all__ = [
@@ -101,11 +100,10 @@ def _check_levels(x: Path, levels) -> list:
 
 
 class _ProbeEngine:
-    """Shared per-(q, level) terminal cache for a fixed path/levels/source.
+    """Per-q terminal cache for a fixed path/levels/source.
 
-    The weight source uses the q-th variation, so a finest-level source must
-    be rebuilt for every probe q; analytic and self_level sources are
-    q-independent and shared.
+    Each probe takes every level's scaled-QV terminal in one pass down the
+    dyadic pyramid; only the terminal floats are kept.
     """
 
     def __init__(self, x: Path, levels, src: PVarSource | None,
@@ -114,33 +112,19 @@ class _ProbeEngine:
         self.levels = _check_levels(x, levels)
         self.src = src or PVarSource()
         self.thresholds = thresholds
-        self._finest: dict[float, PVarSource] = {}
-        self._terminals: dict[tuple, float] = {}
+        self._terminals: dict[float, list] = {}
 
-    def _src_for(self, q: float) -> PVarSource:
-        if self.src.mode != "finest_level":
-            return self.src
-        got = self._finest.get(q)
+    def terminals(self, q: float) -> list:
+        got = self._terminals.get(q)
         if got is None:
-            got = self.src.materialized(self.x, q) if self.src.finest_profile is None \
-                else self.src
-            self._finest[q] = got
-        return got
-
-    def terminal(self, q: float, n: int) -> float:
-        key = (q, n)
-        got = self._terminals.get(key)
-        if got is None:
-            part = dyadic_partition(n, self.x.grid_level)
-            got = scaled_qv(self.x, part, q, self._src_for(q)).terminal
-            self._terminals[key] = got
+            got = _level_terminals(self.x, self.levels, "scaled", q, src=self.src)
+            self._terminals[q] = got
         return got
 
     def probe(self, q: float) -> LimitReport:
         if q <= 0:
             raise ValidationError(f"q must be > 0, got {q}")
-        vals = [self.terminal(q, n) for n in self.levels]
-        return limit_diagnostics(vals, window=len(self.levels),
+        return limit_diagnostics(self.terminals(q), window=len(self.levels),
                                  levels=self.levels, thresholds=self.thresholds)
 
     def record(self, q: float) -> ProbeRecord:
@@ -160,10 +144,9 @@ def classify_index(x: Path, levels, q: float,
 def classification_sweep(x: Path, levels, qs,
                          src: PVarSource | None = None,
                          thresholds: ClassificationThresholds | None = None) -> list:
-    """Probe several exponents concurrently; records sorted by q."""
+    """Probe several exponents; records sorted by q."""
     engine = _ProbeEngine(x, levels, src, thresholds)
-    records = parallel_map(engine.record, qs)
-    return sorted(records, key=lambda rec: rec.q)
+    return sorted((engine.record(q) for q in qs), key=lambda rec: rec.q)
 
 
 def _check_monotone(records) -> None:
@@ -214,7 +197,7 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
             )
         return rec
 
-    low_rec, high_rec = parallel_map(engine.record, [p_min, p_max])
+    low_rec, high_rec = engine.record(p_min), engine.record(p_max)
     seen[low_rec.q], seen[high_rec.q] = low_rec, high_rec
     if low_rec.classification != "diverging" or high_rec.classification != "vanishing":
         raise BracketError(

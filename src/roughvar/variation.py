@@ -12,7 +12,10 @@ Three accumulation kernels share one profile type:
 Each profile stores the cumulative values (the distribution function of the
 level-n atomic variation measure) together with the raw per-block terms, so
 downstream consumers (Stieltjes integration, diagnostics) can reuse the
-exact accumulation.  :func:`limit_diagnostics` classifies a terminal-value
+exact accumulation.  Callers that need only per-level terminals along the
+dyadic levels (the critical-index search, the identity checks, the CLI)
+use :func:`_dyadic_levels`, one pass down the dyadic pyramid that builds
+no profile.  :func:`limit_diagnostics` classifies a terminal-value
 sequence across levels as vanishing / finite_positive / diverging /
 oscillating / inconclusive.
 """
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, SourceError, ValidationError
+from .errors import FormatError, ResolutionError, SourceError, ValidationError
 from .grid import Partition, Path, dyadic_partition
 
 __all__ = [
@@ -125,14 +128,7 @@ class VariationProfile:
 
     @property
     def atom_risk(self) -> float:
-        if self.terms.size == 0:
-            return 0.0
-        total = self.terminal
-        if total == 0.0:
-            return 0.0
-        if not np.isfinite(total):
-            return 1.0
-        return float(np.max(self.terms) / total)
+        return _atom_risk(self.terms, self.terminal)
 
     def metadata(self) -> dict:
         return {"level": self.level, "p": self.p, "gamma": self.gamma,
@@ -141,22 +137,46 @@ class VariationProfile:
                 "divergent": self.divergent, "atom_risk": self.atom_risk}
 
 
+def _atom_risk(terms: np.ndarray, total: float) -> float:
+    """Largest single-block share of ``total`` (1 when it is infinite)."""
+    if terms.size == 0 or total == 0.0:
+        return 0.0
+    if not np.isfinite(total):
+        return 1.0
+    return float(np.max(terms) / total)
+
+
 def _increments(x: Path, part: Partition) -> np.ndarray:
     part.check_grid(x.grid_level)
     return np.diff(x.samples[part.indices])
+
+
+def _pth_terms(dx: np.ndarray, p: float) -> np.ndarray:
+    if p == 2.0:
+        return dx * dx
+    if p == 1.0:
+        return np.abs(dx)
+    return np.abs(dx) ** p
+
+
+def _scaled_terms(w: np.ndarray, dx: np.ndarray, gamma: float) -> np.ndarray:
+    """``w**gamma * dx**2`` with the degenerate-block conventions of scaled_qv."""
+    with np.errstate(divide="ignore"):
+        terms = w ** gamma
+    with np.errstate(invalid="ignore"):
+        terms *= dx
+        terms *= dx
+    bad = np.isnan(terms)
+    if bad.any():
+        terms = np.where(bad, 0.0, terms)
+    return terms
 
 
 def pth_variation(x: Path, part: Partition, p: float) -> VariationProfile:
     """p-th variation profile ``values[j] = sum_{i<j} |dx_i|**p``."""
     if p <= 0:
         raise ValidationError(f"p must be > 0, got {p}")
-    dx = _increments(x, part)
-    if p == 2.0:
-        terms = dx * dx
-    elif p == 1.0:
-        terms = np.abs(dx)
-    else:
-        terms = np.abs(dx) ** p
+    terms = _pth_terms(_increments(x, part), p)
     return VariationProfile(level=part.level, times=part.times(x.grid_level),
                             values=accurate_cumsum(terms), p=float(p),
                             kind="pth", terms=terms)
@@ -170,9 +190,11 @@ class PVarSource:
     of the *limit* p-th variation, which no finite computation knows.  Three
     approximations are supported:
 
-    * ``finest_level`` (default): increments of the p-th variation profile
-      at the deepest available level, restricted to the partition points —
-      the only model-free choice;
+    * ``finest_level`` (default): the p-th variation of each partition block
+      at the deepest available level — the only model-free choice.  Without
+      an explicit profile a block's weight is the sum of the grid-level
+      ``|dx|**p`` inside it; an explicit profile (:meth:`finest`, e.g. from
+      :meth:`materialized`) gives differences of its values instead;
     * ``analytic``: a caller-supplied nondecreasing function with value 0
       at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear);
     * ``self_level``: the evaluation partition's own ``|dx|**p`` terms,
@@ -232,13 +254,14 @@ class PVarSource:
             if abs(float(vals[0])) > 1e-12 * scale:
                 raise SourceError(f"analytic_fn must vanish at t=0, got {vals[0]}")
             w = np.diff(vals)
+        elif self.finest_profile is None:
+            # block sums of the grid-level terms: a tiny block weight next to a
+            # large running total survives, where a cumulative difference
+            # would round it to zero
+            part.check_grid(x.grid_level)
+            w = np.add.reduceat(_pth_terms(np.diff(x.samples), p), part.indices[:-1])
         else:
             profile = self.finest_profile
-            if profile is None:
-                raise SourceError(
-                    "finest_level source not materialized; call materialized() "
-                    "or pass an explicit profile"
-                )
             if profile.level < part.level:
                 raise SourceError(
                     f"finest profile at level {profile.level} is coarser than the "
@@ -271,7 +294,7 @@ def scaled_qv(x: Path, part: Partition, p: float,
     """
     if p <= 0:
         raise ValidationError(f"p must be > 0, got {p}")
-    src = (src or PVarSource()).materialized(x, p)
+    src = src or PVarSource()
     gamma = (p - 2.0) / p
     dx = _increments(x, part)
     if gamma == 0.0:
@@ -281,13 +304,7 @@ def scaled_qv(x: Path, part: Partition, p: float,
         divergent = False
     else:
         w, clamped = src.block_weights(x, part, p, dx)
-        with np.errstate(divide="ignore"):
-            wp = w ** gamma
-        with np.errstate(invalid="ignore"):
-            terms = wp * dx * dx
-        bad = np.isnan(terms)
-        if bad.any():
-            terms = np.where(bad, 0.0, terms)
+        terms = _scaled_terms(w, dx, gamma)
         divergent = bool(np.isinf(terms).any())
     return VariationProfile(level=part.level, times=part.times(x.grid_level),
                             values=accurate_cumsum(terms), p=float(p),
@@ -308,6 +325,98 @@ def classical_scaled_qv(x: Path, part: Partition, gamma: float) -> VariationProf
                             values=accurate_cumsum(terms), p=2.0,
                             kind="classical_scaled", gamma=float(gamma),
                             terms=terms)
+
+
+# ---------------------------------------------------------------------------
+# Every dyadic level in one pass
+# ---------------------------------------------------------------------------
+
+def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
+                   gamma: float | None = None, src: PVarSource | None = None):
+    """Yield ``(n, terms, clamped, divergent)`` per distinct level, finest first.
+
+    ``kind`` is ``pth`` (terms ``|dx|**p``), ``scaled`` (``w**gamma * dx**2``
+    with ``gamma = (p-2)/p`` and weights from ``src``) or
+    ``classical_scaled`` (``dt**gamma * dx**2``, ``gamma`` given).  The terms
+    equal those of :func:`pth_variation`, :func:`scaled_qv` and
+    :func:`classical_scaled_qv` on the level's dyadic partition, but no
+    partition, time grid, cumulative array or profile is built: increments
+    are strided slices of the samples.  With the default finest-level source
+    the grid-level ``|dx|**p`` is taken once, and each coarser level's block
+    weights are pairwise sums of the level below (``w[0::2] + w[1::2]``), so
+    every weight is an exact-order block sum.  Other sources supply weights
+    through :meth:`PVarSource.block_weights`.
+    """
+    L = x.grid_level
+    wanted = sorted({int(n) for n in levels}, reverse=True)
+    if wanted and wanted[-1] < 0:
+        raise ValidationError(f"partition level must be >= 0, got {wanted[-1]}")
+    if wanted and wanted[0] > L:
+        raise ResolutionError(f"dyadic level {wanted[0]} does not refine into "
+                              f"grid level {L}")
+    if kind != "classical_scaled" and p <= 0:
+        raise ValidationError(f"p must be > 0, got {p}")
+    if kind == "scaled":
+        src = src or PVarSource()
+        gamma = (p - 2.0) / p
+    pyramid = (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
+               and src.finest_profile is None)
+    if pyramid:
+        w, w_level = np.diff(x.samples), L
+        np.abs(w, out=w)
+        np.power(w, p, out=w)
+    for n in wanted:
+        dx = np.diff(x.samples[::1 << (L - n)])
+        clamped, divergent = 0, False
+        if kind == "pth":
+            terms = _pth_terms(dx, p)
+        elif gamma == 0.0:
+            terms = dx * dx
+        elif kind == "classical_scaled":
+            terms = np.float64(2.0 ** -n) ** gamma * (dx * dx)
+        else:
+            if pyramid:
+                while w_level > n:
+                    w, w_level = w[0::2] + w[1::2], w_level - 1
+                weights = w
+            else:
+                weights, clamped = src.block_weights(x, dyadic_partition(n, L), p, dx)
+            terms = _scaled_terms(weights, dx, gamma)
+            divergent = bool(np.isinf(terms).any())
+        yield n, terms, clamped, divergent
+
+
+def _level_total(terms: np.ndarray) -> float:
+    """The one reducer for level terminals (numpy's pairwise sum)."""
+    return float(np.sum(terms))
+
+
+def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
+                     gamma: float | None = None,
+                     src: PVarSource | None = None) -> list:
+    """Terminal of each level in ``levels`` (in that order), one pyramid pass."""
+    got = {n: _level_total(terms)
+           for n, terms, _, _ in _dyadic_levels(x, levels, kind, p, gamma, src)}
+    return [got[int(n)] for n in levels]
+
+
+def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
+                    gamma: float | None = None,
+                    src: PVarSource | None = None) -> list:
+    """:meth:`VariationProfile.metadata` of each level, without the profiles."""
+    mode = None
+    if kind == "scaled":
+        src = src or PVarSource()
+        gamma, mode = (p - 2.0) / p, src.mode
+    elif kind == "classical_scaled":
+        p, gamma = 2.0, float(gamma)
+    got = {}
+    for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p, gamma, src):
+        total = _level_total(terms)
+        got[n] = {"level": n, "p": float(p), "gamma": gamma, "kind": kind,
+                  "terminal": total, "source_mode": mode, "clamped": clamped,
+                  "divergent": divergent, "atom_risk": _atom_risk(terms, total)}
+    return [got[int(n)] for n in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +561,14 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
         sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
         with open(sidecar) as fh:
             meta = json.load(fh)
-    except (OSError, ValueError) as exc:
+        values = data[:, 1]
+        return VariationProfile(level=int(meta["level"]), times=data[:, 0],
+                                values=values, p=float(meta["p"]),
+                                kind=str(meta["kind"]),
+                                gamma=meta.get("gamma"),
+                                terms=np.diff(values),
+                                src_mode=meta.get("source_mode"),
+                                clamped=int(meta.get("clamped", 0)),
+                                divergent=bool(meta.get("divergent", False)))
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"cannot parse profile {csv_filename}: {exc}") from exc
-    values = data[:, 1]
-    return VariationProfile(level=int(meta["level"]), times=data[:, 0],
-                            values=values, p=float(meta["p"]),
-                            kind=str(meta["kind"]),
-                            gamma=meta.get("gamma"),
-                            terms=np.diff(values),
-                            src_mode=meta.get("source_mode"),
-                            clamped=int(meta.get("clamped", 0)),
-                            divergent=bool(meta.get("divergent", False)))

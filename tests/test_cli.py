@@ -76,6 +76,18 @@ class TestGen:
         assert rc == 1
         assert "requires --H" in err
 
+    @pytest.mark.parametrize("flag", ["--amplitude", "--freq"])
+    def test_explicit_zero_smooth_flag_gives_zero_path(self, flag, tmp_path, capsys):
+        out = tmp_path / "zero.csv"
+        rc, _, err = run(capsys, "gen", "--kind", "smooth", "--level", "4",
+                         flag, "0", "--out", str(out))
+        assert rc == 0, err
+        x = rv.read_path_csv(out)
+        assert x.samples.size == 17
+        assert np.all(x.samples == 0.0)
+        manifest = json.loads((tmp_path / "zero.manifest.json").read_text())
+        assert manifest["generator"]["params"][flag[2:]] == 0.0
+
     def test_unwritable_output_location(self, capsys):
         rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5",
                          "--level", "6", "--out", "/nonexistent/dir/p.csv")
@@ -113,6 +125,14 @@ class TestProfileCommands:
                        "--levels", "2:8")
         for n, v in zip(doc["levels"], doc["terminals"]):
             assert abs(v - (1.0 - 2.0 ** -n)) < 1e-12
+
+    def test_classical_gamma_zero_equals_pvar_two_bitwise(self, capsys):
+        path = ("--kind", "takagi", "--H", "0.5", "--level", "14",
+                "--signs", "random", "--seed", "11")
+        a = run_json(capsys, "classical", *path, "--gamma", "0", "--levels", "4:14")
+        b = run_json(capsys, "pvar", *path, "--p", "2", "--levels", "4:14")
+        assert a["levels"] == b["levels"]
+        assert a["terminals"] == b["terminals"]
 
     def test_window_full_uses_every_level(self, takagi_csv, capsys):
         doc = run_json(capsys, "pvar", "--in", takagi_csv, "--p", "2",

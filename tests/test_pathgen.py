@@ -1,5 +1,7 @@
 """Path generator tests: fBM statistics, smooth perturbations, dispatch."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from scipy import stats
 
 import roughvar as rv
 from roughvar.errors import ValidationError
+from roughvar.pathgen import _fgn_covariance
 
 
 class TestFbmPath:
@@ -48,6 +51,44 @@ class TestFbmPath:
         qv = [float(np.sum(np.diff(x.samples[:: 1 << (L - n)]) ** 2)) for n in levels]
         slope = np.polyfit(levels, np.log2(qv), 1)[0]
         assert abs(slope - (-0.4)) < 0.05
+
+    @pytest.mark.parametrize("H", [0.97, 0.99])
+    def test_near_one_hurst_generates_at_level_20(self, H):
+        """Second-order increments have the self-similar variance.
+
+        The plain increment-variance check above is no test at H near 1:
+        the increments are long-range dependent, so the sample variance of
+        one path is a chi-square-like draw with O(1) spread (seed 0 gives
+        ratios 0.53 and 0.22 here).  Second differences have summable
+        correlations; their variance is ``2 * (1 - gamma_1) * 2**(-2*L*H)``
+        with the lag-one covariance ``gamma_1 = 2**(2H-1) - 1``.
+        """
+        L = 20
+        x = rv.fbm_path(H, L, seed=0)
+        assert x.samples.size == (1 << L) + 1
+        d2 = np.diff(x.samples, 2)
+        gamma_1 = 2.0 ** (2 * H - 1) - 1.0
+        ratio = np.mean(d2 * d2) / (2.0 * (1.0 - gamma_1) * 2.0 ** (-2 * L * H))
+        assert abs(ratio - 1.0) < 0.07
+
+    def test_covariance_accurate_at_large_lags(self):
+        """fGN autocovariance against its binomial series, free of cancellation.
+
+        ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H) = k**2H * sum_j C(2H, 2j) k**-2j``
+        for k > 1; four terms are exact to double precision at k >= 100.
+        """
+        def binom(a, m):
+            return math.prod(a - i for i in range(m)) / math.factorial(m)
+
+        N = 1 << 20
+        for H in (0.1, 0.4, 0.97, 0.99):
+            gamma = _fgn_covariance(H, N)
+            assert gamma[0] == 1.0
+            npt.assert_allclose(gamma[1], 2.0 ** (2 * H - 1) - 1.0, rtol=1e-15)
+            for k in (100, 1000, 12345, N):
+                series = k ** (2 * H) * math.fsum(binom(2 * H, 2 * j) * float(k) ** (-2 * j)
+                                                  for j in range(1, 5))
+                npt.assert_allclose(gamma[k], series, rtol=1e-9)
 
     def test_h_bounds_validated(self):
         for H in (0.0, 1.0, -0.2):

@@ -58,13 +58,6 @@ class TestClassificationSweep:
         b = rv.classification_sweep(takagi14, LEVELS, [3.0, 1.5, 2.0])
         assert a == b
 
-    def test_thread_count_does_not_change_results(self, takagi14, monkeypatch):
-        monkeypatch.setenv("ROUGHVAR_THREADS", "1")
-        seq = rv.classification_sweep(takagi14, LEVELS, [1.5, 2.0, 2.5, 3.0])
-        monkeypatch.setenv("ROUGHVAR_THREADS", "2")
-        par = rv.classification_sweep(takagi14, LEVELS, [1.5, 2.0, 2.5, 3.0])
-        assert seq == par
-
     def test_probe_record_serializes(self, takagi14):
         rec = rv.classification_sweep(takagi14, LEVELS, [2.0])[0]
         doc = json.loads(json.dumps(rec.to_dict()))

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvar as rv
-from roughvar.errors import FormatError, SourceError, ValidationError
+from roughvar.errors import FormatError, ResolutionError, SourceError, ValidationError
+from roughvar.variation import _level_metadata, _level_terminals
 
 # ---------------------------------------------------------------------------
 # Naive references
@@ -244,6 +245,37 @@ class TestScaledQV:
             want = naive_scaled_qv(samples, indices, p, weights)
             npt.assert_allclose(prof.values, want, rtol=1e-13, atol=1e-300)
 
+    def test_default_source_weights_are_block_sums(self):
+        """Without an explicit profile, a block's weight is its grid-level sum."""
+        for level, samples, indices, p in random_cases(40, seed=31):
+            x = rv.Path(grid_level=level, samples=samples)
+            part = rv.Partition(level=0, indices=indices)
+            fine = np.abs(np.diff(samples)) ** p
+            weights = [math.fsum(fine[a:b].tolist())
+                       for a, b in zip(indices, indices[1:])]
+            want = naive_scaled_qv(samples, indices, p, weights)
+            npt.assert_allclose(rv.scaled_qv(x, part, p).values, want,
+                                rtol=1e-13, atol=1e-300)
+
+    def test_tiny_block_weights_do_not_cancel_to_false_divergence(self):
+        """A block weight far below one ulp of the running total stays positive.
+
+        Differences of the cumulative grid-level profile rounded every block
+        after the first to weight 0, so q < 2 gave +inf and a divergent flag.
+        """
+        inc = np.full(1 << 10, 1e-12)
+        inc[0] = 1.0
+        x = rv.Path(grid_level=10, samples=np.concatenate([[0.0], np.cumsum(inc)]))
+        prof = rv.scaled_qv(x, rv.dyadic_partition(9, 10), 1.5)
+        fine = np.abs(np.diff(x.samples)) ** 1.5
+        w = np.array([math.fsum(b) for b in fine.reshape(512, 2).tolist()])
+        dx = np.diff(x.samples[::2])
+        oracle = math.fsum((w ** (-0.5 / 1.5) * dx * dx).tolist())
+        assert not prof.divergent
+        assert prof.clamped == 0
+        npt.assert_allclose(prof.terminal, oracle, rtol=1e-13)
+        npt.assert_allclose(oracle, 1.0000000000020017, rtol=1e-15)
+
     def test_gamma_zero_collapses_to_quadratic_variation_elementwise(self):
         x = rv.fbm_path(0.3, 10, seed=4)
         part = rv.dyadic_partition(7, 10)
@@ -418,6 +450,91 @@ class TestLimitDiagnostics:
 # ---------------------------------------------------------------------------
 # Profile serialization
 # ---------------------------------------------------------------------------
+# One pass down the dyadic pyramid
+# ---------------------------------------------------------------------------
+
+
+def _profile(x, n, kind, p, gamma=None, src=None):
+    part = rv.dyadic_partition(n, x.grid_level)
+    if kind == "pth":
+        return rv.pth_variation(x, part, p)
+    if kind == "scaled":
+        return rv.scaled_qv(x, part, p, src)
+    return rv.classical_scaled_qv(x, part, gamma)
+
+
+class TestDyadicPyramid:
+    @pytest.fixture(scope="class")
+    def fbm16(self):
+        return rv.fbm_path(0.4, 16, seed=3)
+
+    @pytest.mark.parametrize("q", [1.2, 2.0, 2.5, 4.0])
+    def test_terminals_match_fsum_over_block_sums(self, fbm16, q):
+        levels = list(range(6, 17))
+        got = _level_terminals(fbm16, levels, "scaled", q)
+        fine = np.abs(np.diff(fbm16.samples)) ** q
+        gamma = (q - 2.0) / q
+        for n, value in zip(levels, got):
+            w = np.array([math.fsum(b) for b in fine.reshape(1 << n, -1).tolist()])
+            dx = np.diff(fbm16.samples[::1 << (16 - n)])
+            terms = dx * dx if gamma == 0.0 else w ** gamma * dx * dx
+            oracle = math.fsum(terms.tolist())
+            assert abs(value - oracle) <= 1e-13 * oracle, (n, value, oracle)
+
+    @pytest.mark.parametrize("kind, p, gamma, src", [
+        ("pth", 2.0, None, None),
+        ("pth", 2.7, None, None),
+        ("scaled", 2.5, None, None),
+        ("scaled", 1.5, None, rv.PVarSource.self_level()),
+        ("scaled", 3.0, None, rv.PVarSource.linear(0.7)),
+        ("scaled", 2.0, None, None),
+        ("classical_scaled", 2.0, -0.3, None),
+        ("classical_scaled", 2.0, 0.0, None),
+    ])
+    def test_metadata_matches_profile_kernels(self, fbm16, kind, p, gamma, src):
+        levels = [12, 4, 9, 16, 4]
+        got = _level_metadata(fbm16, levels, kind, p, gamma, src)
+        assert [m["level"] for m in got] == levels
+        for meta in got:
+            want = _profile(fbm16, meta["level"], kind, p, gamma, src).metadata()
+            assert meta.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    npt.assert_allclose(meta[key], value, rtol=1e-13)
+                else:
+                    assert meta[key] == value, key
+
+    def test_explicit_finest_profile_uses_its_own_values(self, fbm16):
+        coarse = rv.pth_variation(fbm16, rv.dyadic_partition(14, 16), 2.5)
+        src = rv.PVarSource.finest(coarse)
+        got = _level_terminals(fbm16, [8, 10, 14], "scaled", 2.5, src=src)
+        want = [_profile(fbm16, n, "scaled", 2.5, src=src).terminal for n in (8, 10, 14)]
+        npt.assert_allclose(got, want, rtol=1e-13)
+        with pytest.raises(SourceError, match="coarser"):
+            _level_terminals(fbm16, [15], "scaled", 2.5, src=src)
+
+    def test_degenerate_block_conventions(self):
+        x = rv.takagi_path(0.5, 5)
+        dead = rv.PVarSource.analytic(lambda t: np.zeros_like(np.asarray(t)))
+        [meta] = _level_metadata(x, [4], "scaled", 1.5, src=dead)
+        assert meta["divergent"] and math.isinf(meta["terminal"])
+        assert meta["atom_risk"] == 1.0
+        [meta] = _level_metadata(x, [4], "scaled", 3.0, src=dead)
+        assert meta["terminal"] == 0.0 and not meta["divergent"]
+        flat = rv.Path(grid_level=6, samples=np.zeros(65))
+        for meta in _level_metadata(flat, [2, 4, 6], "scaled", 1.5):
+            assert meta["terminal"] == 0.0 and not meta["divergent"]
+
+    def test_levels_outside_the_grid_are_rejected(self, fbm16):
+        with pytest.raises(ResolutionError):
+            _level_terminals(fbm16, [6, 17], "pth", 2.0)
+        with pytest.raises(ValidationError):
+            _level_terminals(fbm16, [-1, 6], "pth", 2.0)
+        with pytest.raises(ValidationError, match="p must be"):
+            _level_terminals(fbm16, [6], "scaled", 0.0)
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestProfileSerialization:
@@ -445,6 +562,16 @@ class TestProfileSerialization:
         (tmp_path / "bad.meta.json").write_text("{}")
         with pytest.raises(FormatError):
             rv.read_profile_csv(tmp_path / "bad.csv")
+
+    def test_sidecar_missing_key_is_format_error(self, tmp_path):
+        x = rv.takagi_path(0.5, 4)
+        prof = rv.pth_variation(x, rv.dyadic_partition(4, 4), 2.0)
+        rv.write_profile_csv(prof, tmp_path / "p.csv")
+        meta = json.loads((tmp_path / "p.meta.json").read_text())
+        del meta["level"]
+        (tmp_path / "p.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="level"):
+            rv.read_profile_csv(tmp_path / "p.csv")
 
     def test_missing_sidecar_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)
