@@ -42,7 +42,6 @@ from .schauder import (
     level_qv_identity,
     read_coefficients_json,
     schauder_eval,
-    schauder_eval_direct,
     takagi_coefficients,
     write_coefficients_json,
 )
@@ -108,7 +107,7 @@ __all__ = [
     "mesh_stats", "oscillation", "read_path_csv", "write_path_csv",
     "read_path_json", "write_path_json",
     # schauder
-    "SchauderCoefficients", "schauder_eval", "schauder_eval_direct",
+    "SchauderCoefficients", "schauder_eval",
     "takagi_coefficients", "counterexample_coefficients",
     "counterexample_burst_levels", "level_qv_identity",
     "read_coefficients_json", "write_coefficients_json",

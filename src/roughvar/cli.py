@@ -337,10 +337,7 @@ def _cmd_roughness(args) -> int:
 def _map_from_args(args, inputs: dict) -> isometry.SmoothMap:
     if getattr(args, "map_file", None):
         inputs[args.map_file] = _sha256(args.map_file)
-        try:
-            data = np.loadtxt(args.map_file, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise FormatError(f"cannot parse map table {args.map_file}: {exc}") from exc
+        data = grid._read_csv(args.map_file, "map table")
         name = os.path.splitext(os.path.basename(args.map_file))[0]
         return isometry.tabulated_map(name, data[:, 0], data[:, 1])
     return isometry.builtin_map(args.map)

@@ -9,6 +9,7 @@ are accumulated.  All objects are immutable; operations are pure functions.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,28 +180,56 @@ def oscillation(x: Path, part: Partition) -> float:
 # with fields {grid_level, samples, label}.
 # ---------------------------------------------------------------------------
 
+# Rows per ``%`` in _write_csv: one per row is slow, a whole 2**20-row file
+# at once would hold a 42 MB string and 2M float objects.
+_CSV_BLOCK_ROWS = 1 << 16
+
+
+def _write_csv(filename, header: str, columns) -> None:
+    """Equal-length float columns as comma-separated ``%.17g`` rows under ``header``."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(filename, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _read_csv(filename, what: str) -> np.ndarray:
+    """The two float columns below a CSV file's header line, as an (n, 2) array."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data rows; that is an error here
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot parse {what} {filename}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise FormatError(f"{what} {filename} has no data rows")
+    if data.shape[1] != 2:
+        raise FormatError(f"{what} {filename} must have two columns, got {data.shape[1]}")
+    return data
+
+
+def _level_of(n_points: int) -> int | None:
+    """The grid level L with ``2**L + 1 == n_points``, or None if there is none."""
+    level = max(n_points - 1, 1).bit_length() - 1
+    return level if (1 << level) + 1 == n_points else None
+
+
 def write_path_csv(x: Path, filename) -> None:
-    data = np.column_stack([x.times, x.samples])
-    np.savetxt(filename, data, fmt="%.17g", delimiter=",", header="t,value",
-               comments="")
+    _write_csv(filename, "t,value", [x.times, x.samples])
 
 
 def read_path_csv(filename, label: str | None = None) -> Path:
-    try:
-        data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot parse path CSV {filename}: {exc}") from exc
-    if data.shape[1] != 2:
-        raise FormatError(f"path CSV {filename} must have two columns, got {data.shape[1]}")
-    n_rows = data.shape[0]
-    grid_level = max(n_rows - 1, 1).bit_length() - 1
-    if (1 << grid_level) + 1 != n_rows:
-        raise FormatError(
-            f"path CSV {filename} has {n_rows} rows; expected 2**L + 1 for integer L"
-        )
-    t = data[:, 0]
-    expected_t = grid_times(grid_level)
-    if not np.allclose(t, expected_t, rtol=0.0, atol=2.0 ** (-grid_level) * 1e-6):
+    data = _read_csv(filename, "path CSV")
+    grid_level = _level_of(data.shape[0])
+    if grid_level is None:
+        raise FormatError(f"path CSV {filename} has {data.shape[0]} rows; "
+                          "expected 2**L + 1 for integer L")
+    if not np.allclose(data[:, 0], grid_times(grid_level), rtol=0.0,
+                       atol=2.0 ** (-grid_level) * 1e-6):
         raise FormatError(f"path CSV {filename}: time column is not the dyadic grid")
     return Path(grid_level=grid_level, samples=data[:, 1],
                 label=label if label is not None else str(filename))
@@ -209,16 +238,20 @@ def read_path_csv(filename, label: str | None = None) -> Path:
 def write_path_json(x: Path, filename) -> None:
     doc = {"grid_level": x.grid_level, "samples": x.samples.tolist(), "label": x.label}
     with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # one-shot dumps runs CPython's C encoder; json.dump(doc, fh) does not
+        print(json.dumps(doc), file=fh)
 
 
 def read_path_json(filename) -> Path:
     try:
         with open(filename) as fh:
             doc = json.load(fh)
-        return Path(grid_level=int(doc["grid_level"]),
-                    samples=np.asarray(doc["samples"], dtype=np.float64),
-                    label=str(doc.get("label", "")))
+        grid_level = int(doc["grid_level"])
+        samples = np.asarray(doc["samples"], dtype=np.float64)
+        label = str(doc.get("label", ""))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"cannot parse path JSON {filename}: {exc}") from exc
+    if samples.ndim != 1 or _level_of(samples.size) != grid_level:
+        raise FormatError(f"path JSON {filename}: {samples.size} samples do not fill "
+                          f"grid level {grid_level} (need 2**grid_level + 1)")
+    return Path(grid_level=grid_level, samples=samples, label=label)

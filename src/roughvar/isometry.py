@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .grid import Path
+from .grid import Path, _write_csv
 from .variation import (
     PVarSource,
     VariationProfile,
@@ -242,11 +242,8 @@ class IsometryReport:
 
 
 def write_report_csv(report: IsometryReport, filename) -> None:
-    data = np.column_stack([np.asarray(report.levels, dtype=np.float64),
-                            report.lhs_terminal, report.rhs_terminal,
-                            report.rel_err])
-    np.savetxt(filename, data, fmt="%.17g", delimiter=",",
-               header="level,lhs,rhs,rel_err", comments="")
+    _write_csv(filename, "level,lhs,rhs,rel_err",
+               [report.levels, report.lhs_terminal, report.rhs_terminal, report.rel_err])
 
 
 _REL_FLOOR = 1e-12

@@ -26,7 +26,6 @@ from .grid import Path
 __all__ = [
     "SchauderCoefficients",
     "schauder_eval",
-    "schauder_eval_direct",
     "takagi_coefficients",
     "counterexample_coefficients",
     "counterexample_burst_levels",
@@ -91,28 +90,6 @@ def schauder_eval(c: SchauderCoefficients, grid_level: int) -> Path:
         if m < c.max_level:
             mid = mid + c.theta[m] * (2.0 ** (-m / 2.0) * 0.5)
         x[half::stride] = mid
-    return Path(grid_level=grid_level, samples=x, label=c.label)
-
-
-def schauder_eval_direct(c: SchauderCoefficients, grid_level: int) -> Path:
-    """Naive tent-by-tent summation; O(max_level * 2**grid_level).
-
-    Retained as an independent oracle for :func:`schauder_eval`; both must
-    agree to machine precision.
-    """
-    if grid_level < c.max_level:
-        raise ResolutionError(
-            f"grid level {grid_level} cannot resolve coefficients up to level "
-            f"{c.max_level - 1}; need grid_level >= {c.max_level}"
-        )
-    t = np.arange((1 << grid_level) + 1, dtype=np.float64) * 2.0 ** (-grid_level)
-    x = np.zeros_like(t)
-    for m in range(c.max_level):
-        scale = 2.0 ** (-m / 2.0)
-        for k in range(1 << m):
-            u = (1 << m) * t - k
-            tent = np.maximum(0.0, np.minimum(u, 1.0 - u))
-            x += c.theta[m][k] * scale * tent
     return Path(grid_level=grid_level, samples=x, label=c.label)
 
 
@@ -188,8 +165,7 @@ def write_coefficients_json(c: SchauderCoefficients, filename) -> None:
            "theta": [row.tolist() for row in c.theta],
            "label": c.label}
     with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        print(json.dumps(doc), file=fh)
 
 
 def read_coefficients_json(filename) -> SchauderCoefficients:

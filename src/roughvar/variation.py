@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError, ResolutionError, SourceError, ValidationError
-from .grid import Partition, Path, dyadic_partition
+from .grid import Partition, Path, _read_csv, _write_csv, dyadic_partition
 
 __all__ = [
     "accurate_cumsum",
@@ -546,9 +546,7 @@ def _sidecar_name(csv_filename) -> str:
 
 def write_profile_csv(profile: VariationProfile, csv_filename,
                       sidecar_filename=None) -> None:
-    data = np.column_stack([profile.times, profile.values])
-    np.savetxt(csv_filename, data, fmt="%.17g", delimiter=",", header="t,value",
-               comments="")
+    _write_csv(csv_filename, "t,value", [profile.times, profile.values])
     sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
     with open(sidecar, "w") as fh:
         json.dump(profile.metadata(), fh, indent=2, sort_keys=True)
@@ -556,8 +554,8 @@ def write_profile_csv(profile: VariationProfile, csv_filename,
 
 
 def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
+    data = _read_csv(csv_filename, "profile")
     try:
-        data = np.loadtxt(csv_filename, delimiter=",", skiprows=1, ndmin=2)
         sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
         with open(sidecar) as fh:
             meta = json.load(fh)
@@ -570,5 +568,5 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
                                 src_mode=meta.get("source_mode"),
                                 clamped=int(meta.get("clamped", 0)),
                                 divergent=bool(meta.get("divergent", False)))
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"cannot parse profile {csv_filename}: {exc}") from exc

@@ -59,6 +59,15 @@ class TestGen:
         direct = rv.fbm_path(0.3, 9, seed=5)
         np.testing.assert_array_equal(x.samples, direct.samples)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_gen_level_17_reads_back_bitwise(self, suffix, tmp_path, capsys):
+        out = tmp_path / f"p{suffix}"
+        rc, _, err = run(capsys, "gen", "--kind", "fbm", "--H", "0.4",
+                         "--level", "17", "--seed", "3", "--out", str(out))
+        assert rc == 0, err
+        x = (rv.read_path_json if suffix == ".json" else rv.read_path_csv)(out)
+        np.testing.assert_array_equal(x.samples, rv.fbm_path(0.4, 17, seed=3).samples)
+
     def test_custom_schauder_kind(self, tmp_path, capsys):
         coeffs = schauder.takagi_coefficients(0.5, 6)
         cfile = tmp_path / "c.json"
@@ -199,6 +208,26 @@ class TestProfileCommands:
         assert "error:" in err
 
 
+    def test_header_only_input_exits_three_without_warning(self, tmp_path, capsys,
+                                                           recwarn):
+        empty = tmp_path / "h.csv"
+        empty.write_text("t,value\n")
+        rc, _, err = run(capsys, "pvar", "--in", str(empty), "--p", "2")
+        assert rc == 3
+        assert "has no data rows" in err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("doc", [{"grid_level": 1, "samples": [0, 1]},
+                                     {"grid_level": -1, "samples": [0, 1]}])
+    def test_json_path_with_wrong_sample_count_exits_three(self, doc, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "pvar", "--in", str(bad), "--p", "2")
+        assert rc == 3
+        assert err.startswith("error:")
+
+
 class TestRoughnessCommand:
     def test_search_payload_and_per_q_csv(self, takagi_csv, tmp_path, capsys):
         per_q = tmp_path / "per_q.csv"
@@ -254,6 +283,17 @@ class TestTwoSidedCommands:
                        "--map-file", str(table), "--levels", "6:10")
         assert doc["map_id"] == "sin_table"
         assert doc["success"]
+
+    @pytest.mark.parametrize("text", ["u,f\n", "u\n0\n1\n"])
+    def test_map_table_without_two_columns_of_data_exits_three(
+            self, text, takagi_csv, tmp_path, capsys, recwarn):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        rc, _, err = run(capsys, "chainrule", "--in", takagi_csv, "--p", "2",
+                         "--map-file", str(table), "--levels", "6:10")
+        assert rc == 3
+        assert err.startswith("error:")
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_invariance_with_builtin_sine(self, takagi_csv, capsys):
         doc = run_json(capsys, "invariance", "--in", takagi_csv, "--p", "2",

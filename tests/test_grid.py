@@ -1,5 +1,8 @@
 """Grid, partition, mesh, oscillation, and path serialization tests."""
 
+import json
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -200,6 +203,34 @@ class TestPathSerialization:
         assert back.grid_level == x.grid_level
         assert back.label == x.label
         npt.assert_array_equal(back.samples, x.samples)
+
+    @pytest.mark.parametrize("text", ["t,value\n", ""])
+    def test_csv_without_data_rows_is_format_error(self, text, tmp_path):
+        name = tmp_path / "empty.csv"
+        name.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="has no data rows"):
+                rv.read_path_csv(name)
+
+    @pytest.mark.parametrize("doc", [
+        {"grid_level": 1, "samples": [0, 1]},
+        {"grid_level": -1, "samples": [0, 1]},
+        {"grid_level": 0, "samples": [[0, 1]]},
+        {"grid_level": 0, "samples": []},
+        {"grid_level": 4000, "samples": [0, 1]},
+    ])
+    def test_json_sample_count_mismatch_is_format_error(self, doc, tmp_path):
+        name = tmp_path / "x.json"
+        name.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="grid level"):
+            rv.read_path_json(name)
+
+    def test_json_non_finite_sample_stays_validation_error(self, tmp_path):
+        name = tmp_path / "x.json"
+        name.write_text('{"grid_level": 0, "samples": [0, NaN]}')
+        with pytest.raises(ValidationError, match="non-finite"):
+            rv.read_path_json(name)
 
     def test_json_rejects_missing_fields(self, tmp_path):
         name = tmp_path / "x.json"

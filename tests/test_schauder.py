@@ -16,6 +16,22 @@ import roughvar as rv
 from roughvar.errors import FormatError, ResolutionError, ValidationError
 
 
+def _schauder_eval_direct(c, grid_level):
+    """Naive tent-by-tent summation, O(max_level * 2**grid_level): the oracle
+    for the midpoint recursion in :func:`roughvar.schauder_eval`."""
+    if grid_level < c.max_level:
+        raise ResolutionError(f"grid level {grid_level} cannot resolve level "
+                              f"{c.max_level - 1}")
+    t = rv.grid_times(grid_level)
+    x = np.zeros_like(t)
+    for m in range(c.max_level):
+        scale = 2.0 ** (-m / 2.0)
+        for k in range(1 << m):
+            u = (1 << m) * t - k
+            x += c.theta[m][k] * scale * np.maximum(0.0, np.minimum(u, 1.0 - u))
+    return rv.Path(grid_level=grid_level, samples=x, label=c.label)
+
+
 def _random_coefficients(max_level, seed):
     rng = np.random.default_rng(seed)
     theta = tuple(rng.standard_normal(1 << m) for m in range(max_level))
@@ -51,7 +67,7 @@ class TestEvaluation:
         for seed in range(4):
             c = _random_coefficients(6, seed)
             fast = rv.schauder_eval(c, 8)
-            slow = rv.schauder_eval_direct(c, 8)
+            slow = _schauder_eval_direct(c, 8)
             npt.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
 
     def test_grid_must_resolve_all_levels(self):
@@ -59,7 +75,7 @@ class TestEvaluation:
         with pytest.raises(ResolutionError):
             rv.schauder_eval(c, 4)
         with pytest.raises(ResolutionError):
-            rv.schauder_eval_direct(c, 4)
+            _schauder_eval_direct(c, 4)
 
     def test_dyadic_endpoints_stay_zero(self):
         x = rv.schauder_eval(_random_coefficients(5, 1), 7)

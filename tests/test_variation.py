@@ -7,6 +7,7 @@ closed forms, and against an extended-precision accumulation oracle.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -562,6 +563,16 @@ class TestProfileSerialization:
         (tmp_path / "bad.meta.json").write_text("{}")
         with pytest.raises(FormatError):
             rv.read_profile_csv(tmp_path / "bad.csv")
+
+    def test_header_only_csv_is_format_error(self, tmp_path):
+        x = rv.takagi_path(0.5, 4)
+        rv.write_profile_csv(rv.pth_variation(x, rv.dyadic_partition(4, 4), 2.0),
+                             tmp_path / "p.csv")
+        (tmp_path / "p.csv").write_text("t,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="has no data rows"):
+                rv.read_profile_csv(tmp_path / "p.csv")
 
     def test_sidecar_missing_key_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)

@@ -1,0 +1,100 @@
+"""Path, profile, report and coefficient files are byte-identical to numpy/json.
+
+The writers format CSV rows in blocks and encode JSON in one shot; these
+tests pin their bytes to what ``np.savetxt(fmt="%.17g")`` and ``json.dump``
+write for the same arrays, across the block boundary and for values whose
+shortest repr needs 17 significant digits.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import roughvar as rv
+
+# signed zero, the smallest subnormal, the largest double, a non-dyadic
+# decimal, and values that need all 17 significant digits to round-trip
+SPECIAL = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1,
+                    0.30000000000000004, 1.0 / 3.0, -2.0 / 3.0, np.pi * 1e-300,
+                    -1.7976931348623157e308, 2.2250738585072014e-308])
+BLOCK = 1 << 16
+ROW_COUNTS = [2, 3, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+def _column(n, seed):
+    """``n`` values: the special ones first, then 17-digit random draws."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    k = min(n, SPECIAL.size)
+    out[:k] = SPECIAL[:k]
+    return out
+
+
+def _savetxt_bytes(tmp_path, columns, header):
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    return ref.read_bytes()
+
+
+def _json_dump_bytes(tmp_path, doc):
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    return ref.read_bytes()
+
+
+@pytest.mark.parametrize("grid_level", [0, 1, 16, 17])
+def test_path_csv_matches_savetxt(grid_level, tmp_path):
+    x = rv.Path(grid_level=grid_level, samples=_column((1 << grid_level) + 1, grid_level))
+    out = tmp_path / "x.csv"
+    rv.write_path_csv(x, out)
+    assert out.read_bytes() == _savetxt_bytes(tmp_path, [x.times, x.samples], "t,value")
+
+
+@pytest.mark.parametrize("level", [0, 1, 16, 17])
+def test_profile_csv_matches_savetxt(level, tmp_path):
+    n = (1 << level) + 1
+    prof = rv.VariationProfile(level=level, times=rv.grid_times(level),
+                               values=_column(n, level), p=2.0, kind="pth",
+                               terms=np.zeros(n - 1))
+    out = tmp_path / "p.csv"
+    rv.write_profile_csv(prof, out)
+    assert out.read_bytes() == _savetxt_bytes(tmp_path, [prof.times, prof.values],
+                                              "t,value")
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_report_csv_matches_savetxt(rows, tmp_path):
+    levels = tuple(range(rows))
+    lhs, rhs, rel = (tuple(_column(rows, seed).tolist()) for seed in (1, 2, 3))
+    rep = rv.IsometryReport(kind="isometry", p=2.0, levels=levels, lhs_terminal=lhs,
+                            rhs_terminal=rhs, abs_err=rel, rel_err=rel,
+                            err_trend_slope=-1.0, success=True)
+    out = tmp_path / "r.csv"
+    rv.write_report_csv(rep, out)
+    want = _savetxt_bytes(tmp_path, [np.asarray(levels, dtype=np.float64), lhs, rhs, rel],
+                          "level,lhs,rhs,rel_err")
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("grid_level", [0, 1, 16, 17])
+def test_path_json_matches_json_dump(grid_level, tmp_path):
+    x = rv.Path(grid_level=grid_level, samples=_column((1 << grid_level) + 1, grid_level),
+                label="fbm(H=0.4) é\"\\")
+    out = tmp_path / "x.json"
+    rv.write_path_json(x, out)
+    doc = {"grid_level": x.grid_level, "samples": x.samples.tolist(), "label": x.label}
+    assert out.read_bytes() == _json_dump_bytes(tmp_path, doc)
+
+
+def test_coefficients_json_matches_json_dump(tmp_path):
+    theta = tuple(_column(1 << m, m) for m in range(12))
+    c = rv.SchauderCoefficients(max_level=12, theta=theta, label="random θ")
+    out = tmp_path / "c.json"
+    rv.write_coefficients_json(c, out)
+    doc = {"max_level": c.max_level, "theta": [row.tolist() for row in c.theta],
+           "label": c.label}
+    assert out.read_bytes() == _json_dump_bytes(tmp_path, doc)
