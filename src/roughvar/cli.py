@@ -112,14 +112,10 @@ def _parse_levels(text: str) -> list:
 
 
 def _resolve_levels(args, x: grid.Path) -> list:
+    """``--levels``, else the default window, else every level of a short grid."""
     if getattr(args, "levels", None):
-        lv = _parse_levels(args.levels)
-        if lv[-1] > x.grid_level:
-            raise ValidationError(
-                f"levels go up to {lv[-1]} but the path stops at level {x.grid_level}"
-            )
-        return lv
-    lv = list(roughness.default_levels(x))
+        return _parse_levels(args.levels)
+    lv = list(variation.default_levels(x))
     return lv if len(lv) >= 3 else list(range(0, x.grid_level + 1))
 
 
@@ -150,10 +146,15 @@ def _resolve_source(args) -> variation.PVarSource | None:
     raise ValidationError(f"unknown source mode {mode!r}")
 
 
-def _flag_or(args, name: str, default):
-    """A flag's value, or ``default`` when it is unset (an explicit 0 stays 0)."""
-    value = getattr(args, name, None)
-    return default if value is None else value
+def _smooth_params(args) -> dict:
+    """Polynomial ``coeffs`` from ``--coeffs`` when given, else the sine ``freq``."""
+    if not args.coeffs:
+        return {"freq": args.freq}
+    try:
+        return {"coeffs": [float(c) for c in args.coeffs.split(",")]}
+    except ValueError as exc:
+        raise ValidationError(f"bad --coeffs {args.coeffs!r}; expected "
+                              "comma-separated numbers") from exc
 
 
 def _generator_spec(args) -> pathgen.GeneratorSpec:
@@ -177,11 +178,8 @@ def _generator_spec(args) -> pathgen.GeneratorSpec:
         if level is None:
             raise ValidationError("--kind smooth requires --level")
         params["shape"] = getattr(args, "smooth_kind", None) or "sine"
-        params["amplitude"] = _flag_or(args, "amplitude", 1.0)
-        if getattr(args, "coeffs", None):
-            params["coeffs"] = [float(c) for c in args.coeffs.split(",")]
-        else:
-            params["freq"] = _flag_or(args, "freq", 1.0)
+        params["amplitude"] = args.amplitude
+        params.update(_smooth_params(args))
     elif kind == "custom_schauder":
         if not getattr(args, "coeffs_file", None):
             raise ValidationError("--kind custom_schauder requires --coeffs-file")
@@ -343,7 +341,15 @@ def _map_from_args(args, inputs: dict) -> isometry.SmoothMap:
     return isometry.builtin_map(args.map)
 
 
-def _two_sided_run(args, report, t0, inputs, extra) -> int:
+def _two_sided_run(args, check) -> int:
+    """Common body of isometry / chainrule / invariance.
+
+    ``check(x, levels, inputs)`` returns the report; it records the digests
+    of any further input files in ``inputs``.
+    """
+    t0 = time.perf_counter()
+    x, inputs, extra = _load_path(args)
+    report = check(x, _resolve_levels(args, x), inputs)
     payload = {"command": args.command, **report.to_dict()}
     if args.out:
         _write_json(payload, args.out)
@@ -361,37 +367,26 @@ def _two_sided_run(args, report, t0, inputs, extra) -> int:
 
 
 def _cmd_isometry(args) -> int:
-    t0 = time.perf_counter()
-    x, inputs, extra = _load_path(args)
-    f = _map_from_args(args, inputs)
-    report = isometry.isometry_check(x, f, args.p, _resolve_levels(args, x),
-                                     src=_resolve_source(args))
-    return _two_sided_run(args, report, t0, inputs, extra)
+    return _two_sided_run(args, lambda x, levels, inputs: isometry.isometry_check(
+        x, _map_from_args(args, inputs), args.p, levels, src=_resolve_source(args)))
 
 
 def _cmd_chainrule(args) -> int:
-    t0 = time.perf_counter()
-    x, inputs, extra = _load_path(args)
-    f = _map_from_args(args, inputs)
-    report = isometry.chain_rule_check(x, f, args.p, _resolve_levels(args, x))
-    return _two_sided_run(args, report, t0, inputs, extra)
+    return _two_sided_run(args, lambda x, levels, inputs: isometry.chain_rule_check(
+        x, _map_from_args(args, inputs), args.p, levels))
+
+
+def _perturbation(args, x: grid.Path, inputs: dict) -> grid.Path:
+    if args.perturb_in:
+        inputs[args.perturb_in] = _sha256(args.perturb_in)
+        return grid.read_path_csv(args.perturb_in)
+    return pathgen.smooth_perturbation(args.smooth_kind, args.amplitude,
+                                       x.grid_level, _smooth_params(args))
 
 
 def _cmd_invariance(args) -> int:
-    t0 = time.perf_counter()
-    x, inputs, extra = _load_path(args)
-    if args.perturb_in:
-        inputs[args.perturb_in] = _sha256(args.perturb_in)
-        A = grid.read_path_csv(args.perturb_in)
-    else:
-        params = {"freq": args.freq}
-        if args.coeffs:
-            params = {"coeffs": [float(c) for c in args.coeffs.split(",")]}
-        A = pathgen.smooth_perturbation(args.smooth_kind, args.amplitude,
-                                        x.grid_level, params)
-    report = isometry.invariance_check(x, A, args.p, _resolve_levels(args, x),
-                                       src=_resolve_source(args))
-    return _two_sided_run(args, report, t0, inputs, extra)
+    return _two_sided_run(args, lambda x, levels, inputs: isometry.invariance_check(
+        x, _perturbation(args, x, inputs), args.p, levels, src=_resolve_source(args)))
 
 
 def _cmd_counterexample(args) -> int:
@@ -523,29 +518,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path file (.csv or .json)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("pvar", help="p-th variation profiles across levels")
-    _add_common_analysis_flags(p, src=False)
-    p.add_argument("--p", type=float, help="variation exponent (> 0)")
-    p.add_argument("--window", help="diagnostic tail window (int or 'full')")
-    p.add_argument("--profiles-out", dest="profiles_out",
-                   help="directory for per-level profile CSVs")
-    p.set_defaults(func=_cmd_pvar)
-
-    p = sub.add_parser("sqv", help="scaled quadratic variation across levels")
-    _add_common_analysis_flags(p)
-    p.add_argument("--p", type=float, help="variation exponent (> 0)")
-    p.add_argument("--window", help="diagnostic tail window (int or 'full')")
-    p.add_argument("--profiles-out", dest="profiles_out",
-                   help="directory for per-level profile CSVs")
-    p.set_defaults(func=_cmd_sqv)
-
-    p = sub.add_parser("classical", help="time-weighted scaled QV across levels")
-    _add_common_analysis_flags(p, src=False)
-    p.add_argument("--gamma", type=float, help="time-weight exponent")
-    p.add_argument("--window", help="diagnostic tail window (int or 'full')")
-    p.add_argument("--profiles-out", dest="profiles_out",
-                   help="directory for per-level profile CSVs")
-    p.set_defaults(func=_cmd_classical)
+    for name, helptext, func in [
+        ("pvar", "p-th variation profiles across levels", _cmd_pvar),
+        ("sqv", "scaled quadratic variation across levels", _cmd_sqv),
+        ("classical", "time-weighted scaled QV across levels", _cmd_classical),
+    ]:
+        p = sub.add_parser(name, help=helptext)
+        _add_common_analysis_flags(p, src=(name == "sqv"))
+        if name == "classical":
+            p.add_argument("--gamma", type=float, help="time-weight exponent")
+        else:
+            p.add_argument("--p", type=float, help="variation exponent (> 0)")
+        p.add_argument("--window", help="diagnostic tail window (int or 'full')")
+        p.add_argument("--profiles-out", dest="profiles_out",
+                       help="directory for per-level profile CSVs")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("roughness", help="bisect for the critical variation index")
     _add_common_analysis_flags(p)

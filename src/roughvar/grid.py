@@ -246,11 +246,14 @@ def read_path_json(filename) -> Path:
     try:
         with open(filename) as fh:
             doc = json.load(fh)
-        grid_level = int(doc["grid_level"])
+        grid_level = doc["grid_level"]
         samples = np.asarray(doc["samples"], dtype=np.float64)
         label = str(doc.get("label", ""))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"cannot parse path JSON {filename}: {exc}") from exc
+    if type(grid_level) is not int:
+        raise FormatError(f"path JSON {filename}: grid level {grid_level!r} "
+                          "is not an integer")
     if samples.ndim != 1 or _level_of(samples.size) != grid_level:
         raise FormatError(f"path JSON {filename}: {samples.size} samples do not fill "
                           f"grid level {grid_level} (need 2**grid_level + 1)")

@@ -22,12 +22,16 @@ import numpy as np
 from .errors import EvaluationError, ValidationError
 from .grid import Path, _write_csv
 from .variation import (
+    LimitReport,
     PVarSource,
     VariationProfile,
+    _check_levels,
     _dyadic_levels,
     _level_terminals,
     _level_total,
+    _tail_slope,
     accurate_cumsum,
+    default_levels,
     limit_diagnostics,
 )
 
@@ -249,42 +253,9 @@ def write_report_csv(report: IsometryReport, filename) -> None:
 _REL_FLOOR = 1e-12
 
 
-def _rel_errs(lhs, rhs):
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
-    absd = np.abs(lhs - rhs)
-    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR)
-    return absd, absd / denom
-
-
-def _err_slope(levels, rel):
-    levels = np.asarray(levels, dtype=np.float64)
-    rel = np.asarray(rel, dtype=np.float64)
-    ok = rel > 0.0
-    if np.count_nonzero(ok) < 2:
-        return float("nan")
-    return float(np.polyfit(levels[ok], np.log2(rel[ok]), 1)[0])
-
-
-def _verdict(levels, lhs, rhs):
-    absd, rel = _rel_errs(lhs, rhs)
-    slope = _err_slope(levels, rel)
-    success = bool(np.max(rel) <= _REL_FLOOR) or (np.isfinite(slope) and slope < 0.0)
-    return absd, rel, slope, success
-
-
-def _check_levels(x: Path, levels) -> list:
-    lv = [int(n) for n in levels]
-    if len(lv) < 2:
-        raise ValidationError(f"need at least 2 levels, got {len(lv)}")
-    if any(n < 0 or n > x.grid_level for n in lv):
-        raise ValidationError(f"levels must lie in [0, {x.grid_level}]")
-    return lv
-
-
 def holder_proxy(x: Path, levels) -> float:
     """Exponent estimate from the decay of max increments across levels."""
-    lv = _check_levels(x, levels)
+    lv = _check_levels(x, levels, 2)
     mags = []
     for n in lv:
         stride = 2 ** (x.grid_level - n)
@@ -297,11 +268,17 @@ def holder_proxy(x: Path, levels) -> float:
     return float(-slope)
 
 
+def _pth_trend(x: Path, p: float, levels) -> LimitReport | None:
+    """The path's p-th variation terminals, classified over the whole window."""
+    if len(levels) < 3:
+        return None
+    return limit_diagnostics(_level_terminals(x, levels, "pth", p),
+                             window=len(levels), levels=levels)
+
+
 def _index_warning(x: Path, p: float, levels) -> list:
     """Warn when the path's p-th variation is visibly not levelling off."""
-    vals = _level_terminals(x, levels, "pth", p)
-    rep = limit_diagnostics(vals, window=len(vals), levels=levels) \
-        if len(vals) >= 3 else None
+    rep = _pth_trend(x, p, levels)
     if rep is not None and abs(rep.trend_slope) > 0.5:
         return [f"p-th variation terminals trend with log2 slope "
                 f"{rep.trend_slope:+.2f}; the path's critical index appears "
@@ -309,20 +286,48 @@ def _index_warning(x: Path, p: float, levels) -> list:
     return []
 
 
-def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, lhs_levels,
-                      rhs_levels) -> tuple:
+def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
+                      src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
 
-    ``lhs_levels`` and ``rhs_levels`` are :func:`_dyadic_levels` passes over
-    the same levels; the right side is the left-endpoint Stieltjes sum of
-    :func:`stieltjes_integral`, reduced like every other level terminal.
+    The left side is the ``kind`` pass of :func:`_dyadic_levels` over f(x)
+    with its default source; the right side is the left-endpoint Stieltjes
+    sum of :func:`stieltjes_integral` over the same pass over x (weights
+    from ``src``), reduced like every other level terminal.
     """
+    fx = compose_path(f, x)
     lhs, rhs = {}, {}
-    for (n, lhs_terms, *_), (_, x_terms, *_) in zip(lhs_levels, rhs_levels):
+    for (n, lhs_terms, *_), (_, x_terms, *_) in zip(
+            _dyadic_levels(fx, levels, kind, p),
+            _dyadic_levels(x, levels, kind, p, src=src)):
         g = np.abs(f.f1(x.samples[:-1:1 << (x.grid_level - n)])) ** p
         lhs[n] = _level_total(lhs_terms)
         rhs[n] = _level_total(g * x_terms)
-    return tuple(lhs[n] for n in levels), tuple(rhs[n] for n in levels)
+    return [lhs[n] for n in levels], [rhs[n] for n in levels]
+
+
+def _two_sided(kind: str, x: Path, p: float, levels, sides,
+               **fields) -> IsometryReport:
+    """Compare two per-level sequences and judge the error trend.
+
+    ``levels`` defaults to :func:`default_levels`; ``sides(levels)`` returns
+    ``(lhs, rhs, warnings)``.  ``fields`` fill the report's remaining
+    fields (source mode, map id, notes).
+    """
+    if p <= 0:
+        raise ValidationError(f"p must be > 0, got {p}")
+    lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
+    lhs, rhs, warnings = sides(lv)
+    absd = np.abs(np.subtract(lhs, rhs))
+    rel = absd / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR)
+    slope = _tail_slope(np.asarray(lv, dtype=np.float64), rel)
+    return IsometryReport(kind=kind, p=float(p), levels=tuple(lv),
+                          lhs_terminal=tuple(lhs), rhs_terminal=tuple(rhs),
+                          abs_err=tuple(absd), rel_err=tuple(rel),
+                          err_trend_slope=slope,
+                          success=bool(np.max(rel) <= _REL_FLOOR or slope < 0.0),
+                          alpha_proxy=holder_proxy(x, lv),
+                          warnings=tuple(warnings), **fields)
 
 
 def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
@@ -336,48 +341,25 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     identity map and the default source both sides run the same
     accumulation and agree bitwise.
     """
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
-    lv = _check_levels(x, levels if levels is not None else
-                       range(6, x.grid_level - 1))
-    fx = compose_path(f, x)
     src_x = src or PVarSource()
 
-    warnings = _index_warning(x, p, lv)
-    deriv_floor = float(np.min(np.abs(f.f1(x.samples))))
-    if deriv_floor == 0.0:
-        warnings.append(f"map {f.id} has vanishing derivative on the path's "
-                        "range; degenerate blocks contribute zero")
+    def sides(lv):
+        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", src_x)
+        warnings = _index_warning(x, p, lv)
+        if float(np.min(np.abs(f.f1(x.samples)))) == 0.0:
+            warnings.append(f"map {f.id} has vanishing derivative on the path's "
+                            "range; degenerate blocks contribute zero")
+        return lhs, rhs, warnings
 
-    lhs, rhs = _integrated_sides(x, f, p, lv, _dyadic_levels(fx, lv, "scaled", p),
-                                 _dyadic_levels(x, lv, "scaled", p, src=src_x))
-    absd, rel, slope, success = _verdict(lv, lhs, rhs)
-    return IsometryReport(kind="isometry", p=float(p), levels=tuple(lv),
-                          lhs_terminal=lhs, rhs_terminal=rhs,
-                          abs_err=tuple(absd), rel_err=tuple(rel),
-                          err_trend_slope=slope, success=success,
-                          src_mode=src_x.mode, map_id=f.id,
-                          alpha_proxy=holder_proxy(x, lv),
-                          warnings=tuple(warnings), notes=(_CONTINUITY_NOTE,))
+    return _two_sided("isometry", x, p, levels, sides, src_mode=src_x.mode,
+                      map_id=f.id, notes=(_CONTINUITY_NOTE,))
 
 
 def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryReport:
     """Compare the p-th variation of f(x) against sum |f'(x)|^p * d[x]^(p)."""
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
-    lv = _check_levels(x, levels if levels is not None else
-                       range(6, x.grid_level - 1))
-    fx = compose_path(f, x)
-    warnings = _index_warning(x, p, lv)
-    lhs, rhs = _integrated_sides(x, f, p, lv, _dyadic_levels(fx, lv, "pth", p),
-                                 _dyadic_levels(x, lv, "pth", p))
-    absd, rel, slope, success = _verdict(lv, lhs, rhs)
-    return IsometryReport(kind="chain_rule", p=float(p), levels=tuple(lv),
-                          lhs_terminal=lhs, rhs_terminal=rhs,
-                          abs_err=tuple(absd), rel_err=tuple(rel),
-                          err_trend_slope=slope, success=success,
-                          map_id=f.id, alpha_proxy=holder_proxy(x, lv),
-                          warnings=tuple(warnings))
+    return _two_sided("chain_rule", x, p, levels, lambda lv: (
+        *_integrated_sides(x, f, p, lv, "pth"), _index_warning(x, p, lv)),
+        map_id=f.id)
 
 
 def invariance_check(x: Path, A: Path, p: float, levels=None,
@@ -388,35 +370,23 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
     base path).  A perturbation whose p-th variation does not vanish across
     levels violates the hypothesis; that raises a warning, not an error.
     """
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
     if A.grid_level != x.grid_level:
         raise ValidationError(
             f"perturbation grid level {A.grid_level} != path level {x.grid_level}"
         )
-    lv = _check_levels(x, levels if levels is not None else
-                       range(6, x.grid_level - 1))
     xa = Path(grid_level=x.grid_level, samples=x.samples + A.samples,
               label=f"{x.label}+{A.label}" if x.label and A.label else "perturbed")
-
-    warnings = []
-    a_vals = _level_terminals(A, lv, "pth", p)
-    if len(a_vals) >= 3:
-        a_cls = limit_diagnostics(a_vals, window=len(a_vals), levels=lv).classification
-        if a_cls != "vanishing":
-            warnings.append(
-                f"perturbation's p-th variation classifies {a_cls}, not "
-                "vanishing; invariance hypothesis violated"
-            )
-
     src_x = src or PVarSource()
-    lhs = tuple(_level_terminals(xa, lv, "scaled", p))
-    rhs = tuple(_level_terminals(x, lv, "scaled", p, src=src_x))
-    absd, rel, slope, success = _verdict(lv, lhs, rhs)
-    return IsometryReport(kind="invariance", p=float(p), levels=tuple(lv),
-                          lhs_terminal=lhs, rhs_terminal=rhs,
-                          abs_err=tuple(absd), rel_err=tuple(rel),
-                          err_trend_slope=slope, success=success,
-                          src_mode=src_x.mode, map_id=A.label or "perturbation",
-                          alpha_proxy=holder_proxy(x, lv),
-                          warnings=tuple(warnings))
+
+    def sides(lv):
+        rep = _pth_trend(A, p, lv)
+        warnings = []
+        if rep is not None and rep.classification != "vanishing":
+            warnings.append(f"perturbation's p-th variation classifies "
+                            f"{rep.classification}, not vanishing; invariance "
+                            "hypothesis violated")
+        return (_level_terminals(xa, lv, "scaled", p),
+                _level_terminals(x, lv, "scaled", p, src=src_x), warnings)
+
+    return _two_sided("invariance", x, p, levels, sides, src_mode=src_x.mode,
+                      map_id=A.label or "perturbation")

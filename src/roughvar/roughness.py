@@ -19,7 +19,9 @@ from .variation import (
     ClassificationThresholds,
     LimitReport,
     PVarSource,
+    _check_levels,
     _level_terminals,
+    default_levels,
     limit_diagnostics,
 )
 
@@ -85,20 +87,6 @@ class RoughnessReport:
                 "src_mode": self.src_mode, "iters": self.iters}
 
 
-def default_levels(x: Path) -> range:
-    """Dyadic levels 6 .. grid_level - 2 (top two held back as the proxy)."""
-    return range(6, x.grid_level - 1)
-
-
-def _check_levels(x: Path, levels) -> list:
-    lv = [int(n) for n in levels]
-    if len(lv) < 3:
-        raise ValidationError(f"need at least 3 levels, got {len(lv)}")
-    if any(n < 0 or n > x.grid_level for n in lv):
-        raise ValidationError(f"levels must lie in [0, {x.grid_level}]")
-    return lv
-
-
 class _ProbeEngine:
     """Per-q terminal cache for a fixed path/levels/source.
 
@@ -109,7 +97,7 @@ class _ProbeEngine:
     def __init__(self, x: Path, levels, src: PVarSource | None,
                  thresholds: ClassificationThresholds | None = None):
         self.x = x
-        self.levels = _check_levels(x, levels)
+        self.levels = _check_levels(x, levels, 3)
         self.src = src or PVarSource()
         self.thresholds = thresholds
         self._terminals: dict[float, list] = {}
@@ -180,8 +168,8 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
         raise ValidationError(f"p_range must be positive, got {p_range}")
     if iters < 1:
         raise ValidationError(f"iters must be >= 1, got {iters}")
-    lv = _check_levels(x, levels if levels is not None else default_levels(x))
-    engine = _ProbeEngine(x, lv, src, thresholds)
+    engine = _ProbeEngine(x, default_levels(x) if levels is None else levels,
+                          src, thresholds)
 
     seen: dict[float, ProbeRecord] = {}
 
@@ -228,5 +216,5 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     per_q = tuple(sorted(seen.values(), key=lambda rec: rec.q))
     return RoughnessReport(p_bar_est=float(p_bar), bracket=(lo, hi),
                            hurst_est=1.0 / float(p_bar), per_q=per_q,
-                           levels_used=tuple(lv), src_mode=engine.src.mode,
-                           iters=int(iters))
+                           levels_used=tuple(engine.levels),
+                           src_mode=engine.src.mode, iters=int(iters))

@@ -331,6 +331,23 @@ def classical_scaled_qv(x: Path, part: Partition, gamma: float) -> VariationProf
 # Every dyadic level in one pass
 # ---------------------------------------------------------------------------
 
+def default_levels(x: Path) -> range:
+    """Dyadic levels 6 .. grid_level - 2 (top two held back as the proxy)."""
+    return range(6, x.grid_level - 1)
+
+
+def _check_levels(x: Path, levels, at_least: int) -> list:
+    """``levels`` as ints: at least ``at_least`` of them, each in [0, grid_level]."""
+    lv = [int(n) for n in levels]
+    if len(lv) < at_least:
+        raise ValidationError(f"need at least {at_least} levels, got {len(lv)}")
+    if min(lv) < 0:
+        raise ValidationError(f"levels must lie in [0, {x.grid_level}], got {min(lv)}")
+    if max(lv) > x.grid_level:
+        raise ResolutionError(f"levels must lie in [0, {x.grid_level}], got {max(lv)}")
+    return lv
+
+
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None):
     """Yield ``(n, terms, clamped, divergent)`` per distinct level, finest first.
@@ -348,12 +365,7 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     through :meth:`PVarSource.block_weights`.
     """
     L = x.grid_level
-    wanted = sorted({int(n) for n in levels}, reverse=True)
-    if wanted and wanted[-1] < 0:
-        raise ValidationError(f"partition level must be >= 0, got {wanted[-1]}")
-    if wanted and wanted[0] > L:
-        raise ResolutionError(f"dyadic level {wanted[0]} does not refine into "
-                              f"grid level {L}")
+    wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
     if kind != "classical_scaled" and p <= 0:
         raise ValidationError(f"p must be > 0, got {p}")
     if kind == "scaled":
@@ -554,19 +566,28 @@ def write_profile_csv(profile: VariationProfile, csv_filename,
 
 
 def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
+    """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal."""
     data = _read_csv(csv_filename, "profile")
+    times, values = data[:, 0], data[:, 1]
     try:
         sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
         with open(sidecar) as fh:
             meta = json.load(fh)
-        values = data[:, 1]
-        return VariationProfile(level=int(meta["level"]), times=data[:, 0],
-                                values=values, p=float(meta["p"]),
-                                kind=str(meta["kind"]),
-                                gamma=meta.get("gamma"),
-                                terms=np.diff(values),
-                                src_mode=meta.get("source_mode"),
-                                clamped=int(meta.get("clamped", 0)),
-                                divergent=bool(meta.get("divergent", False)))
+        terminal = float(meta["terminal"])
+        profile = VariationProfile(level=int(meta["level"]), times=times,
+                                   values=values, p=float(meta["p"]),
+                                   kind=str(meta["kind"]),
+                                   gamma=meta.get("gamma"),
+                                   terms=np.diff(values),
+                                   src_mode=meta.get("source_mode"),
+                                   clamped=int(meta.get("clamped", 0)),
+                                   divergent=bool(meta.get("divergent", False)))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"cannot parse profile {csv_filename}: {exc}") from exc
+    if times[0] != 0.0 or times[-1] != 1.0 or np.any(np.diff(times) <= 0.0):
+        raise FormatError(f"profile {csv_filename}: times must rise strictly "
+                          "from 0 to 1")
+    if profile.terminal != terminal:
+        raise FormatError(f"profile {csv_filename}: last value {profile.terminal!r} "
+                          f"is not the sidecar terminal {terminal!r}")
+    return profile

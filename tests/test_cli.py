@@ -97,6 +97,13 @@ class TestGen:
         manifest = json.loads((tmp_path / "zero.manifest.json").read_text())
         assert manifest["generator"]["params"][flag[2:]] == 0.0
 
+    def test_bad_coeffs_exits_one(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "gen", "--kind", "smooth", "--smooth-kind", "poly",
+                         "--coeffs", "1,x", "--level", "4",
+                         "--out", str(tmp_path / "p.csv"))
+        assert rc == 1
+        assert err.startswith("error: bad --coeffs '1,x'")
+
     def test_unwritable_output_location(self, capsys):
         rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5",
                          "--level", "6", "--out", "/nonexistent/dir/p.csv")
@@ -218,7 +225,9 @@ class TestProfileCommands:
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     @pytest.mark.parametrize("doc", [{"grid_level": 1, "samples": [0, 1]},
-                                     {"grid_level": -1, "samples": [0, 1]}])
+                                     {"grid_level": -1, "samples": [0, 1]},
+                                     {"grid_level": 1.9, "samples": [0, 0.5, 1]},
+                                     {"grid_level": True, "samples": [0, 0.5, 1]}])
     def test_json_path_with_wrong_sample_count_exits_three(self, doc, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.json"
@@ -301,6 +310,18 @@ class TestTwoSidedCommands:
         assert doc["kind"] == "invariance"
         assert doc["success"]
         assert doc["rel_err"][-1] < 0.05
+
+    def test_invariance_with_bad_coeffs_exits_one(self, takagi_csv, capsys):
+        rc, _, err = run(capsys, "invariance", "--in", takagi_csv, "--p", "2",
+                         "--smooth-kind", "poly", "--coeffs", "1,x",
+                         "--levels", "6:10")
+        assert rc == 1
+        assert err.startswith("error: bad --coeffs '1,x'")
+
+    def test_verdict_without_an_error_trend_prints_as_json(self, takagi_csv, capsys):
+        doc = run_json(capsys, "chainrule", "--in", takagi_csv, "--p", "2",
+                       "--map", "sin", "--levels", "0:1")
+        assert doc["success"] is False and np.isnan(doc["err_trend_slope"])
 
     def test_invariance_with_perturbation_file(self, takagi_csv, tmp_path,
                                                capsys):

@@ -219,6 +219,9 @@ class TestPathSerialization:
         {"grid_level": 0, "samples": [[0, 1]]},
         {"grid_level": 0, "samples": []},
         {"grid_level": 4000, "samples": [0, 1]},
+        {"grid_level": 1.9, "samples": [0, 0.5, 1]},
+        {"grid_level": True, "samples": [0, 0.5, 1]},
+        {"grid_level": "1", "samples": [0, 0.5, 1]},
     ])
     def test_json_sample_count_mismatch_is_format_error(self, doc, tmp_path):
         name = tmp_path / "x.json"

@@ -258,9 +258,44 @@ class TestReportOutput:
         npt.assert_allclose(lhs, rep.lhs_terminal[-1], rtol=1e-15)
         npt.assert_allclose(rel, rep.rel_err[-1], rtol=1e-15)
 
+    def test_verdict_without_an_error_trend_is_a_plain_bool(self, takagi14):
+        # the path starts and ends at 0, so both sides agree exactly at level
+        # 0 and only one relative error is left for the trend fit
+        rep = rv.chain_rule_check(takagi14, rv.sin_map(), 2.0, [0, 1])
+        assert rep.rel_err[0] == 0.0 and np.isnan(rep.err_trend_slope)
+        assert rep.success is False
+
     def test_report_dict_is_json_ready(self, takagi14):
         import json
         rep = rv.chain_rule_check(takagi14, rv.sin_map(), 2.0, [6, 8, 10])
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["kind"] == "chain_rule"
         assert len(doc["rel_err"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Default levels
+# ---------------------------------------------------------------------------
+
+_CHECKS = {
+    "isometry": lambda x: rv.isometry_check(x, rv.sin_map(), 2.0, levels=None),
+    "chain_rule": lambda x: rv.chain_rule_check(x, rv.sin_map(), 2.0, levels=None),
+    "invariance": lambda x: rv.invariance_check(
+        x, rv.smooth_perturbation("sine", 0.5, x.grid_level, {"freq": 1.0}), 2.0,
+        levels=None),
+}
+
+
+class TestDefaultLevels:
+    @pytest.mark.parametrize("kind", _CHECKS)
+    def test_levels_default_to_the_default_window(self, kind, takagi14):
+        rep = _CHECKS[kind](takagi14)
+        assert rep.kind == kind
+        assert list(rep.levels) == list(rv.default_levels(takagi14))
+
+    @pytest.mark.parametrize("kind", _CHECKS)
+    def test_grid_too_short_for_two_default_levels(self, kind):
+        short = rv.takagi_path(0.5, 8)
+        assert list(rv.default_levels(short)) == [6]
+        with pytest.raises(ValidationError, match="need at least 2 levels"):
+            _CHECKS[kind](short)

@@ -584,6 +584,24 @@ class TestProfileSerialization:
         with pytest.raises(FormatError, match="level"):
             rv.read_profile_csv(tmp_path / "p.csv")
 
+    @pytest.mark.parametrize("rows", [
+        "0,0\n0.7,1\n0.2,3\n", "0,0\n0.5,1\n0.75,3\n", "0.25,0\n0.5,1\n1,3\n",
+        "0,0\n0.5,1\n0.5,2\n1,3\n", "0,0\n0.5,1\n1,4\n",
+    ], ids=["falls_back", "stops_short_of_1", "starts_after_0", "repeats_a_time",
+            "ends_off_the_terminal"])
+    def test_times_off_the_unit_interval_or_terminal_mismatch(self, rows, tmp_path):
+        x = rv.takagi_path(0.5, 4)
+        rv.write_profile_csv(rv.pth_variation(x, rv.dyadic_partition(4, 4), 2.0),
+                             tmp_path / "p.csv")
+        meta = json.loads((tmp_path / "p.meta.json").read_text())
+        meta["terminal"] = 3.0
+        (tmp_path / "p.meta.json").write_text(json.dumps(meta))
+        (tmp_path / "p.csv").write_text("t,value\n0,0\n0.5,1\n1,3\n")
+        assert rv.read_profile_csv(tmp_path / "p.csv").terminal == 3.0
+        (tmp_path / "p.csv").write_text("t,value\n" + rows)
+        with pytest.raises(FormatError):
+            rv.read_profile_csv(tmp_path / "p.csv")
+
     def test_missing_sidecar_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)
         prof = rv.pth_variation(x, rv.dyadic_partition(4, 4), 2.0)
