@@ -10,6 +10,7 @@ wall-clock timings live only in the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -241,14 +242,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _profile_run(args, label: str, kind: str, p: float = 2.0,
-                 gamma: float | None = None,
-                 src: variation.PVarSource | None = None) -> int:
-    """Shared driver for pvar / sqv / classical.
+def _profile_run(args, kind: str) -> int:
+    """pvar / sqv / classical: the ``kind`` functional across levels.
 
     Every level's terminal and metadata come from one pass down the dyadic
     pyramid; full profiles are built only for ``--profiles-out``.
     """
+    label = args.command
+    flag = "gamma" if kind == "classical_scaled" else "p"
+    if getattr(args, flag) is None:
+        raise ValidationError(f"{label} requires --{flag}")
+    p, gamma = getattr(args, "p", 2.0), getattr(args, "gamma", None)
+    src = _resolve_source(args)
     t0 = time.perf_counter()
     x, inputs, extra = _load_path(args)
     levels = _resolve_levels(args, x)
@@ -268,11 +273,8 @@ def _profile_run(args, label: str, kind: str, p: float = 2.0,
             payload[key] = getattr(args, key)
 
     if getattr(args, "profiles_out", None):
-        build = {"pth": lambda part: variation.pth_variation(x, part, p),
-                 "scaled": lambda part: variation.scaled_qv(x, part, p, src),
-                 "classical_scaled": lambda part: variation.classical_scaled_qv(
-                     x, part, gamma)}[kind]
-        _write_profiles((build(grid.dyadic_partition(n, x.grid_level)) for n in levels),
+        _write_profiles((variation._profile(kind, x, grid.dyadic_partition(n, x.grid_level),
+                                            p, gamma, src) for n in levels),
                         args.profiles_out, label)
     if args.out:
         _write_json(payload, args.out)
@@ -285,24 +287,6 @@ def _profile_run(args, label: str, kind: str, p: float = 2.0,
                      f"(slope {report.trend_slope:+.3f}, window {report.window})")
     _emit(args, payload, lines)
     return 0
-
-
-def _cmd_pvar(args) -> int:
-    if args.p is None:
-        raise ValidationError("pvar requires --p")
-    return _profile_run(args, "pvar", "pth", args.p)
-
-
-def _cmd_sqv(args) -> int:
-    if args.p is None:
-        raise ValidationError("sqv requires --p")
-    return _profile_run(args, "sqv", "scaled", args.p, src=_resolve_source(args))
-
-
-def _cmd_classical(args) -> int:
-    if args.gamma is None:
-        raise ValidationError("classical requires --gamma")
-    return _profile_run(args, "classical", "classical_scaled", gamma=args.gamma)
 
 
 def _cmd_roughness(args) -> int:
@@ -398,12 +382,8 @@ def _cmd_counterexample(args) -> int:
 
     # coefficient bursts sit at rows S_n - 1; observation levels are S_n
     burst = [row + 1 for row in schauder.counterexample_burst_levels(n_max)]
-    sn_terms, pre_terms = [], []
-    for s_n in burst:
-        sn_terms.append(variation.pth_variation(
-            x, grid.dyadic_partition(s_n, level), 2.0).terminal)
-        pre_terms.append(variation.pth_variation(
-            x, grid.dyadic_partition(s_n - 1, level), 2.0).terminal)
+    sn_terms = variation._level_terminals(x, burst, "pth", 2.0)
+    pre_terms = variation._level_terminals(x, [s - 1 for s in burst], "pth", 2.0)
     inter_levels, inter_vals = [], []
     for s_n, a, b in zip(burst, pre_terms, sn_terms):
         inter_levels.extend([s_n - 1, s_n])
@@ -503,8 +483,16 @@ def _add_common_analysis_flags(p: argparse.ArgumentParser, src: bool = True) -> 
     _add_generator_flags(p)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, that of validation errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roughvar",
         description="Pathwise variation toolkit: p-th variation, scaled "
                     "quadratic variation, critical-index search, and "
@@ -518,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path file (.csv or .json)")
     p.set_defaults(func=_cmd_gen)
 
-    for name, helptext, func in [
-        ("pvar", "p-th variation profiles across levels", _cmd_pvar),
-        ("sqv", "scaled quadratic variation across levels", _cmd_sqv),
-        ("classical", "time-weighted scaled QV across levels", _cmd_classical),
+    for name, helptext, kind in [
+        ("pvar", "p-th variation profiles across levels", "pth"),
+        ("sqv", "scaled quadratic variation across levels", "scaled"),
+        ("classical", "time-weighted scaled QV across levels", "classical_scaled"),
     ]:
         p = sub.add_parser(name, help=helptext)
         _add_common_analysis_flags(p, src=(name == "sqv"))
@@ -532,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", help="diagnostic tail window (int or 'full')")
         p.add_argument("--profiles-out", dest="profiles_out",
                        help="directory for per-level profile CSVs")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_profile_run, kind=kind))
 
     p = sub.add_parser("roughness", help="bisect for the critical variation index")
     _add_common_analysis_flags(p)

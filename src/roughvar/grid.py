@@ -180,8 +180,9 @@ def oscillation(x: Path, part: Partition) -> float:
 # with fields {grid_level, samples, label}.
 # ---------------------------------------------------------------------------
 
-# Rows per ``%`` in _write_csv: one per row is slow, a whole 2**20-row file
-# at once would hold a 42 MB string and 2M float objects.
+# Rows per ``%`` in _write_csv and samples per ``json.dumps`` in
+# write_path_json: one per row is slow, a whole 2**20-row file at once would
+# hold a 42 MB string and 2M float objects.
 _CSV_BLOCK_ROWS = 1 << 16
 
 
@@ -236,10 +237,17 @@ def read_path_csv(filename, label: str | None = None) -> Path:
 
 
 def write_path_json(x: Path, filename) -> None:
-    doc = {"grid_level": x.grid_level, "samples": x.samples.tolist(), "label": x.label}
+    """The bytes of ``json.dump({"grid_level", "samples", "label"})`` plus a newline.
+
+    Samples go through ``json.dumps`` (CPython's C encoder; ``json.dump``
+    runs the pure-Python one) a block at a time, so memory stays flat.
+    """
     with open(filename, "w") as fh:
-        # one-shot dumps runs CPython's C encoder; json.dump(doc, fh) does not
-        print(json.dumps(doc), file=fh)
+        fh.write(f'{{"grid_level": {json.dumps(x.grid_level)}, "samples": [')
+        for start in range(0, x.samples.size, _CSV_BLOCK_ROWS):
+            block = json.dumps(x.samples[start:start + _CSV_BLOCK_ROWS].tolist())
+            fh.write((", " if start else "") + block[1:-1])
+        fh.write(f'], "label": {json.dumps(x.label)}}}\n')
 
 
 def read_path_json(filename) -> Path:

@@ -314,8 +314,6 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
     ``(lhs, rhs, warnings)``.  ``fields`` fill the report's remaining
     fields (source mode, map id, notes).
     """
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
     lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
     lhs, rhs, warnings = sides(lv)
     absd = np.abs(np.subtract(lhs, rhs))

@@ -11,13 +11,13 @@ honestly with the probe evidence attached rather than forcing an index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BracketError, InconclusiveError, ValidationError
 from .grid import Path
 from .variation import (
     ClassificationThresholds,
-    LimitReport,
     PVarSource,
     _check_levels,
     _level_terminals,
@@ -87,54 +87,32 @@ class RoughnessReport:
                 "src_mode": self.src_mode, "iters": self.iters}
 
 
-class _ProbeEngine:
-    """Per-q terminal cache for a fixed path/levels/source.
-
-    Each probe takes every level's scaled-QV terminal in one pass down the
-    dyadic pyramid; only the terminal floats are kept.
-    """
-
-    def __init__(self, x: Path, levels, src: PVarSource | None,
-                 thresholds: ClassificationThresholds | None = None):
-        self.x = x
-        self.levels = _check_levels(x, levels, 3)
-        self.src = src or PVarSource()
-        self.thresholds = thresholds
-        self._terminals: dict[float, list] = {}
-
-    def terminals(self, q: float) -> list:
-        got = self._terminals.get(q)
-        if got is None:
-            got = _level_terminals(self.x, self.levels, "scaled", q, src=self.src)
-            self._terminals[q] = got
-        return got
-
-    def probe(self, q: float) -> LimitReport:
-        if q <= 0:
-            raise ValidationError(f"q must be > 0, got {q}")
-        return limit_diagnostics(self.terminals(q), window=len(self.levels),
-                                 levels=self.levels, thresholds=self.thresholds)
-
-    def record(self, q: float) -> ProbeRecord:
-        rep = self.probe(q)
-        return ProbeRecord(q=float(q), classification=rep.classification,
-                           terminal_values=rep.terminal_values,
-                           trend_slope=rep.trend_slope)
+def _probe(x: Path, levels: list, q: float, src: PVarSource | None,
+           thresholds: ClassificationThresholds | None) -> ProbeRecord:
+    """Classify every level's scaled-QV terminal at q, taken in one pyramid pass."""
+    if not 0.0 < q < math.inf:
+        raise ValidationError(f"q must be > 0 and finite, got {q}")
+    rep = limit_diagnostics(_level_terminals(x, levels, "scaled", q, src=src),
+                            window=len(levels), levels=levels, thresholds=thresholds)
+    return ProbeRecord(q=float(q), classification=rep.classification,
+                       terminal_values=rep.terminal_values,
+                       trend_slope=rep.trend_slope)
 
 
 def classify_index(x: Path, levels, q: float,
                    src: PVarSource | None = None,
                    thresholds: ClassificationThresholds | None = None) -> str:
     """Classify scaled-QV terminals at exponent q across the given levels."""
-    return _ProbeEngine(x, levels, src, thresholds).probe(q).classification
+    return _probe(x, _check_levels(x, levels, 3), q, src, thresholds).classification
 
 
 def classification_sweep(x: Path, levels, qs,
                          src: PVarSource | None = None,
                          thresholds: ClassificationThresholds | None = None) -> list:
     """Probe several exponents; records sorted by q."""
-    engine = _ProbeEngine(x, levels, src, thresholds)
-    return sorted((engine.record(q) for q in qs), key=lambda rec: rec.q)
+    levels = _check_levels(x, levels, 3)
+    return sorted((_probe(x, levels, q, src, thresholds) for q in qs),
+                  key=lambda rec: rec.q)
 
 
 def _check_monotone(records) -> None:
@@ -164,17 +142,17 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     p_min, p_max = float(p_range[0]), float(p_range[1])
     if not p_min < p_max:
         raise ValidationError(f"need p_min < p_max, got {p_range}")
-    if p_min <= 0:
-        raise ValidationError(f"p_range must be positive, got {p_range}")
+    if p_min <= 0 or p_max == math.inf:
+        raise ValidationError(f"p_range must be positive and finite, got {p_range}")
     if iters < 1:
         raise ValidationError(f"iters must be >= 1, got {iters}")
-    engine = _ProbeEngine(x, default_levels(x) if levels is None else levels,
-                          src, thresholds)
+    levels = _check_levels(x, default_levels(x) if levels is None else levels, 3)
+    src = src or PVarSource()
 
     seen: dict[float, ProbeRecord] = {}
 
     def probe(q: float) -> ProbeRecord:
-        rec = engine.record(q)
+        rec = _probe(x, levels, q, src, thresholds)
         seen[rec.q] = rec
         if rec.classification not in _RANK:
             raise InconclusiveError(
@@ -185,7 +163,8 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
             )
         return rec
 
-    low_rec, high_rec = engine.record(p_min), engine.record(p_max)
+    low_rec = _probe(x, levels, p_min, src, thresholds)
+    high_rec = _probe(x, levels, p_max, src, thresholds)
     seen[low_rec.q], seen[high_rec.q] = low_rec, high_rec
     if low_rec.classification != "diverging" or high_rec.classification != "vanishing":
         raise BracketError(
@@ -216,5 +195,5 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     per_q = tuple(sorted(seen.values(), key=lambda rec: rec.q))
     return RoughnessReport(p_bar_est=float(p_bar), bracket=(lo, hi),
                            hurst_est=1.0 / float(p_bar), per_q=per_q,
-                           levels_used=tuple(engine.levels),
-                           src_mode=engine.src.mode, iters=int(iters))
+                           levels_used=tuple(levels),
+                           src_mode=src.mode, iters=int(iters))

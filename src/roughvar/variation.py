@@ -15,14 +15,17 @@ downstream consumers (Stieltjes integration, diagnostics) can reuse the
 exact accumulation.  Callers that need only per-level terminals along the
 dyadic levels (the critical-index search, the identity checks, the CLI)
 use :func:`_dyadic_levels`, one pass down the dyadic pyramid that builds
-no profile.  :func:`limit_diagnostics` classifies a terminal-value
-sequence across levels as vanishing / finite_positive / diverging /
-oscillating / inconclusive.
+no profile.  Both take their exponents from :func:`_resolve` and their
+terms from :func:`_terms`, the one definition of each functional.
+:func:`limit_diagnostics` classifies a terminal-value sequence across
+levels as vanishing / finite_positive / diverging / oscillating /
+inconclusive.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,8 +78,7 @@ def accurate_cumsum(terms: np.ndarray) -> np.ndarray:
             np.cumsum(seg, out=out[pos + 1:pos + 1 + seg.size])
             out[pos + 1:pos + 1 + seg.size] += float(prefix)
             prefix += np.sum(seg, dtype=np.longdouble)
-    else:  # pragma: no cover - exercised only on platforms without long double
-        import math
+    else:  # platforms whose long double is float64
         prefix = 0.0
         for pos in range(0, terms.size, _BLOCK):
             seg = terms[pos:pos + _BLOCK]
@@ -131,10 +133,16 @@ class VariationProfile:
         return _atom_risk(self.terms, self.terminal)
 
     def metadata(self) -> dict:
-        return {"level": self.level, "p": self.p, "gamma": self.gamma,
-                "kind": self.kind, "terminal": self.terminal,
-                "source_mode": self.src_mode, "clamped": self.clamped,
-                "divergent": self.divergent, "atom_risk": self.atom_risk}
+        return _metadata(self.level, self.kind, self.p, self.gamma, self.src_mode,
+                         self.terms, self.terminal, self.clamped, self.divergent)
+
+
+def _metadata(level, kind, p, gamma, src_mode, terms, terminal, clamped,
+              divergent) -> dict:
+    """The metadata dict of one level's variation, profile or not."""
+    return {"level": level, "p": p, "gamma": gamma, "kind": kind,
+            "terminal": terminal, "source_mode": src_mode, "clamped": clamped,
+            "divergent": divergent, "atom_risk": _atom_risk(terms, terminal)}
 
 
 def _atom_risk(terms: np.ndarray, total: float) -> float:
@@ -146,11 +154,6 @@ def _atom_risk(terms: np.ndarray, total: float) -> float:
     return float(np.max(terms) / total)
 
 
-def _increments(x: Path, part: Partition) -> np.ndarray:
-    part.check_grid(x.grid_level)
-    return np.diff(x.samples[part.indices])
-
-
 def _pth_terms(dx: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return dx * dx
@@ -159,8 +162,45 @@ def _pth_terms(dx: np.ndarray, p: float) -> np.ndarray:
     return np.abs(dx) ** p
 
 
-def _scaled_terms(w: np.ndarray, dx: np.ndarray, gamma: float) -> np.ndarray:
-    """``w**gamma * dx**2`` with the degenerate-block conventions of scaled_qv."""
+def _resolve(kind: str, p: float = 2.0, gamma: float | None = None,
+             src: PVarSource | None = None) -> tuple:
+    """``(p, gamma, src)`` of a ``kind`` functional, checked and completed.
+
+    ``pth`` and ``scaled`` need a finite ``p > 0``; scaled takes
+    ``gamma = (p-2)/p`` and defaults ``src`` to the finest-level source.
+    ``classical_scaled`` needs a finite ``gamma`` and has ``p = 2``.
+    """
+    if kind == "classical_scaled":
+        gamma = float(gamma)
+        if not math.isfinite(gamma):
+            raise ValidationError(f"gamma must be finite, got {gamma}")
+        return 2.0, gamma, None
+    p = float(p)
+    if not 0.0 < p < math.inf:
+        raise ValidationError(f"p must be > 0 and finite, got {p}")
+    if kind == "pth":
+        return p, None, None
+    return p, (p - 2.0) / p, src or PVarSource()
+
+
+def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
+           weights: Callable, dt: Callable) -> tuple:
+    """``(terms, clamped, divergent)`` of ``kind`` on the increments ``dx``.
+
+    The one definition of each functional, for ``(p, gamma)`` from
+    :func:`_resolve`: ``pth`` is ``|dx|**p``, ``classical_scaled`` is
+    ``dt()**gamma * dx**2`` and ``scaled`` is ``w**gamma * dx**2`` with
+    ``(w, clamped) = weights()``, called for scaled terms only, under the
+    degenerate-block conventions of :func:`scaled_qv`.
+    """
+    if kind == "pth":
+        return _pth_terms(dx, p), 0, False
+    if gamma == 0.0:
+        # the weight exponent vanishes: plain quadratic variation, any source
+        return dx * dx, 0, False
+    if kind == "classical_scaled":
+        return dt() ** gamma * (dx * dx), 0, False
+    w, clamped = weights()
     with np.errstate(divide="ignore"):
         terms = w ** gamma
     with np.errstate(invalid="ignore"):
@@ -169,17 +209,29 @@ def _scaled_terms(w: np.ndarray, dx: np.ndarray, gamma: float) -> np.ndarray:
     bad = np.isnan(terms)
     if bad.any():
         terms = np.where(bad, 0.0, terms)
-    return terms
+    return terms, clamped, bool(np.isinf(terms).any())
+
+
+def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
+             gamma: float | None = None,
+             src: PVarSource | None = None) -> VariationProfile:
+    """The ``kind`` profile of ``x`` along ``part`` (arguments as :func:`_resolve`)."""
+    p, gamma, src = _resolve(kind, p, gamma, src)
+    times = part.times(x.grid_level)  # checks that part ends on the grid
+    dx = np.diff(x.samples[part.indices])
+    terms, clamped, divergent = _terms(
+        kind, dx, p, gamma, lambda: src.block_weights(x, part, p, dx),
+        lambda: np.diff(times))
+    return VariationProfile(level=part.level, times=times,
+                            values=accurate_cumsum(terms), p=p, kind=kind,
+                            gamma=gamma, terms=terms,
+                            src_mode=src.mode if src else None,
+                            clamped=clamped, divergent=divergent)
 
 
 def pth_variation(x: Path, part: Partition, p: float) -> VariationProfile:
     """p-th variation profile ``values[j] = sum_{i<j} |dx_i|**p``."""
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
-    terms = _pth_terms(_increments(x, part), p)
-    return VariationProfile(level=part.level, times=part.times(x.grid_level),
-                            values=accurate_cumsum(terms), p=float(p),
-                            kind="pth", terms=terms)
+    return _profile("pth", x, part, p)
 
 
 @dataclass(frozen=True)
@@ -292,39 +344,13 @@ def scaled_qv(x: Path, part: Partition, p: float,
     gamma < 0 contributes +inf and flags the profile divergent.  Negative
     weight increments from a noisy source are clamped to zero and counted.
     """
-    if p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
-    src = src or PVarSource()
-    gamma = (p - 2.0) / p
-    dx = _increments(x, part)
-    if gamma == 0.0:
-        # the weight exponent vanishes: plain quadratic variation, any source
-        terms = dx * dx
-        clamped = 0
-        divergent = False
-    else:
-        w, clamped = src.block_weights(x, part, p, dx)
-        terms = _scaled_terms(w, dx, gamma)
-        divergent = bool(np.isinf(terms).any())
-    return VariationProfile(level=part.level, times=part.times(x.grid_level),
-                            values=accurate_cumsum(terms), p=float(p),
-                            kind="scaled", gamma=gamma, terms=terms,
-                            src_mode=src.mode, clamped=clamped,
-                            divergent=divergent)
+    return _profile("scaled", x, part, p, src=src)
 
 
 def classical_scaled_qv(x: Path, part: Partition, gamma: float) -> VariationProfile:
     """Time-weighted scaled QV ``sum |dt|**gamma * |dx|**2``."""
-    dx = _increments(x, part)
-    if gamma == 0.0:
-        terms = dx * dx
-    else:
-        dt = np.diff(part.times(x.grid_level))
-        terms = dt ** gamma * (dx * dx)
-    return VariationProfile(level=part.level, times=part.times(x.grid_level),
-                            values=accurate_cumsum(terms), p=2.0,
-                            kind="classical_scaled", gamma=float(gamma),
-                            terms=terms)
+    return _profile("classical_scaled", x, part, gamma=gamma)
+
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +378,9 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None):
     """Yield ``(n, terms, clamped, divergent)`` per distinct level, finest first.
 
-    ``kind`` is ``pth`` (terms ``|dx|**p``), ``scaled`` (``w**gamma * dx**2``
-    with ``gamma = (p-2)/p`` and weights from ``src``) or
-    ``classical_scaled`` (``dt**gamma * dx**2``, ``gamma`` given).  The terms
-    equal those of :func:`pth_variation`, :func:`scaled_qv` and
-    :func:`classical_scaled_qv` on the level's dyadic partition, but no
-    partition, time grid, cumulative array or profile is built: increments
-    are strided slices of the samples.  With the default finest-level source
+    The terms are :func:`_terms` of ``kind``, as in the profile of the
+    level's dyadic partition, but no partition, time grid, cumulative array
+    or profile is built: increments are strided slices of the samples.  With the default finest-level source
     the grid-level ``|dx|**p`` is taken once, and each coarser level's block
     weights are pairwise sums of the level below (``w[0::2] + w[1::2]``), so
     every weight is an exact-order block sum.  Other sources supply weights
@@ -366,36 +388,22 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     """
     L = x.grid_level
     wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
-    if kind != "classical_scaled" and p <= 0:
-        raise ValidationError(f"p must be > 0, got {p}")
-    if kind == "scaled":
-        src = src or PVarSource()
-        gamma = (p - 2.0) / p
-    pyramid = (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
-               and src.finest_profile is None)
-    if pyramid:
+    p, gamma, src = _resolve(kind, p, gamma, src)
+    w = None
+    if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
+            and src.finest_profile is None):
         w, w_level = np.diff(x.samples), L
         np.abs(w, out=w)
         np.power(w, p, out=w)
     for n in wanted:
         dx = np.diff(x.samples[::1 << (L - n)])
-        clamped, divergent = 0, False
-        if kind == "pth":
-            terms = _pth_terms(dx, p)
-        elif gamma == 0.0:
-            terms = dx * dx
-        elif kind == "classical_scaled":
-            terms = np.float64(2.0 ** -n) ** gamma * (dx * dx)
-        else:
-            if pyramid:
-                while w_level > n:
-                    w, w_level = w[0::2] + w[1::2], w_level - 1
-                weights = w
-            else:
-                weights, clamped = src.block_weights(x, dyadic_partition(n, L), p, dx)
-            terms = _scaled_terms(weights, dx, gamma)
-            divergent = bool(np.isinf(terms).any())
-        yield n, terms, clamped, divergent
+        while w is not None and w_level > n:
+            w, w_level = w[0::2] + w[1::2], w_level - 1
+        yield (n, *_terms(
+            kind, dx, p, gamma,
+            lambda: (w, 0) if w is not None else src.block_weights(
+                x, dyadic_partition(n, L), p, dx),
+            lambda: np.float64(2.0 ** -n)))
 
 
 def _level_total(terms: np.ndarray) -> float:
@@ -416,18 +424,11 @@ def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
                     gamma: float | None = None,
                     src: PVarSource | None = None) -> list:
     """:meth:`VariationProfile.metadata` of each level, without the profiles."""
-    mode = None
-    if kind == "scaled":
-        src = src or PVarSource()
-        gamma, mode = (p - 2.0) / p, src.mode
-    elif kind == "classical_scaled":
-        p, gamma = 2.0, float(gamma)
-    got = {}
-    for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p, gamma, src):
-        total = _level_total(terms)
-        got[n] = {"level": n, "p": float(p), "gamma": gamma, "kind": kind,
-                  "terminal": total, "source_mode": mode, "clamped": clamped,
-                  "divergent": divergent, "atom_risk": _atom_risk(terms, total)}
+    p, gamma, src = _resolve(kind, p, gamma, src)
+    got = {n: _metadata(n, kind, p, gamma, src.mode if src else None, terms,
+                        _level_total(terms), clamped, divergent)
+           for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p,
+                                                              gamma, src)}
     return [got[int(n)] for n in levels]
 
 

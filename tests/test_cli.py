@@ -237,6 +237,32 @@ class TestProfileCommands:
         assert err.startswith("error:")
 
 
+class TestExponentsAndUsage:
+    @pytest.mark.parametrize("argv", [("sqv", "--p", "0"), ("sqv", "--p", "nan"),
+                                      ("sqv", "--p", "inf"), ("pvar", "--p", "nan"),
+                                      ("classical", "--gamma", "nan")])
+    def test_zero_or_non_finite_exponent_exits_one(self, argv, capsys):
+        rc, out, err = run(capsys, argv[0], "--kind", "fbm", "--H", "0.4",
+                           "--level", "12", "--seed", "1", *argv[1:])
+        assert rc == 1
+        assert err.startswith("error:") and "must be" in err
+        assert out == ""
+
+    def test_usage_error_exits_one(self, capsys):
+        # argparse takes "-1:4" for an option; 2 is the numerical-failure code
+        with pytest.raises(SystemExit) as exc:
+            main(["pvar", "--kind", "takagi", "--H", "0.5", "--level", "8",
+                  "--p", "2", "--levels", "-1:4"])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pvar", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestRoughnessCommand:
     def test_search_payload_and_per_q_csv(self, takagi_csv, tmp_path, capsys):
         per_q = tmp_path / "per_q.csv"

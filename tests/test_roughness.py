@@ -27,6 +27,9 @@ class TestClassifyIndex:
     def test_nonpositive_exponent_rejected(self, takagi14):
         with pytest.raises(ValidationError, match="q must be > 0"):
             rv.classify_index(takagi14, LEVELS, 0.0)
+        for q in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                rv.classify_index(takagi14, LEVELS, q)
 
     def test_too_few_levels_rejected(self, takagi14):
         with pytest.raises(ValidationError, match="at least 3"):
@@ -142,6 +145,10 @@ class TestCriticalIndexSearch:
             rv.critical_index_search(takagi14, p_range=(4.0, 1.2))
         with pytest.raises(ValidationError, match="positive"):
             rv.critical_index_search(takagi14, p_range=(-1.0, 2.0))
+        with pytest.raises(ValidationError, match="finite"):
+            rv.critical_index_search(takagi14, p_range=(1.2, np.inf))
+        with pytest.raises(ValidationError, match="p_min < p_max"):
+            rv.critical_index_search(takagi14, p_range=(np.nan, 4.0))
         with pytest.raises(ValidationError, match="iters"):
             rv.critical_index_search(takagi14, iters=0)
         with pytest.raises(ValidationError, match="at least 3"):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvar as rv
+from roughvar import variation
 from roughvar.errors import FormatError, ResolutionError, SourceError, ValidationError
 from roughvar.variation import _level_metadata, _level_terminals
 
@@ -98,6 +99,16 @@ class TestAccurateCumsum:
         ours = rv.accurate_cumsum(terms)[-1]
         oracle = float(np.sum(terms.astype(np.longdouble)))
         assert abs(ours - oracle) / oracle < 1e-14
+
+    def test_fallback_without_long_double_matches_fsum(self, monkeypatch):
+        # the only path on platforms whose long double is float64
+        monkeypatch.setattr(variation, "_LONGDOUBLE_OK", False)
+        rng = np.random.default_rng(5)
+        terms = rng.random(1 << 18) + 0.5
+        out = rv.accurate_cumsum(terms)
+        want = math.fsum(terms.tolist())
+        assert abs(out[-1] - want) <= 2e-15 * want
+        assert np.all(np.diff(out) >= 0.0)
 
     def test_infinite_term_propagates(self):
         out = rv.accurate_cumsum([1.0, np.inf, 1.0])
@@ -448,8 +459,6 @@ class TestLimitDiagnostics:
         assert doc["thresholds"]["ratio"] == 100.0
 
 
-# ---------------------------------------------------------------------------
-# Profile serialization
 # ---------------------------------------------------------------------------
 # One pass down the dyadic pyramid
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Path, profile, report and coefficient files are byte-identical to numpy/json.
 
-The writers format CSV rows in blocks and encode JSON in one shot; these
+The writers format CSV rows and encode JSON path samples in blocks; these
 tests pin their bytes to what ``np.savetxt(fmt="%.17g")`` and ``json.dump``
 write for the same arrays, across the block boundary and for values whose
 shortest repr needs 17 significant digits.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_path_json_matches_json_dump(grid_level, tmp_path):
     rv.write_path_json(x, out)
     doc = {"grid_level": x.grid_level, "samples": x.samples.tolist(), "label": x.label}
     assert out.read_bytes() == _json_dump_bytes(tmp_path, doc)
+
+
+def test_path_json_is_encoded_in_blocks(tmp_path):
+    # the samples are encoded a block at a time; encoding all 2**18 at once
+    # holds about 18 MB of float objects and strings
+    x = rv.takagi_path(0.5, 18)
+    tracemalloc.start()
+    try:
+        rv.write_path_json(x, tmp_path / "x.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def test_coefficients_json_matches_json_dump(tmp_path):
