@@ -1,15 +1,16 @@
-"""Estimating the critical variation index by bisection.
+"""Estimating the critical variation index by a secant search.
 
 The scaled quadratic variation switches from diverging to vanishing as the
-exponent q crosses the path's critical index p-bar; bisection on the
-classification pins p-bar down and 1/p-bar estimates the roughness.
+exponent q crosses the path's critical index p-bar.  Its log2 trend slope
+over the levels is close to affine in 1/q, so a secant in 1/q through two
+probes pins p-bar down in a few probes, and 1/p-bar estimates the roughness.
 """
 
 import numpy as np
 
 import roughvar as rv
 
-# A sweep over q shows the switching that the bisection exploits.
+# A sweep over q shows the switching that the search exploits.
 x = rv.takagi_path(0.5, 14)
 print("classification sweep on the H=1/2 hat-sum path, levels 6..12:")
 for rec in rv.classification_sweep(x, range(6, 13), np.linspace(1.2, 4.0, 8)):
@@ -19,7 +20,7 @@ for rec in rv.classification_sweep(x, range(6, 13), np.linspace(1.2, 4.0, 8)):
 report = rv.critical_index_search(x, p_range=(1.2, 4.0), iters=12)
 lo, hi = report.bracket
 print(f"\np_bar estimate {report.p_bar_est:.5f} in [{lo:.5f}, {hi:.5f}] "
-      f"after {report.iters} probes; hurst {report.hurst_est:.5f}")
+      f"after {len(report.per_q)} probes; hurst {report.hurst_est:.5f}")
 
 # Fractional Brownian paths: the estimate tracks the generator's H.
 print("\nfractional Brownian sample paths (level 18, levels 6..16):")

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 from importlib import metadata as _im
@@ -484,7 +485,16 @@ def _add_common_analysis_flags(p: argparse.ArgumentParser, src: bool = True) -> 
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1, that of validation errors."""
+    """argparse with usage errors on exit code 1, that of validation errors.
+
+    Every token that reads as a negative float (``-1e-3``, ``-inf``) is a
+    value, not an option: argparse alone knows only ``-1`` and ``-.5``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -522,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for per-level profile CSVs")
         p.set_defaults(func=functools.partial(_profile_run, kind=kind))
 
-    p = sub.add_parser("roughness", help="bisect for the critical variation index")
+    p = sub.add_parser("roughness",
+                       help="secant search for the critical variation index")
     _add_common_analysis_flags(p)
     p.add_argument("--p-min", dest="p_min", type=float, default=1.2)
     p.add_argument("--p-max", dest="p_max", type=float, default=4.0)

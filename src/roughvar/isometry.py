@@ -27,6 +27,7 @@ from .variation import (
     VariationProfile,
     _check_levels,
     _dyadic_levels,
+    _Increments,
     _level_terminals,
     _level_total,
     _tail_slope,
@@ -253,14 +254,14 @@ def write_report_csv(report: IsometryReport, filename) -> None:
 _REL_FLOOR = 1e-12
 
 
-def holder_proxy(x: Path, levels) -> float:
-    """Exponent estimate from the decay of max increments across levels."""
+def holder_proxy(x: Path, levels, inc: _Increments | None = None) -> float:
+    """Exponent estimate from the decay of max increments across levels.
+
+    ``inc`` holds increments of ``x`` already taken by a pyramid pass.
+    """
     lv = _check_levels(x, levels, 2)
-    mags = []
-    for n in lv:
-        stride = 2 ** (x.grid_level - n)
-        mags.append(float(np.max(np.abs(np.diff(x.samples[::stride])))))
-    mags = np.asarray(mags)
+    inc = inc or _Increments(x, keep=False)
+    mags = np.asarray([float(np.max(np.abs(inc.dx(n)))) for n in lv])
     ok = mags > 0.0
     if np.count_nonzero(ok) < 2:
         return float("nan")
@@ -268,17 +269,18 @@ def holder_proxy(x: Path, levels) -> float:
     return float(-slope)
 
 
-def _pth_trend(x: Path, p: float, levels) -> LimitReport | None:
+def _pth_trend(x: Path, p: float, levels,
+               inc: _Increments | None = None) -> LimitReport | None:
     """The path's p-th variation terminals, classified over the whole window."""
     if len(levels) < 3:
         return None
-    return limit_diagnostics(_level_terminals(x, levels, "pth", p),
+    return limit_diagnostics(_level_terminals(x, levels, "pth", p, inc=inc),
                              window=len(levels), levels=levels)
 
 
-def _index_warning(x: Path, p: float, levels) -> list:
+def _index_warning(x: Path, p: float, levels, inc: _Increments) -> list:
     """Warn when the path's p-th variation is visibly not levelling off."""
-    rep = _pth_trend(x, p, levels)
+    rep = _pth_trend(x, p, levels, inc)
     if rep is not None and abs(rep.trend_slope) > 0.5:
         return [f"p-th variation terminals trend with log2 slope "
                 f"{rep.trend_slope:+.2f}; the path's critical index appears "
@@ -287,7 +289,7 @@ def _index_warning(x: Path, p: float, levels) -> list:
 
 
 def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
-                      src: PVarSource | None = None) -> tuple:
+                      inc: _Increments, src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
 
     The left side is the ``kind`` pass of :func:`_dyadic_levels` over f(x)
@@ -299,7 +301,7 @@ def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
     lhs, rhs = {}, {}
     for (n, lhs_terms, *_), (_, x_terms, *_) in zip(
             _dyadic_levels(fx, levels, kind, p),
-            _dyadic_levels(x, levels, kind, p, src=src)):
+            _dyadic_levels(x, levels, kind, p, src=src, inc=inc)):
         g = np.abs(f.f1(x.samples[:-1:1 << (x.grid_level - n)])) ** p
         lhs[n] = _level_total(lhs_terms)
         rhs[n] = _level_total(g * x_terms)
@@ -310,12 +312,14 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
                **fields) -> IsometryReport:
     """Compare two per-level sequences and judge the error trend.
 
-    ``levels`` defaults to :func:`default_levels`; ``sides(levels)`` returns
-    ``(lhs, rhs, warnings)``.  ``fields`` fill the report's remaining
-    fields (source mode, map id, notes).
+    ``levels`` defaults to :func:`default_levels`; ``sides(levels, inc)``
+    returns ``(lhs, rhs, warnings)``, taking the increments of ``x`` from
+    ``inc``, which the Holder proxy reads too.  ``fields`` fill the
+    report's remaining fields (source mode, map id, notes).
     """
     lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
-    lhs, rhs, warnings = sides(lv)
+    inc = _Increments(x)
+    lhs, rhs, warnings = sides(lv, inc)
     absd = np.abs(np.subtract(lhs, rhs))
     rel = absd / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR)
     slope = _tail_slope(np.asarray(lv, dtype=np.float64), rel)
@@ -324,7 +328,7 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
                           abs_err=tuple(absd), rel_err=tuple(rel),
                           err_trend_slope=slope,
                           success=bool(np.max(rel) <= _REL_FLOOR or slope < 0.0),
-                          alpha_proxy=holder_proxy(x, lv),
+                          alpha_proxy=holder_proxy(x, lv, inc),
                           warnings=tuple(warnings), **fields)
 
 
@@ -341,9 +345,9 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     """
     src_x = src or PVarSource()
 
-    def sides(lv):
-        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", src_x)
-        warnings = _index_warning(x, p, lv)
+    def sides(lv, inc):
+        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", inc, src_x)
+        warnings = _index_warning(x, p, lv, inc)
         if float(np.min(np.abs(f.f1(x.samples)))) == 0.0:
             warnings.append(f"map {f.id} has vanishing derivative on the path's "
                             "range; degenerate blocks contribute zero")
@@ -355,8 +359,8 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
 
 def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryReport:
     """Compare the p-th variation of f(x) against sum |f'(x)|^p * d[x]^(p)."""
-    return _two_sided("chain_rule", x, p, levels, lambda lv: (
-        *_integrated_sides(x, f, p, lv, "pth"), _index_warning(x, p, lv)),
+    return _two_sided("chain_rule", x, p, levels, lambda lv, inc: (
+        *_integrated_sides(x, f, p, lv, "pth", inc), _index_warning(x, p, lv, inc)),
         map_id=f.id)
 
 
@@ -376,7 +380,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
               label=f"{x.label}+{A.label}" if x.label and A.label else "perturbed")
     src_x = src or PVarSource()
 
-    def sides(lv):
+    def sides(lv, inc):
         rep = _pth_trend(A, p, lv)
         warnings = []
         if rep is not None and rep.classification != "vanishing":
@@ -384,7 +388,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
                             f"{rep.classification}, not vanishing; invariance "
                             "hypothesis violated")
         return (_level_terminals(xa, lv, "scaled", p),
-                _level_terminals(x, lv, "scaled", p, src=src_x), warnings)
+                _level_terminals(x, lv, "scaled", p, src=src_x, inc=inc), warnings)
 
     return _two_sided("invariance", x, p, levels, sides, src_mode=src_x.mode,
                       map_id=A.label or "perturbation")

@@ -3,10 +3,11 @@
 For a path with finite nontrivial p-th variation, scaled quadratic variation
 at exponent q diverges for q below the critical index and vanishes above it.
 :func:`classify_index` reads off that behaviour at a single q;
-:func:`critical_index_search` bisects on it to localize the critical index
-``p_bar`` (and ``hurst_est = 1/p_bar``).  Paths that break the trichotomy
-(oscillating or inconclusive probes, non-monotone classifications) abort
-honestly with the probe evidence attached rather than forcing an index.
+:func:`critical_index_search` runs a secant search in 1/q on it to localize
+the critical index ``p_bar`` (and ``hurst_est = 1/p_bar``).  Paths that
+break the trichotomy (oscillating or inconclusive probes, non-monotone
+classifications) abort honestly with the probe evidence attached rather
+than forcing an index.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .variation import (
     ClassificationThresholds,
     PVarSource,
     _check_levels,
+    _Increments,
     _level_terminals,
     default_levels,
     limit_diagnostics,
@@ -37,6 +39,10 @@ __all__ = [
 # Rank order used for the monotone-classification check: diverging below the
 # critical index, finite_positive at it, vanishing above.
 _RANK = {"diverging": 0, "finite_positive": 1, "vanishing": 2}
+
+# A finite_positive endpoint moves outward by a factor 2 at most this many
+# times: the default range (1.2, 4.0) reaches down to q = 0.3 and up to 16.
+_EXTENSIONS = 2
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,12 @@ class ProbeRecord:
 class RoughnessReport:
     """Result of a critical-index search.
 
-    ``p_bar_est`` is the last finite_positive probe when one was seen,
-    otherwise the final bracket midpoint; it always lies inside ``bracket``.
+    ``p_bar_est`` is the secant root in 1/q of the probes' trend slopes: the
+    confirmed root when both confirmation probes agree, otherwise the root
+    (or midpoint) of the final bracket; it always lies inside ``bracket``.
     ``hurst_est = 1/p_bar_est`` definitionally.  ``per_q`` lists every probe
-    (endpoints included) sorted by q.
+    (endpoints and their extensions included) sorted by q; ``iters`` is the
+    probe budget after the endpoints.
     """
 
     p_bar_est: float
@@ -88,12 +96,14 @@ class RoughnessReport:
 
 
 def _probe(x: Path, levels: list, q: float, src: PVarSource | None,
-           thresholds: ClassificationThresholds | None) -> ProbeRecord:
+           thresholds: ClassificationThresholds | None,
+           inc: _Increments | None = None) -> ProbeRecord:
     """Classify every level's scaled-QV terminal at q, taken in one pyramid pass."""
     if not 0.0 < q < math.inf:
         raise ValidationError(f"q must be > 0 and finite, got {q}")
-    rep = limit_diagnostics(_level_terminals(x, levels, "scaled", q, src=src),
-                            window=len(levels), levels=levels, thresholds=thresholds)
+    terminals = _level_terminals(x, levels, "scaled", q, src=src, inc=inc)
+    rep = limit_diagnostics(terminals, window=len(levels), levels=levels,
+                            thresholds=thresholds)
     return ProbeRecord(q=float(q), classification=rep.classification,
                        terminal_values=rep.terminal_values,
                        trend_slope=rep.trend_slope)
@@ -111,7 +121,8 @@ def classification_sweep(x: Path, levels, qs,
                          thresholds: ClassificationThresholds | None = None) -> list:
     """Probe several exponents; records sorted by q."""
     levels = _check_levels(x, levels, 3)
-    return sorted((_probe(x, levels, q, src, thresholds) for q in qs),
+    inc = _Increments(x)
+    return sorted((_probe(x, levels, q, src, thresholds, inc) for q in qs),
                   key=lambda rec: rec.q)
 
 
@@ -126,18 +137,55 @@ def _check_monotone(records) -> None:
         )
 
 
+def _below(rec: ProbeRecord) -> bool:
+    """Whether a probe lies below the critical index: it moves the bracket floor."""
+    return rec.classification == "diverging" or (
+        rec.classification == "finite_positive" and rec.trend_slope > 0.0)
+
+
+def _secant_root(a: ProbeRecord, b: ProbeRecord, lo: float, hi: float) -> float:
+    """Zero of the trend slope on the secant through probes a and b in u = 1/q.
+
+    The slope is close to affine in 1/q (about 2/q - 2H for fBM).  A zero
+    not strictly inside the bracket ``(lo, hi)``, or a NaN slope, gives the
+    bracket midpoint.
+    """
+    u_a, u_b = 1.0 / a.q, 1.0 / b.q
+    den = b.trend_slope - a.trend_slope
+    if den != 0.0:
+        u = u_a - a.trend_slope * (u_b - u_a) / den
+        if u > 0.0 and lo < 1.0 / u < hi:
+            return 1.0 / u
+    return 0.5 * (lo + hi)
+
+
 def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
                           iters: int = 12, src: PVarSource | None = None,
                           thresholds: ClassificationThresholds | None = None
                           ) -> RoughnessReport:
-    """Bisect for the critical variation index within ``p_range``.
+    """Locate the critical variation index by a secant search in 1/q.
 
-    Requires the low endpoint to classify diverging and the high endpoint
-    vanishing (bracket error otherwise, with both endpoint records attached).
-    Diverging probes move the bracket floor up and vanishing probes move the
-    ceiling down; a finite_positive probe sits at the critical index up to
-    window bias, so its own trend slope decides the side (positive = still
-    below).  Final bracket width is (p_max - p_min) * 2**-iters.
+    The low endpoint must classify diverging and the high endpoint
+    vanishing.  An endpoint that classifies finite_positive moves outward
+    (q halved at the low end, doubled at the high end, at most
+    ``_EXTENSIONS`` times each); a range that still does not bracket raises
+    a bracket error carrying every endpoint probe.  A probe lies below the
+    critical index when it classifies diverging, or finite_positive with a
+    positive trend slope; it then moves the bracket floor up, and any other
+    probe moves the ceiling down.
+
+    The first step probes the zero of the trend slope on the secant through
+    the two bracketing probes in u = 1/q, or the midpoint when that zero is
+    not strictly inside the bracket or a slope is NaN.  Every later step
+    confirms the current root r with one probe on each side, at
+    r -/+ (p_max - p_min) * 2**-(iters+1) (a side already outside the
+    bracket needs none).  When both agree the bracket is those two probes,
+    (p_max - p_min) * 2**-iters wide, and ``p_bar_est`` is r.  A pair that
+    falls on one side moves the bracket, and the next root is the zero of
+    the secant through that pair.  At most ``iters`` probes follow the
+    endpoints (the last one probes r itself); when they run out
+    ``p_bar_est`` is the root of the final bracket.  The q-independent
+    increments are taken once for all probes.
     """
     p_min, p_max = float(p_range[0]), float(p_range[1])
     if not p_min < p_max:
@@ -148,52 +196,62 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
         raise ValidationError(f"iters must be >= 1, got {iters}")
     levels = _check_levels(x, default_levels(x) if levels is None else levels, 3)
     src = src or PVarSource()
-
+    inc = _Increments(x)
     seen: dict[float, ProbeRecord] = {}
 
+    def evidence() -> list:
+        return [r.to_dict() for r in sorted(seen.values(), key=lambda r: r.q)]
+
     def probe(q: float) -> ProbeRecord:
-        rec = _probe(x, levels, q, src, thresholds)
+        rec = _probe(x, levels, q, src, thresholds, inc)
         seen[rec.q] = rec
-        if rec.classification not in _RANK:
-            raise InconclusiveError(
-                f"probe at q={q:g} classified {rec.classification}; "
-                "no critical index can be bracketed",
-                evidence=[r.to_dict() for r in sorted(seen.values(),
-                                                      key=lambda r: r.q)],
-            )
         return rec
 
-    low_rec = _probe(x, levels, p_min, src, thresholds)
-    high_rec = _probe(x, levels, p_max, src, thresholds)
-    seen[low_rec.q], seen[high_rec.q] = low_rec, high_rec
-    if low_rec.classification != "diverging" or high_rec.classification != "vanishing":
+    ends = [probe(p_min), probe(p_max)]
+    for _ in range(_EXTENSIONS):
+        if ends[0].classification == "finite_positive":
+            ends.insert(0, probe(ends[0].q / 2.0))
+        if ends[-1].classification == "finite_positive":
+            ends.append(probe(ends[-1].q * 2.0))
+    if ends[0].classification != "diverging" or ends[-1].classification != "vanishing":
         raise BracketError(
-            f"range ({p_min:g}, {p_max:g}) does not bracket a critical index: "
-            f"low endpoint is {low_rec.classification}, "
-            f"high endpoint is {high_rec.classification}",
-            evidence=[low_rec.to_dict(), high_rec.to_dict()],
+            f"range ({ends[0].q:g}, {ends[-1].q:g}) does not bracket a critical "
+            f"index: low endpoint is {ends[0].classification}, "
+            f"high endpoint is {ends[-1].classification}",
+            evidence=evidence(),
         )
+    # the endpoints in between classify finite_positive: their slopes place them
+    first_above = next(i for i, rec in enumerate(ends) if not _below(rec))
+    lo, hi = ends[first_above - 1], ends[first_above]
 
-    lo, hi = p_min, p_max
-    last_fp = None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        rec = probe(mid)
-        if rec.classification == "diverging":
-            lo = mid
-        elif rec.classification == "vanishing":
-            hi = mid
-        else:
-            last_fp = rec.q
-            if rec.trend_slope > 0.0:
-                lo = mid
-            else:
-                hi = mid
+    half = (p_max - p_min) * 2.0 ** -(iters + 1)
+    left, stepped = iters, False
+    root = _secant_root(lo, hi, lo.q, hi.q)
+    while left and hi.q - lo.q > 2.0 * half:
+        qs = [q for q in (root - half, root + half) if lo.q < q < hi.q]
+        confirm = stepped and len(qs) <= left
+        recs = [probe(q) for q in (qs if confirm else [root])]
+        for rec in recs:
+            if rec.classification not in _RANK:
+                raise InconclusiveError(
+                    f"probe at q={rec.q:g} classified {rec.classification}; "
+                    "no critical index can be bracketed", evidence=evidence())
+            if lo.q < rec.q < hi.q:
+                if _below(rec):
+                    lo = rec
+                else:
+                    hi = rec
         _check_monotone(seen.values())
+        left -= len(recs)
+        if confirm and all(_below(rec) == (rec.q < root) for rec in recs):
+            break
+        stepped = True
+        # a confirmation pair on one side of the switch gives the local slope;
+        # the secant through the far bracket end would stall (regula falsi)
+        root = _secant_root(*(recs if len(recs) == 2 else (lo, hi)), lo.q, hi.q)
 
-    p_bar = last_fp if last_fp is not None else 0.5 * (lo + hi)
     per_q = tuple(sorted(seen.values(), key=lambda rec: rec.q))
-    return RoughnessReport(p_bar_est=float(p_bar), bracket=(lo, hi),
-                           hurst_est=1.0 / float(p_bar), per_q=per_q,
+    return RoughnessReport(p_bar_est=float(root), bracket=(lo.q, hi.q),
+                           hurst_est=1.0 / float(root), per_q=per_q,
                            levels_used=tuple(levels),
                            src_mode=src.mode, iters=int(iters))

@@ -15,8 +15,9 @@ downstream consumers (Stieltjes integration, diagnostics) can reuse the
 exact accumulation.  Callers that need only per-level terminals along the
 dyadic levels (the critical-index search, the identity checks, the CLI)
 use :func:`_dyadic_levels`, one pass down the dyadic pyramid that builds
-no profile.  Both take their exponents from :func:`_resolve` and their
-terms from :func:`_terms`, the one definition of each functional.
+no profile; passes over one path share its increments through
+:class:`_Increments`.  Both take their exponents from :func:`_resolve` and
+their terms from :func:`_terms`, the one definition of each functional.
 :func:`limit_diagnostics` classifies a terminal-value sequence across
 levels as vanishing / finite_positive / diverging / oscillating /
 inconclusive.
@@ -374,29 +375,67 @@ def _check_levels(x: Path, levels, at_least: int) -> list:
     return lv
 
 
+class _Increments:
+    """The exponent-free inputs of pyramid passes over one path.
+
+    ``dx(n)`` is level n's increments (a strided difference of the samples)
+    and ``grid_abs()`` the grid-level ``|dx|`` that finest-level weights
+    raise to the power p.  With ``keep`` each array is taken once, made
+    read-only and shared by every later pass (a search probing many
+    exponents); without it each call takes a fresh array that the one pass
+    using it may overwrite.
+    """
+
+    def __init__(self, x: Path, keep: bool = True):
+        self.x = x
+        self.keep = keep
+        self._kept = {}
+
+    def _get(self, key, make) -> np.ndarray:
+        if not self.keep:
+            return make()
+        if key not in self._kept:
+            arr = make()
+            arr.setflags(write=False)
+            self._kept[key] = arr
+        return self._kept[key]
+
+    def dx(self, n: int) -> np.ndarray:
+        stride = 1 << (self.x.grid_level - n)
+        return self._get(n, lambda: np.diff(self.x.samples[::stride]))
+
+    def grid_abs(self) -> np.ndarray:
+        def make():
+            a = np.diff(self.x.samples)
+            return np.abs(a, out=a)
+        return self._get(None, make)
+
+
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
-                   gamma: float | None = None, src: PVarSource | None = None):
+                   gamma: float | None = None, src: PVarSource | None = None,
+                   inc: _Increments | None = None):
     """Yield ``(n, terms, clamped, divergent)`` per distinct level, finest first.
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
     level's dyadic partition, but no partition, time grid, cumulative array
-    or profile is built: increments are strided slices of the samples.  With the default finest-level source
-    the grid-level ``|dx|**p`` is taken once, and each coarser level's block
-    weights are pairwise sums of the level below (``w[0::2] + w[1::2]``), so
-    every weight is an exact-order block sum.  Other sources supply weights
-    through :meth:`PVarSource.block_weights`.
+    or profile is built: increments are strided slices of the samples, taken
+    from ``inc`` when the caller keeps them across passes.  With the default
+    finest-level source the grid-level ``|dx|**p`` is taken once, and each
+    coarser level's block weights are pairwise sums of the level below
+    (``w[0::2] + w[1::2]``), so every weight is an exact-order block sum.
+    Other sources supply weights through :meth:`PVarSource.block_weights`.
     """
     L = x.grid_level
     wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
     p, gamma, src = _resolve(kind, p, gamma, src)
+    inc = inc or _Increments(x, keep=False)
     w = None
     if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
             and src.finest_profile is None):
-        w, w_level = np.diff(x.samples), L
-        np.abs(w, out=w)
-        np.power(w, p, out=w)
+        w, w_level = inc.grid_abs(), L
+        w = np.power(w, p, out=None if inc.keep else w)
     for n in wanted:
-        dx = np.diff(x.samples[::1 << (L - n)])
+        dx = inc.dx(n)
         while w is not None and w_level > n:
             w, w_level = w[0::2] + w[1::2], w_level - 1
         yield (n, *_terms(
@@ -412,11 +451,11 @@ def _level_total(terms: np.ndarray) -> float:
 
 
 def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
-                     gamma: float | None = None,
-                     src: PVarSource | None = None) -> list:
+                     gamma: float | None = None, src: PVarSource | None = None,
+                     inc: _Increments | None = None) -> list:
     """Terminal of each level in ``levels`` (in that order), one pyramid pass."""
     got = {n: _level_total(terms)
-           for n, terms, _, _ in _dyadic_levels(x, levels, kind, p, gamma, src)}
+           for n, terms, _, _ in _dyadic_levels(x, levels, kind, p, gamma, src, inc)}
     return [got[int(n)] for n in levels]
 
 

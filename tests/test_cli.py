@@ -248,6 +248,21 @@ class TestExponentsAndUsage:
         assert err.startswith("error:") and "must be" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", [("--gamma", "-1e-3"), ("--gamma=-1e-3",),
+                                      ("--gamma", "-1E-3"), ("--gamma", "-.001")])
+    def test_negative_float_flag_values_parse(self, flag, capsys):
+        doc = run_json(capsys, "classical", "--kind", "takagi", "--H", "0.5",
+                       "--level", "8", "--levels", "2:6", *flag)
+        assert doc["per_level"][0]["gamma"] == -1e-3
+
+    @pytest.mark.parametrize("flag", [("--gamma", "-inf"), ("--gamma=-inf",),
+                                      ("--gamma", "-Infinity")])
+    def test_negative_infinite_flag_value_is_a_validation_error(self, flag, capsys):
+        rc, out, err = run(capsys, "classical", "--kind", "takagi", "--H", "0.5",
+                           "--level", "8", "--levels", "2:6", *flag)
+        assert rc == 1
+        assert err == "error: gamma must be finite, got -inf\n" and out == ""
+
     def test_usage_error_exits_one(self, capsys):
         # argparse takes "-1:4" for an option; 2 is the numerical-failure code
         with pytest.raises(SystemExit) as exc:
@@ -285,6 +300,17 @@ class TestRoughnessCommand:
         assert "error:" in err
         evidence = json.loads(err.split("\n", 1)[1])
         assert len(evidence["evidence"]) == 2
+
+
+    @pytest.mark.parametrize("H, level, seed", [("0.3", "16", "0"), ("0.35", "16", "0"),
+                                                ("0.4", "14", "7")])
+    def test_finite_positive_high_endpoint_is_extended(self, H, level, seed, capsys):
+        # these exited 2 with a bracket error while q = 4 was the high endpoint
+        doc = run_json(capsys, "roughness", "--kind", "fbm", "--H", H,
+                       "--level", level, "--seed", seed)
+        assert abs(doc["hurst_est"] - float(H)) <= 0.04
+        assert 8.0 in [rec["q"] for rec in doc["per_q"]]
+        assert len(doc["per_q"]) <= doc["iters"] + 3
 
 
 class TestTwoSidedCommands:

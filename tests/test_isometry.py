@@ -189,6 +189,20 @@ class TestIsometryCheck:
         smooth = rv.smooth_perturbation("sine", 1.0, 12, {"freq": 1.0})
         assert abs(rv.holder_proxy(smooth, range(4, 11)) - 1.0) < 0.2
 
+    def test_alpha_proxy_is_the_strided_max_increment_fit(self):
+        # the reports read each level's max |dx| from the pyramid pass's
+        # increments; the proxy equals the fit over fresh strided diffs
+        x = rv.fbm_path(0.4, 14, seed=2)
+        lv = list(range(6, 13))
+        mags = [np.max(np.abs(np.diff(x.samples[::2 ** (14 - n)]))) for n in lv]
+        direct = -np.polyfit(np.asarray(lv, dtype=np.float64), np.log2(mags), 1)[0]
+        assert rv.holder_proxy(x, lv) == float(direct)
+        for rep in (rv.isometry_check(x, rv.sin_map(), 2.5, lv),
+                    rv.chain_rule_check(x, rv.sin_map(), 2.5, lv),
+                    rv.invariance_check(x, rv.smooth_perturbation("sine", 0.5, 14),
+                                        2.5, lv)):
+            assert rep.alpha_proxy == float(direct)
+
     def test_argument_validation(self, takagi14):
         with pytest.raises(ValidationError, match="p must be > 0"):
             rv.isometry_check(takagi14, rv.sin_map(), 0.0, LEVELS)

@@ -1,4 +1,4 @@
-"""Critical-index classification and bisection search tests."""
+"""Critical-index classification and secant search tests."""
 
 import json
 
@@ -8,7 +8,8 @@ import pytest
 import roughvar as rv
 from roughvar.errors import (BracketError, InconclusiveError, NumericalError,
                              ValidationError)
-from roughvar.roughness import _check_monotone
+from roughvar.roughness import _check_monotone, _secant_root
+from roughvar.variation import _level_terminals
 
 LEVELS = range(6, 13)
 
@@ -88,7 +89,7 @@ class TestCriticalIndexSearch:
         assert qs[0] == 1.2 and qs[-1] == 4.0
         assert rep.per_q[0].classification == "diverging"
         assert rep.per_q[-1].classification == "vanishing"
-        assert len(rep.per_q) == 5 + 2
+        assert len(rep.per_q) <= 5 + 2
 
     def test_search_is_deterministic(self, takagi14):
         a = rv.critical_index_search(takagi14, iters=8)
@@ -179,3 +180,126 @@ class TestRoughnessReportInvariant:
                                hurst_est=0.2, per_q=(),
                                levels_used=(6, 7, 8),
                                src_mode="finest_level", iters=1)
+
+
+def _reference_bisection(x, levels, p_range, iters):
+    """``hurst_est`` of the plain bisection the secant search replaced.
+
+    It makes ``iters + 2`` probes; its estimate is the last finite_positive
+    probe, else the final midpoint.
+    """
+    def probe(q):
+        return rv.classification_sweep(x, levels, [q])[0]
+
+    lo, hi = p_range
+    assert probe(lo).classification == "diverging"
+    assert probe(hi).classification == "vanishing"
+    last_fp = None
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        rec = probe(mid)
+        if rec.classification == "finite_positive":
+            last_fp = mid
+        if rec.classification == "diverging" or (
+                rec.classification == "finite_positive" and rec.trend_slope > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 / (last_fp if last_fp is not None else 0.5 * (lo + hi))
+
+
+class TestSecantSearch:
+    # fBM L18, default levels 6..16, seeds 0-7: the secant's hurst_est was
+    # within 6.4e-4 of the 14-probe bisection over (1.1, 8.0) (largest at
+    # H = 0.7), and made 5-6 probes; the tolerance is about twice that.
+    HURST_TOL = 1.5e-3
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_matches_reference_bisection_in_few_probes(self, H):
+        for seed in self.SEEDS:
+            x = rv.fbm_path(H, 18, seed=seed)
+            rep = rv.critical_index_search(x)
+            ref = _reference_bisection(x, list(rv.default_levels(x)), (1.1, 8.0), 12)
+            assert abs(rep.hurst_est - ref) <= self.HURST_TOL, (seed, rep.hurst_est, ref)
+            assert len(rep.per_q) <= 7
+            lo, hi = rep.bracket
+            assert lo <= rep.p_bar_est <= hi
+
+    def test_every_probe_equals_an_uncached_pass_bitwise(self):
+        # each probe of a search reads the increments taken once for all
+        x = rv.fbm_path(0.4, 16, seed=3)
+        levels = list(rv.default_levels(x))
+        for src in (None, rv.PVarSource.self_level(), rv.PVarSource.linear(1.0)):
+            rep = rv.critical_index_search(x, src=src)
+            assert len(rep.per_q) >= 4
+            for rec in rep.per_q:
+                assert rec.terminal_values == tuple(
+                    _level_terminals(x, levels, "scaled", rec.q, src=src))
+
+    def test_confirmed_root_is_the_estimate(self, takagi14):
+        rep = rv.critical_index_search(takagi14, iters=12)
+        lo, hi = rep.bracket
+        half = 2.8 * 2.0 ** -13
+        assert rep.p_bar_est - half == lo and rep.p_bar_est + half == hi
+        assert {lo, hi} <= {rec.q for rec in rep.per_q}
+
+    def test_budget_bounds_the_probes(self, takagi14):
+        for iters in (1, 2, 3, 12):
+            for src in (None, rv.PVarSource.self_level()):
+                rep = rv.critical_index_search(takagi14, iters=iters, src=src)
+                assert len(rep.per_q) <= iters + 2
+                lo, hi = rep.bracket
+                assert lo < rep.p_bar_est < hi
+
+
+class TestSecantRoot:
+    def _rec(self, q, slope):
+        return rv.ProbeRecord(q=q, classification="finite_positive",
+                              terminal_values=(1.0, 1.0, 1.0), trend_slope=slope)
+
+    def test_affine_slope_in_inverse_q_gives_its_zero(self):
+        # slope 2/q - 0.8 vanishes at q = 2.5
+        a, b = self._rec(1.25, 2 / 1.25 - 0.8), self._rec(5.0, 2 / 5.0 - 0.8)
+        assert _secant_root(a, b, 1.25, 5.0) == pytest.approx(2.5, rel=1e-12)
+
+    def test_outside_or_nan_falls_back_to_midpoint(self):
+        a, b = self._rec(2.0, 0.5), self._rec(3.0, 0.25)
+        assert _secant_root(a, b, 2.0, 3.0) == 2.5
+        assert _secant_root(self._rec(2.0, np.nan), b, 2.0, 3.0) == 2.5
+        assert _secant_root(a, self._rec(3.0, 0.5), 2.0, 3.0) == 2.5
+
+
+class TestBracketExtension:
+    # the q = 4 endpoint classifies finite_positive on these paths; the
+    # estimates below are within 0.03 of H (0.028 at L14)
+    HURST_TOL = 0.04
+
+    @pytest.mark.parametrize("H, level, seed", [(0.3, 16, 0), (0.35, 16, 0),
+                                                (0.4, 14, 7)])
+    def test_high_endpoint_doubles_until_vanishing(self, H, level, seed):
+        x = rv.fbm_path(H, level, seed=seed)
+        rep = rv.critical_index_search(x)
+        assert abs(rep.hurst_est - H) <= self.HURST_TOL
+        by_q = {rec.q: rec.classification for rec in rep.per_q}
+        assert by_q[1.2] == "diverging"
+        assert by_q[4.0] == "finite_positive" and by_q[8.0] == "vanishing"
+        assert rep.bracket[1] <= 4.0
+        assert len(rep.per_q) <= 12 + 2 + 1
+
+    def test_low_endpoint_halves_until_diverging(self):
+        x = rv.fbm_path(0.75, 18, seed=0)
+        rep = rv.critical_index_search(x)
+        by_q = {rec.q: rec.classification for rec in rep.per_q}
+        assert by_q[0.6] == "diverging" and by_q[1.2] == "finite_positive"
+        assert abs(rep.hurst_est - 0.75) <= self.HURST_TOL
+
+    def test_extension_stops_at_the_cap_with_every_endpoint_as_evidence(self):
+        # H = 0.15 needs q > 16 on this path; q = 64 is reached only from p_max 16
+        x = rv.fbm_path(0.15, 18, seed=0)
+        with pytest.raises(BracketError) as exc:
+            rv.critical_index_search(x)
+        assert [d["q"] for d in exc.value.evidence] == [1.2, 4.0, 8.0, 16.0]
+        assert exc.value.evidence[-1]["classification"] == "finite_positive"
+        rep = rv.critical_index_search(x, p_range=(1.2, 16.0))
+        assert abs(rep.hurst_est - 0.15) <= self.HURST_TOL
