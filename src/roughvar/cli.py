@@ -70,11 +70,8 @@ def _manifest_name(out: str) -> str:
 
 def _write_manifest(args, t0: float, inputs: dict, out: str,
                     extra: dict | None = None, exact_name: bool = False) -> None:
-    config = {}
-    for key, val in vars(args).items():
-        if key == "func" or callable(val):
-            continue
-        config[key] = val
+    config = {key: val for key, val in vars(args).items()
+              if key != "func" and not callable(val)}
     manifest = {
         "command": args.command,
         "config": config,
@@ -162,48 +159,45 @@ def _smooth_params(args) -> dict:
 def _generator_spec(args) -> pathgen.GeneratorSpec:
     kind = args.kind
     level = getattr(args, "level", None)
+    if kind in ("fbm", "takagi") and getattr(args, "H", None) is None:
+        raise ValidationError(f"--kind {kind} requires --H")
+    if kind == "counterexample" and getattr(args, "nmax", None) is None:
+        raise ValidationError("--kind counterexample requires --nmax")
+    if kind == "custom_schauder" and not getattr(args, "coeffs_file", None):
+        raise ValidationError("--kind custom_schauder requires --coeffs-file")
+    if kind != "counterexample" and level is None:
+        raise ValidationError(f"--kind {kind} requires --level")
     params = {}
-    if kind in ("fbm", "takagi"):
-        if getattr(args, "H", None) is None:
-            raise ValidationError(f"--kind {kind} requires --H")
-        if level is None:
-            raise ValidationError(f"--kind {kind} requires --level")
-        if kind == "takagi":
-            params["signs"] = getattr(args, "signs", None) or "plus"
-            if getattr(args, "max_level", None) is not None:
-                params["max_level"] = args.max_level
+    if kind == "takagi":
+        params["signs"] = getattr(args, "signs", None) or "plus"
+        if getattr(args, "max_level", None) is not None:
+            params["max_level"] = args.max_level
     elif kind == "counterexample":
-        if getattr(args, "nmax", None) is None:
-            raise ValidationError("--kind counterexample requires --nmax")
         params["n_max"] = args.nmax
     elif kind == "smooth":
-        if level is None:
-            raise ValidationError("--kind smooth requires --level")
         params["shape"] = getattr(args, "smooth_kind", None) or "sine"
         params["amplitude"] = args.amplitude
         params.update(_smooth_params(args))
     elif kind == "custom_schauder":
-        if not getattr(args, "coeffs_file", None):
-            raise ValidationError("--kind custom_schauder requires --coeffs-file")
-        if level is None:
-            raise ValidationError("--kind custom_schauder requires --level")
         params["coeffs_file"] = args.coeffs_file
     return pathgen.GeneratorSpec(kind=kind, grid_level=level,
                                  H=getattr(args, "H", None),
                                  seed=getattr(args, "seed", None), params=params)
 
 
+def _read_path(filename: str, inputs: dict) -> grid.Path:
+    """A path file, JSON by extension and CSV otherwise; digest into ``inputs``."""
+    inputs[filename] = _sha256(filename)
+    read = grid.read_path_json if filename.endswith(".json") else grid.read_path_csv
+    return read(filename)
+
+
 def _load_path(args) -> tuple:
     """Resolve the input path: --in FILE or inline generator flags."""
-    inputs = {}
-    extra = {}
+    inputs, extra = {}, {}
     infile = getattr(args, "infile", None)
     if infile:
-        inputs[infile] = _sha256(infile)
-        if infile.endswith(".json"):
-            x = grid.read_path_json(infile)
-        else:
-            x = grid.read_path_csv(infile)
+        x = _read_path(infile, inputs)
     elif getattr(args, "kind", None):
         spec = _generator_spec(args)
         if spec.kind == "custom_schauder":
@@ -216,13 +210,6 @@ def _load_path(args) -> tuple:
     return x, inputs, extra
 
 
-def _write_profiles(profiles, out_dir: str, stem: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for prof in profiles:
-        name = os.path.join(out_dir, f"{stem}_level{prof.level:02d}.csv")
-        variation.write_profile_csv(prof, name)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -231,10 +218,8 @@ def _cmd_gen(args) -> int:
     t0 = time.perf_counter()
     spec = _generator_spec(args)
     x = pathgen.generate(spec)
-    if args.out.endswith(".json"):
-        grid.write_path_json(x, args.out)
-    else:
-        grid.write_path_csv(x, args.out)
+    write = grid.write_path_json if args.out.endswith(".json") else grid.write_path_csv
+    write(x, args.out)
     _write_manifest(args, t0, {}, args.out, {"generator": spec.metadata()})
     payload = {"command": "gen", "out": args.out, "generator": spec.metadata(),
                "samples": int(x.samples.size)}
@@ -247,7 +232,8 @@ def _profile_run(args, kind: str) -> int:
     """pvar / sqv / classical: the ``kind`` functional across levels.
 
     Every level's terminal and metadata come from one pass down the dyadic
-    pyramid; full profiles are built only for ``--profiles-out``.
+    pyramid.  ``--profiles-out`` profiles are built from the terms of that
+    same pass, so each sidecar ``terminal`` is its ``per_level`` terminal.
     """
     label = args.command
     flag = "gamma" if kind == "classical_scaled" else "p"
@@ -259,7 +245,12 @@ def _profile_run(args, kind: str) -> int:
     x, inputs, extra = _load_path(args)
     levels = _resolve_levels(args, x)
 
-    per_level = variation._level_metadata(x, levels, kind, p, gamma, src)
+    out_dir, write = getattr(args, "profiles_out", None), None
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write = lambda prof: variation.write_profile_csv(
+            prof, os.path.join(out_dir, f"{label}_level{prof.level:02d}.csv"))
+    per_level = variation._level_metadata(x, levels, kind, p, gamma, src, write)
     terminals = [meta["terminal"] for meta in per_level]
     report = None
     if len(levels) >= 3:
@@ -273,10 +264,6 @@ def _profile_run(args, kind: str) -> int:
         if getattr(args, key, None) is not None:
             payload[key] = getattr(args, key)
 
-    if getattr(args, "profiles_out", None):
-        _write_profiles((variation._profile(kind, x, grid.dyadic_partition(n, x.grid_level),
-                                            p, gamma, src) for n in levels),
-                        args.profiles_out, label)
     if args.out:
         _write_json(payload, args.out)
         _write_manifest(args, t0, inputs, args.out, extra)
@@ -363,8 +350,7 @@ def _cmd_chainrule(args) -> int:
 
 def _perturbation(args, x: grid.Path, inputs: dict) -> grid.Path:
     if args.perturb_in:
-        inputs[args.perturb_in] = _sha256(args.perturb_in)
-        return grid.read_path_csv(args.perturb_in)
+        return _read_path(args.perturb_in, inputs)
     return pathgen.smooth_perturbation(args.smooth_kind, args.amplitude,
                                        x.grid_level, _smooth_params(args))
 
@@ -383,12 +369,10 @@ def _cmd_counterexample(args) -> int:
 
     # coefficient bursts sit at rows S_n - 1; observation levels are S_n
     burst = [row + 1 for row in schauder.counterexample_burst_levels(n_max)]
-    sn_terms = variation._level_terminals(x, burst, "pth", 2.0)
-    pre_terms = variation._level_terminals(x, [s - 1 for s in burst], "pth", 2.0)
-    inter_levels, inter_vals = [], []
-    for s_n, a, b in zip(burst, pre_terms, sn_terms):
-        inter_levels.extend([s_n - 1, s_n])
-        inter_vals.extend([a, b])
+    pre = [s - 1 for s in burst]
+    inter_levels = [n for pair in zip(pre, burst) for n in pair]
+    inter_vals = variation._level_terminals(x, inter_levels, "pth", 2.0)
+    pre_terms, sn_terms = inter_vals[0::2], inter_vals[1::2]
 
     def diag(vals, levels):
         return variation.limit_diagnostics(vals, window=len(vals), levels=levels)
@@ -396,9 +380,9 @@ def _cmd_counterexample(args) -> int:
     payload = {
         "command": "counterexample", "n_max": n_max, "grid_level": level,
         "sn_levels": burst, "sn_terminals": sn_terms,
-        "pre_levels": [s - 1 for s in burst], "pre_terminals": pre_terms,
+        "pre_levels": pre, "pre_terminals": pre_terms,
         "reports": {"sn": diag(sn_terms, burst).to_dict(),
-                    "pre": diag(pre_terms, [s - 1 for s in burst]).to_dict(),
+                    "pre": diag(pre_terms, pre).to_dict(),
                     "interleaved": diag(inter_vals, inter_levels).to_dict()},
     }
     if args.out:
@@ -429,6 +413,8 @@ def _cmd_report(args) -> int:
                 payload = json.load(fh)
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot parse report {name}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise FormatError(f"report {name} is not a JSON object")
         entries.append({"file": name, "sha256": inputs[name], "report": payload})
         headline = payload.get("command", "?")
         for key in ("classification", "p_bar_est", "success"):
@@ -560,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_analysis_flags(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--perturb-in", dest="perturb_in",
-                   help="perturbation path CSV (default: built sine)")
+                   help="perturbation path CSV/JSON (default: built sine)")
     p.set_defaults(func=_cmd_invariance)
 
     p = sub.add_parser("counterexample",

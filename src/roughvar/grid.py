@@ -37,6 +37,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Deepest level any generator builds: a level-L grid holds 2**L + 1 floats
+# (32 MiB at 22), and every generator checks this before it allocates.
+_MAX_LEVEL = 22
+
+
+def _check_max_level(level: int, what: str = "grid_level") -> None:
+    if not 0 <= level <= _MAX_LEVEL:
+        raise ValidationError(f"{what} must be in [0, {_MAX_LEVEL}] "
+                              f"(memory guard), got {level}")
+
+
 def grid_times(grid_level: int) -> np.ndarray:
     """Times ``j * 2**-grid_level`` for j = 0..2**grid_level (exact floats)."""
     return np.arange((1 << grid_level) + 1, dtype=np.float64) * 2.0 ** (-grid_level)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Path, grid_times
+from .grid import Path, _check_max_level, grid_times
 from .schauder import (
     counterexample_coefficients,
     schauder_eval,
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 GENERATOR_VERSION = "1"
-
-_FBM_MAX_LEVEL = 22          # memory guard for the O(N log N) sampler
-
 
 def _fgn_covariance(H: float, N: int) -> np.ndarray:
     """Autocovariance of unit-spaced fractional Gaussian noise, lags 0..N.
@@ -97,11 +94,7 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     """
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
-    if not 0 <= grid_level <= _FBM_MAX_LEVEL:
-        raise ValidationError(
-            f"grid_level must be in [0, {_FBM_MAX_LEVEL}] "
-            f"(memory guard), got {grid_level}"
-        )
+    _check_max_level(grid_level)
     rng = np.random.default_rng(seed)
     N = 1 << grid_level
     increments = _fgn_circulant(H, N, rng) * 2.0 ** (-grid_level * H)
@@ -120,6 +113,7 @@ def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
     ``amplitude``.
     """
     params = dict(params or {})
+    _check_max_level(grid_level)
     t = grid_times(grid_level)
     if kind == "sine":
         freq = float(params.get("freq", 1.0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResolutionError, ValidationError
-from .grid import Path
+from .grid import Path, _check_max_level
 
 __all__ = [
     "SchauderCoefficients",
@@ -77,6 +77,7 @@ def schauder_eval(c: SchauderCoefficients, grid_level: int) -> Path:
     level-``max_level`` dyadic points and the averaging reproduces it exactly
     on the finer grid.
     """
+    _check_max_level(grid_level)
     if grid_level < c.max_level:
         raise ResolutionError(
             f"grid level {grid_level} cannot resolve coefficients up to level "
@@ -121,6 +122,7 @@ def takagi_coefficients(H: float, M: int, signs: str = "plus",
         raise ValidationError(f"H must lie in (0, 1), got {H}")
     if M < 1:
         raise ValidationError(f"max_level must be >= 1, got {M}")
+    _check_max_level(M, "max_level")
     rng = np.random.default_rng(seed)
     theta = [2.0 ** (m * (0.5 - H)) * _sign_stream(signs, m, rng) for m in range(M)]
     tag = signs if signs != "random" else f"random(seed={seed})"
@@ -144,6 +146,7 @@ def counterexample_coefficients(n_max: int) -> SchauderCoefficients:
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     max_level = n_max * (n_max + 1) // 2
+    _check_max_level(max_level, "S_n_max = n_max(n_max+1)/2")
     theta = [np.zeros(1 << m) for m in range(max_level)]
     for n in range(1, n_max + 1):
         m = n * (n + 1) // 2 - 1

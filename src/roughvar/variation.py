@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError, ResolutionError, SourceError, ValidationError
-from .grid import Partition, Path, _read_csv, _write_csv, dyadic_partition
+from .grid import Partition, Path, _read_csv, _write_csv, dyadic_partition, grid_times
 
 __all__ = [
     "accurate_cumsum",
@@ -51,41 +51,38 @@ __all__ = [
 
 _BLOCK = 4096
 
-# Extended-precision block prefixes keep 2**22-term accumulations accurate to
-# ~1e-15 relative; if the platform long double is no wider than float64 the
-# math.fsum fallback preserves correctness at some speed cost.
-_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-
 
 def accurate_cumsum(terms: np.ndarray) -> np.ndarray:
     """Cumulative sum with a leading 0, accurate for millions of terms.
 
-    Plain ``np.cumsum`` is sequential in float64 and loses ~6 digits on
-    2**22 same-sign terms.  This version cumsums short blocks and carries
-    the running block prefix in extended precision, so terminal values stay
-    within a few ulp of the exact sum.
-
-    Returns an array one longer than ``terms`` with ``out[0] = 0``.
+    Blocks of 4096 terms are cumsummed in one 2-D pass, each on top of the
+    running sum of the earlier blocks' sums taken within about one ulp (plain
+    ``np.cumsum`` loses ~6 digits on 2**22 same-sign terms).  ``out[-1]`` is
+    :func:`_level_total` of ``terms``, bitwise the level terminal, and
+    nonnegative terms give a nondecreasing ``out``.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    out = np.empty(terms.size + 1)
-    out[0] = 0.0
-    if terms.size == 0:
-        return out
-    if _LONGDOUBLE_OK:
-        prefix = np.longdouble(0.0)
-        for pos in range(0, terms.size, _BLOCK):
-            seg = terms[pos:pos + _BLOCK]
-            np.cumsum(seg, out=out[pos + 1:pos + 1 + seg.size])
-            out[pos + 1:pos + 1 + seg.size] += float(prefix)
-            prefix += np.sum(seg, dtype=np.longdouble)
-    else:  # platforms whose long double is float64
-        prefix = 0.0
-        for pos in range(0, terms.size, _BLOCK):
-            seg = terms[pos:pos + _BLOCK]
-            np.cumsum(seg, out=out[pos + 1:pos + 1 + seg.size])
-            out[pos + 1:pos + 1 + seg.size] += prefix
-            prefix = math.fsum([prefix, math.fsum(seg.tolist())])
+    n, blocks = terms.size, -(-terms.size // _BLOCK)
+    buf = np.zeros(blocks * _BLOCK + 1)
+    buf[1:n + 1] = terms
+    rows = buf[1:].reshape(blocks, _BLOCK)
+    sums = np.sum(rows, axis=1)
+    scale, lift = float(np.sum(np.abs(sums))), np.cumsum(sums)
+    if math.isfinite(scale):
+        # high parts on a grid of one ulp of sum |sums| add up exactly; the
+        # exact remainders are too small to lose a bit that counts
+        unit = math.ldexp(1.0, max(math.frexp(scale)[1] - 52, -1074))
+        high = np.round(sums / unit) * unit
+        lift = np.cumsum(high) + np.cumsum(sums - high)
+    np.cumsum(rows, axis=1, out=rows)
+    rows[1:] += lift[:-1, None]
+    out, total = buf[:n + 1], _level_total(terms)
+    if n and terms.min() >= 0.0:
+        # each lifted block rises, so the running minimum from the end caps
+        # each entry by the later blocks' first entries and the total
+        heads = np.append(rows[1:, 0], total)
+        np.minimum(rows, np.minimum.accumulate(heads[::-1])[::-1, None], out=rows)
+    out[-1] = total
     return out
 
 
@@ -220,12 +217,16 @@ def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
     p, gamma, src = _resolve(kind, p, gamma, src)
     times = part.times(x.grid_level)  # checks that part ends on the grid
     dx = np.diff(x.samples[part.indices])
-    terms, clamped, divergent = _terms(
+    return _from_terms(kind, p, gamma, src, part.level, times, *_terms(
         kind, dx, p, gamma, lambda: src.block_weights(x, part, p, dx),
-        lambda: np.diff(times))
-    return VariationProfile(level=part.level, times=times,
-                            values=accurate_cumsum(terms), p=p, kind=kind,
-                            gamma=gamma, terms=terms,
+        lambda: np.diff(times)))
+
+
+def _from_terms(kind: str, p: float, gamma, src, level: int, times: np.ndarray,
+                terms: np.ndarray, clamped: int, divergent: bool) -> VariationProfile:
+    """The profile of one level's :func:`_terms`, ending on their level total."""
+    return VariationProfile(level=level, times=times, values=accurate_cumsum(terms),
+                            p=p, kind=kind, gamma=gamma, terms=terms,
                             src_mode=src.mode if src else None,
                             clamped=clamped, divergent=divergent)
 
@@ -296,8 +297,7 @@ class PVarSource:
                       dx: np.ndarray) -> tuple[np.ndarray, int]:
         """Nonnegative weight increments per partition block (+ clamp count)."""
         if self.mode == "self_level":
-            w = np.abs(dx) ** p
-            return w, 0
+            return np.abs(dx) ** p, 0
         if self.mode == "analytic":
             t = part.times(x.grid_level)
             vals = np.asarray(self.analytic_fn(t), dtype=np.float64)
@@ -460,14 +460,21 @@ def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
 
 
 def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
-                    gamma: float | None = None,
-                    src: PVarSource | None = None) -> list:
-    """:meth:`VariationProfile.metadata` of each level, without the profiles."""
+                    gamma: float | None = None, src: PVarSource | None = None,
+                    write: Callable | None = None) -> list:
+    """:meth:`VariationProfile.metadata` of each level, from one pyramid pass.
+
+    Profiles are built only for ``write``, which gets each distinct level's
+    profile made from the same terms, so it ends on the same terminal.
+    """
     p, gamma, src = _resolve(kind, p, gamma, src)
-    got = {n: _metadata(n, kind, p, gamma, src.mode if src else None, terms,
-                        _level_total(terms), clamped, divergent)
-           for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p,
-                                                              gamma, src)}
+    got = {}
+    for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p, gamma, src):
+        got[n] = _metadata(n, kind, p, gamma, src.mode if src else None, terms,
+                           _level_total(terms), clamped, divergent)
+        if write:
+            write(_from_terms(kind, p, gamma, src, n, grid_times(n), terms,
+                              clamped, divergent))
     return [got[int(n)] for n in levels]
 
 
@@ -618,7 +625,6 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
                                    values=values, p=float(meta["p"]),
                                    kind=str(meta["kind"]),
                                    gamma=meta.get("gamma"),
-                                   terms=np.diff(values),
                                    src_mode=meta.get("source_mode"),
                                    clamped=int(meta.get("clamped", 0)),
                                    divergent=bool(meta.get("divergent", False)))

@@ -173,6 +173,24 @@ class TestProfileCommands:
         assert back.level == 6
         assert abs(back.terminal - (1.0 - 2.0 ** -6)) < 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ("pvar", "--p", "2.5"),
+        ("sqv", "--p", "2.5"),
+        ("sqv", "--p", "2.5", "--src", "self"),
+        ("sqv", "--p", "3", "--src", "analytic", "--analytic-c", "0.7"),
+        ("classical", "--gamma", "-0.2"),
+    ])
+    def test_profile_sidecars_end_on_the_per_level_terminals(self, argv, tmp_path,
+                                                             capsys):
+        prof_dir = tmp_path / "profiles"
+        doc = run_json(capsys, *argv, "--kind", "fbm", "--H", "0.4", "--level", "16",
+                       "--seed", "0", "--levels", "6:16",
+                       "--profiles-out", str(prof_dir))
+        for meta in doc["per_level"]:
+            stem = prof_dir / f"{argv[0]}_level{meta['level']:02d}"
+            assert json.loads(stem.with_suffix(".meta.json").read_text()) == meta
+            assert rv.read_profile_csv(stem.with_suffix(".csv")).terminal == meta["terminal"]
+
     def test_report_json_is_byte_stable(self, takagi_csv, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
@@ -386,6 +404,25 @@ class TestTwoSidedCommands:
         assert doc["success"]
 
 
+    def test_perturbation_file_reads_as_csv_or_json(self, takagi_csv, tmp_path,
+                                                    capsys):
+        docs = []
+        for suffix in (".csv", ".json"):
+            pert = tmp_path / ("pert" + suffix)
+            rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5",
+                             "--level", "12", "--signs", "alternating",
+                             "--out", str(pert))
+            assert rc == 0, err
+            docs.append(run_json(capsys, "invariance", "--in", takagi_csv,
+                                 "--p", "2", "--perturb-in", str(pert),
+                                 "--levels", "6:10"))
+        # the map id is the perturbation's label: the CSV file name, or the
+        # label stored in the JSON file
+        assert docs[0].pop("map_id") == str(tmp_path / "pert.csv")
+        assert docs[1].pop("map_id") == "takagi(H=0.5, signs=alternating)"
+        assert docs[0] == docs[1]
+
+
 class TestCounterexampleCommand:
     def test_artifacts_and_oscillation(self, tmp_path, capsys):
         out_dir = tmp_path / "cx"
@@ -432,6 +469,37 @@ class TestReportCommand:
         rc, _, err = run(capsys, "report", "--in", str(bad))
         assert rc == 3
         assert "error:" in err
+
+    def test_non_object_report_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        rc, _, err = run(capsys, "report", "--in", str(bad))
+        assert rc == 3
+        assert err.startswith("error:") and "not a JSON object" in err
+
+
+class TestLevelCap:
+    def test_deep_smooth_path_exits_one_before_allocating(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "gen", "--kind", "smooth", "--level", "40",
+                         "--out", str(tmp_path / "p.csv"))
+        assert rc == 1
+        assert "memory guard" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--kind", "takagi", "--H", "0.5", "--level", "11", "--out", "p.csv"),
+        ("gen", "--kind", "fbm", "--H", "0.5", "--level", "11", "--out", "p.csv"),
+        ("gen", "--kind", "smooth", "--level", "11", "--out", "p.csv"),
+        ("counterexample", "--nmax", "5"),
+    ])
+    def test_every_generator_checks_the_cap(self, argv, monkeypatch, tmp_path,
+                                            capsys):
+        # a lowered cap stands in for the deep grids that exhaust memory
+        monkeypatch.setattr(rv.grid, "_MAX_LEVEL", 10)
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert "memory guard" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 def test_startup_does_not_import_scipy():

@@ -98,6 +98,8 @@ class TestFbmPath:
     def test_level_guard(self):
         with pytest.raises(ValidationError, match="memory guard"):
             rv.fbm_path(0.5, 23, seed=0)
+        with pytest.raises(ValidationError, match="memory guard"):
+            rv.smooth_perturbation("sine", 1.0, 40)
 
 
 class TestSmoothPerturbation:

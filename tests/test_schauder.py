@@ -170,6 +170,21 @@ class TestCounterexampleCoefficients:
             rv.counterexample_coefficients(0)
 
 
+class TestLevelCap:
+    def test_deep_grid_is_refused_before_allocating(self):
+        with pytest.raises(ValidationError, match="memory guard"):
+            rv.schauder_eval(rv.takagi_coefficients(0.5, 4), 40)
+
+    def test_coefficient_levels_are_capped(self, monkeypatch):
+        # a lowered cap stands in for the deep rows that exhaust memory
+        monkeypatch.setattr(rv.grid, "_MAX_LEVEL", 10)
+        with pytest.raises(ValidationError, match="memory guard"):
+            rv.takagi_coefficients(0.5, 11)
+        with pytest.raises(ValidationError, match="memory guard"):
+            rv.counterexample_coefficients(5)  # S_5 = 15
+        assert rv.counterexample_coefficients(4).max_level == 10
+
+
 class TestCoefficientSerialization:
     def test_json_round_trip(self, tmp_path):
         c = _random_coefficients(5, 9)

@@ -96,19 +96,41 @@ class TestAccurateCumsum:
     def test_beats_sequential_float64_on_large_same_sign_input(self):
         rng = np.random.default_rng(1)
         terms = rng.random(1 << 20) + 0.5
-        ours = rv.accurate_cumsum(terms)[-1]
-        oracle = float(np.sum(terms.astype(np.longdouble)))
-        assert abs(ours - oracle) / oracle < 1e-14
-
-    def test_fallback_without_long_double_matches_fsum(self, monkeypatch):
-        # the only path on platforms whose long double is float64
-        monkeypatch.setattr(variation, "_LONGDOUBLE_OK", False)
-        rng = np.random.default_rng(5)
-        terms = rng.random(1 << 18) + 0.5
         out = rv.accurate_cumsum(terms)
-        want = math.fsum(terms.tolist())
-        assert abs(out[-1] - want) <= 2e-15 * want
+        oracle = float(np.sum(terms.astype(np.longdouble)))
+        assert abs(out[-1] - oracle) / oracle < 1e-14
         assert np.all(np.diff(out) >= 0.0)
+        terms = np.random.default_rng(5).random(1 << 18) + 0.5
+        want = math.fsum(terms.tolist())
+        assert abs(rv.accurate_cumsum(terms)[-1] - want) <= 2e-15 * want
+
+    def test_flat_run_after_a_block_edge_keeps_finest_weights_unclamped(self):
+        # a finest profile that dipped by one ulp where a flat stretch starts
+        # at a block edge gave that block a negative weight, clamped to 0
+        inc = np.random.default_rng(0).standard_normal(1 << 13) * 2.0 ** -6.5
+        inc[4096:4096 + 64] = 0.0
+        x = rv.Path(grid_level=13, samples=np.concatenate([[0.0], np.cumsum(inc)]))
+        part = rv.dyadic_partition(13, 13)
+        finest = rv.pth_variation(x, part, 2.5)
+        assert np.all(np.diff(finest.values) >= 0.0)
+        assert rv.scaled_qv(x, part, 2.5, rv.PVarSource.finest(finest)).clamped == 0
+        assert rv.scaled_qv(x, part, 2.5).clamped == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 4095),
+           st.lists(st.integers(0, 300), min_size=4, max_size=4))
+    def test_nonnegative_terms_give_a_nondecreasing_profile(self, seed, blocks,
+                                                            extra, runs):
+        rng = np.random.default_rng(seed)
+        n = (blocks - 1) * 4096 + extra + 1
+        terms = rng.random(n) * 10.0 ** rng.uniform(-4, 4, n)
+        for edge, run in zip(range(0, n, 4096), runs):
+            terms[edge:edge + run] = 0.0       # zeros from a block edge on
+            terms[max(edge - run, 0):edge] = 0.0  # and up to it
+        out = rv.accurate_cumsum(terms)
+        assert np.all(np.diff(out) >= 0.0)
+        assert out[-1] == np.sum(terms)
+        assert out[-1] == variation._level_total(terms)
 
     def test_infinite_term_propagates(self):
         out = rv.accurate_cumsum([1.0, np.inf, 1.0])
