@@ -9,6 +9,7 @@ are accumulated.  All objects are immutable; operations are pure functions.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -210,11 +211,11 @@ def _write_csv(filename, header: str, columns) -> None:
 
 def _read_csv(filename, what: str) -> np.ndarray:
     """The two float columns below a CSV file's header line, as an (n, 2) array."""
-    try:
-        with warnings.catch_warnings():
+    try:  # loadtxt given a handle, not a name, picks no decompressor from a suffix
+        with open(filename) as fh, warnings.catch_warnings():
             # loadtxt warns on a file without data rows; that is an error here
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise FormatError(f"cannot parse {what} {filename}: {exc}") from exc
     if data.shape[0] == 0:
@@ -244,7 +245,7 @@ def read_path_csv(filename, label: str | None = None) -> Path:
                        atol=2.0 ** (-grid_level) * 1e-6):
         raise FormatError(f"path CSV {filename}: time column is not the dyadic grid")
     return Path(grid_level=grid_level, samples=data[:, 1],
-                label=label if label is not None else str(filename))
+                label=label if label is not None else os.path.basename(filename))
 
 
 def write_path_json(x: Path, filename) -> None:

@@ -33,9 +33,11 @@ __all__ = [
 ]
 
 GENERATOR_VERSION = "1"
+_LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
+
 
 def _fgn_covariance(H: float, N: int) -> np.ndarray:
-    """Autocovariance of unit-spaced fractional Gaussian noise, lags 0..N.
+    """Unit-spaced fGN autocovariance at lags 0..N, then N-1..1: the circulant's row.
 
     ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H)`` cancels catastrophically at
     large lags, where the covariance is a second difference many orders
@@ -44,16 +46,16 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
     k >= 2, and in closed form at k = 0 (1) and k = 1 (``2**(2H-1) - 1``).
     """
     two_h = 2.0 * H
-    gamma = np.empty(N + 1)
-    gamma[0] = 1.0
-    if N >= 1:
-        gamma[1] = np.expm1((two_h - 1.0) * np.log(2.0))
-    if N >= 2:
-        k = np.arange(2, N + 1, dtype=np.float64)
+    row = np.empty(2 * N)
+    row[0] = 1.0
+    row[1] = np.expm1((two_h - 1.0) * np.log(2.0))
+    for lo in range(2, N + 1, _LAG_BLOCK):
+        k = np.arange(lo, min(lo + _LAG_BLOCK, N + 1), dtype=np.float64)
         inv = 1.0 / k
-        gamma[2:] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
-                                        + np.expm1(two_h * np.log1p(-inv)))
-    return gamma
+        row[lo:lo + k.size] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
+                                                 + np.expm1(two_h * np.log1p(-inv)))
+    row[N + 1:] = row[N - 1:0:-1]
+    return row
 
 
 def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,26 +63,31 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
 
     The length-2N circulant is real and symmetric, so its eigenvalues are
     the N+1 real bins of one real FFT, and the Hermitian spectrum of the
-    sample needs only its N+1 nonnegative-frequency bins for one inverse
-    real FFT.  A negative eigenvalue means the embedding is not a valid
-    covariance: that raises :class:`NumericalError` and is never clipped.
+    sample is built in that FFT's output for one inverse real FFT: at most
+    two arrays of 2N doubles are live, besides numpy's FFT scratch.  A
+    negative eigenvalue means the embedding is not a valid covariance:
+    that raises :class:`NumericalError` and is never clipped.
     """
-    gamma = _fgn_covariance(H, N)
-    lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real.copy()  # bins 0..N
-    del gamma  # free the covariance before the 2N draws: peak memory is here
+    spec = np.fft.rfft(_fgn_covariance(H, N))
+    lam = spec.real  # the eigenvalues, bins 0..N
     if lam.min() < 0.0:
         raise NumericalError(
             f"circulant embedding of the fractional-noise covariance has a "
             f"negative eigenvalue ({lam.min():.3g}) at H={H}, N={N}"
         )
-    w = rng.standard_normal(2 * N)
-    half = np.zeros(N + 1, dtype=np.complex128)
-    half.real[0] = np.sqrt(lam[0]) * w[0]
-    half.real[N] = np.sqrt(lam[N]) * w[N]
-    scale = np.sqrt(lam[1:N] / 2.0)
-    np.multiply(scale, w[1:N], out=half.real[1:N])
-    np.multiply(scale, w[N + 1:], out=half.imag[1:N])
-    return np.fft.irfft(half, n=2 * N)[:N] * np.sqrt(2 * N)
+    # 2N normals drawn as w[0], w[1:N], w[N], w[N+1:]: one stream, one N-1 buffer
+    w = np.empty(N - 1)
+    scale = lam[1:N]
+    np.sqrt(np.divide(scale, 2.0, out=scale), out=scale)
+    spec[0] = np.sqrt(lam[0]) * rng.standard_normal()
+    spec.imag[1:N] = rng.standard_normal(out=w)  # parked until scale is used up
+    spec[N] = np.sqrt(lam[N]) * rng.standard_normal()
+    np.multiply(scale, rng.standard_normal(out=w), out=w)
+    np.multiply(scale, spec.imag[1:N], out=scale)
+    spec.imag[1:N] = w
+    del w  # before the inverse FFT allocates the second 2N buffer
+    x = np.fft.irfft(spec, n=2 * N)[:N]
+    return np.multiply(x, np.sqrt(2 * N), out=x)
 
 
 def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> Path:
@@ -97,8 +104,10 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     _check_max_level(grid_level)
     rng = np.random.default_rng(seed)
     N = 1 << grid_level
-    increments = _fgn_circulant(H, N, rng) * 2.0 ** (-grid_level * H)
-    samples = np.concatenate([[0.0], np.cumsum(increments)])
+    increments = _fgn_circulant(H, N, rng)
+    increments *= 2.0 ** (-grid_level * H)
+    samples = np.zeros(N + 1)
+    np.cumsum(increments, out=samples[1:])
     return Path(grid_level=grid_level, samples=samples,
                 label=label if label is not None else f"fbm(H={H}, seed={seed})")
 

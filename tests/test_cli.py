@@ -68,6 +68,20 @@ class TestGen:
         x = (rv.read_path_json if suffix == ".json" else rv.read_path_csv)(out)
         np.testing.assert_array_equal(x.samples, rv.fbm_path(0.4, 17, seed=3).samples)
 
+    def test_gz_name_round_trips_as_plain_text(self, tmp_path, capsys):
+        """``gen`` writes plain text under a ``.gz`` name and ``pvar`` reads it so."""
+        terminals = []
+        for name in ("z.csv", "z.csv.gz"):
+            out = str(tmp_path / name)
+            rc, _, err = run(capsys, "gen", "--kind", "fbm", "--H", "0.4",
+                             "--level", "10", "--seed", "2", "--out", out)
+            assert rc == 0, err
+            rc, stdout, err = run(capsys, "--json", "pvar", "--in", out, "--p", "2.5")
+            assert rc == 0, err
+            terminals.append([r["terminal"] for r in json.loads(stdout)["per_level"]])
+        assert (tmp_path / "z.csv").read_bytes() == (tmp_path / "z.csv.gz").read_bytes()
+        assert terminals[0] == terminals[1]
+
     def test_custom_schauder_kind(self, tmp_path, capsys):
         coeffs = schauder.takagi_coefficients(0.5, 6)
         cfile = tmp_path / "c.json"
@@ -416,11 +430,25 @@ class TestTwoSidedCommands:
             docs.append(run_json(capsys, "invariance", "--in", takagi_csv,
                                  "--p", "2", "--perturb-in", str(pert),
                                  "--levels", "6:10"))
-        # the map id is the perturbation's label: the CSV file name, or the
-        # label stored in the JSON file
-        assert docs[0].pop("map_id") == str(tmp_path / "pert.csv")
+        # the map id is the perturbation's label: the CSV file's base name,
+        # or the label stored in the JSON file
+        assert docs[0].pop("map_id") == "pert.csv"
         assert docs[1].pop("map_id") == "takagi(H=0.5, signs=alternating)"
         assert docs[0] == docs[1]
+
+    def test_perturbation_csv_map_id_is_independent_of_working_directory(
+            self, takagi_csv, tmp_path, capsys, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        rc, _, err = run(capsys, "gen", "--kind", "smooth", "--level", "12",
+                         "--amplitude", "0.25", "--out", str(sub / "pert.csv"))
+        assert rc == 0, err
+        ids = []
+        for cwd, name in ((tmp_path, os.path.join("sub", "pert.csv")), (sub, "pert.csv")):
+            monkeypatch.chdir(cwd)
+            ids.append(run_json(capsys, "invariance", "--in", takagi_csv, "--p", "2",
+                                "--perturb-in", name, "--levels", "6:10")["map_id"])
+        assert ids == ["pert.csv", "pert.csv"]
 
 
 class TestCounterexampleCommand:

@@ -1,6 +1,7 @@
 """Path generator tests: fBM statistics, smooth perturbations, dispatch."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,46 @@ from scipy import stats
 import roughvar as rv
 from roughvar.errors import ValidationError
 from roughvar.pathgen import _fgn_covariance
+
+
+def _reference_fgn_covariance(H, N):
+    """fGN autocovariance at lags 0..N, in one vectorized expression."""
+    two_h = 2.0 * H
+    gamma = np.empty(N + 1)
+    gamma[0] = 1.0
+    if N >= 1:
+        gamma[1] = np.expm1((two_h - 1.0) * np.log(2.0))
+    if N >= 2:
+        k = np.arange(2, N + 1, dtype=np.float64)
+        inv = 1.0 / k
+        gamma[2:] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
+                                        + np.expm1(two_h * np.log1p(-inv)))
+    return gamma
+
+
+def _reference_fbm_samples(H, grid_level, seed):
+    """fBM samples by circulant embedding with a fresh array for every step.
+
+    The oracle for the buffer-reusing generator: the same FFT calls, the same
+    per-element arithmetic and the same normal stream (one draw of 2N), so
+    the samples must agree bitwise.  It holds about 4.5 arrays of 2N doubles
+    at its peak.
+    """
+    rng = np.random.default_rng(seed)
+    N = 1 << grid_level
+    gamma = _reference_fgn_covariance(H, N)
+    lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real.copy()
+    assert lam.min() >= 0.0
+    w = rng.standard_normal(2 * N)
+    half = np.zeros(N + 1, dtype=np.complex128)
+    half.real[0] = np.sqrt(lam[0]) * w[0]
+    half.real[N] = np.sqrt(lam[N]) * w[N]
+    scale = np.sqrt(lam[1:N] / 2.0)
+    np.multiply(scale, w[1:N], out=half.real[1:N])
+    np.multiply(scale, w[N + 1:], out=half.imag[1:N])
+    fgn = np.fft.irfft(half, n=2 * N)[:N] * np.sqrt(2 * N)
+    increments = fgn * 2.0 ** (-grid_level * H)
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 class TestFbmPath:
@@ -76,19 +117,50 @@ class TestFbmPath:
 
         ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H) = k**2H * sum_j C(2H, 2j) k**-2j``
         for k > 1; four terms are exact to double precision at k >= 100.
+        The circulant row holds lag k at entries k and 2N - k.
         """
         def binom(a, m):
             return math.prod(a - i for i in range(m)) / math.factorial(m)
 
         N = 1 << 20
         for H in (0.1, 0.4, 0.97, 0.99):
-            gamma = _fgn_covariance(H, N)
-            assert gamma[0] == 1.0
-            npt.assert_allclose(gamma[1], 2.0 ** (2 * H - 1) - 1.0, rtol=1e-15)
-            for k in (100, 1000, 12345, N):
+            row = _fgn_covariance(H, N)
+            assert row.shape == (2 * N,)
+            assert row[0] == 1.0
+            npt.assert_allclose(row[1], 2.0 ** (2 * H - 1) - 1.0, rtol=1e-15)
+            for k in (100, 1000, 12345, (1 << 16) + 1, (1 << 16) + 2, N):
                 series = k ** (2 * H) * math.fsum(binom(2 * H, 2 * j) * float(k) ** (-2 * j)
                                                   for j in range(1, 5))
-                npt.assert_allclose(gamma[k], series, rtol=1e-9)
+                npt.assert_allclose(row[k], series, rtol=1e-9)
+            npt.assert_array_equal(row[N + 1:], row[N - 1:0:-1])
+
+    @pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5, 0.75, 0.97, 0.999])
+    def test_bitwise_equal_to_reference(self, H):
+        for level in range(17):
+            for seed in range(3):
+                assert np.array_equal(rv.fbm_path(H, level, seed=seed).samples,
+                                      _reference_fbm_samples(H, level, seed)), (level, seed)
+
+    def test_bitwise_equal_to_reference_at_level_20(self):
+        assert np.array_equal(rv.fbm_path(0.4, 20, seed=1).samples,
+                              _reference_fbm_samples(0.4, 20, 1))
+
+    def test_peak_memory_is_two_embedding_buffers(self):
+        """At most two arrays of 2N doubles live at once (2.05 allows bookkeeping).
+
+        tracemalloc sees numpy's array buffers but not the FFT's internal
+        scratch, which numpy allocates outside its traced allocator; the
+        bound is on the arrays this module holds.
+        """
+        level = 18
+        rv.fbm_path(0.4, 4, seed=0)  # warm up imports and FFT plan caches
+        tracemalloc.start()
+        try:
+            rv.fbm_path(0.4, level, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * (2 * (1 << level) * 8)
 
     def test_h_bounds_validated(self):
         for H in (0.0, 1.0, -0.2):
