@@ -18,21 +18,13 @@ import platform
 import re
 import sys
 import time
-from importlib import metadata as _im
 
 import numpy as np
 
-from . import grid, isometry, pathgen, roughness, schauder, variation
+from . import __version__, grid, isometry, pathgen, roughness, schauder, variation
 from .errors import FormatError, NumericalError, ValidationError
 
 __all__ = ["main", "build_parser"]
-
-
-def _pkg_version(name: str) -> str:
-    try:
-        return _im.version(name)
-    except _im.PackageNotFoundError:  # pragma: no cover - dev checkouts
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +68,7 @@ def _write_manifest(args, t0: float, inputs: dict, out: str,
         "command": args.command,
         "config": config,
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__,
-                     "scipy": _pkg_version("scipy"),
-                     "roughvar": _pkg_version("roughvar")},
+                     "numpy": np.__version__, "roughvar": __version__},
         "timings": {"total_s": round(time.perf_counter() - t0, 6)},
         "inputs": inputs,
     }
@@ -539,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalog map id (identity, affine:a,b, "
                             "square_plus_one, sin, exp_clamped)")
         p.add_argument("--map-file", dest="map_file",
-                       help="CSV (u,f) table for a cubic-spline map")
+                       help="CSV (u,f) table for a not-a-knot cubic-spline map")
         p.set_defaults(func=func)
 
     p = sub.add_parser("invariance", help="smooth-perturbation invariance check")

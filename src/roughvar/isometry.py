@@ -14,7 +14,7 @@ arbitrary maps enter via cubic-spline tabulation, flagged lower-trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -68,7 +68,8 @@ class SmoothMap:
 
     ``K`` bounds the central-difference residual: ``|f1(u) - (f(u+h) -
     f(u-h)) / (2h)| <= K * h**2`` on any grid inside the map's trusted
-    range.  Tabulated maps are flagged ``lower_trust``.
+    range.  Tabulated maps are flagged ``lower_trust`` and carry their
+    grid's end points as ``table_range``; past them they extrapolate.
     """
 
     id: str
@@ -77,6 +78,7 @@ class SmoothMap:
     f2: Callable[[np.ndarray], np.ndarray]
     K: float
     lower_trust: bool = False
+    table_range: tuple | None = None
 
     def fd_residual(self, lo: float, hi: float, h: float = _FD_H,
                     n: int = 101) -> float:
@@ -137,26 +139,95 @@ def exp_clamped_map(cap: float = 20.0) -> SmoothMap:
     return SmoothMap(id=f"exp_clamped({cap:g})", f=f, f1=deriv, f2=deriv, K=16.0)
 
 
-def tabulated_map(name: str, grid: np.ndarray, values: np.ndarray) -> SmoothMap:
-    """Cubic-spline map from (grid, values) samples; lower-trust.
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Per-piece coefficients ``(c0, c1, c2, c3)`` of the not-a-knot cubic spline.
 
-    The finite-difference constant is measured on the tabulation grid and
-    padded by 4x, since spline derivatives are only approximations of the
-    underlying map's.  scipy is imported here, not at module level, so
-    that ``import roughvar`` does not pay for it.
+    Piece i is ``c0 + c1*h + c2*h**2 + c3*h**3`` with ``h = u - x[i]``.  The
+    knot slopes s solve the system of scipy's ``CubicSpline`` (not-a-knot):
+    interior rows ``dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    = 3 (dx[i] m[i-1] + dx[i-1] m[i])`` for secant slopes m, plus one end
+    row each side.  The end rows are not diagonally dominant, so each is
+    eliminated into its neighbouring interior row; what remains is strictly
+    diagonally dominant and is solved without pivoting.  Needs ``x.size >= 4``.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b0 = ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0
+    b1 = (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1
+    sub, sup = dx[1:].tolist(), dx[:-1].tolist()
+    diag = (2.0 * (dx[:-1] + dx[1:])).tolist()
+    rhs = (3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist()
+    # end rows: dx[1] s[0] + d0 s[1] = b0 and d1 s[-2] + dx[-2] s[-1] = b1
+    diag[0] -= d0
+    rhs[0] -= b0
+    diag[-1] -= d1
+    rhs[-1] -= b1
+    for i in range(1, len(diag)):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * x.size
+    s[-2] = rhs[-1] / diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        s[i + 1] = (rhs[i] - sup[i] * s[i + 2]) / diag[i]
+    s[0] = (b0 - d0 * s[1]) / dx[1]
+    s[-1] = (b1 - d1 * s[-2]) / dx[-2]
+    s = np.asarray(s)
+    t = (s[:-1] + s[1:] - 2.0 * m) / dx
+    return y[:-1], s[:-1], (m - s[:-1]) / dx - t, t / dx
+
+
+def tabulated_map(name: str, grid: np.ndarray, values: np.ndarray) -> SmoothMap:
+    """Not-a-knot cubic-spline map from (grid, values) samples; lower-trust.
+
+    The grid must be strictly increasing, every entry finite, and the
+    spline's coefficients must not overflow.  Outside the grid the end
+    pieces extrapolate; ``table_range`` records the grid's end points so
+    that the checks can warn when a path leaves them.  The finite-difference
+    constant is measured on the tabulation grid and padded by 4x, since
+    spline derivatives are only approximations of the underlying map's.
     """
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 4 or grid.shape != values.shape:
         raise ValidationError("tabulated map needs >= 4 aligned grid/value samples")
-    from scipy.interpolate import CubicSpline
+    if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+        raise ValidationError(f"tabulated map {name} has non-finite entries")
+    bad = np.flatnonzero(np.diff(grid) <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"tabulated map {name} grid is not strictly increasing: "
+                              f"u[{i + 1}] = {grid[i + 1]:.17g} follows "
+                              f"u[{i}] = {grid[i]:.17g}")
+    with np.errstate(all="ignore"):
+        c0, c1, c2, c3 = coeffs = _not_a_knot(grid, values)
+    if not np.isfinite(coeffs).all():
+        raise ValidationError(f"tabulated map {name} overflows: its spline "
+                              "coefficients are not finite")
 
-    spline = CubicSpline(grid, values)
-    d1, d2 = spline.derivative(1), spline.derivative(2)
-    probe = SmoothMap(id=name, f=spline, f1=d1, f2=d2, K=1.0, lower_trust=True)
-    measured = probe.fd_residual(float(grid[0]) + _FD_H, float(grid[-1]) - _FD_H)
-    K = max(4.0 * measured / _FD_H ** 2, 1.0)
-    return SmoothMap(id=name, f=spline, f1=d1, f2=d2, K=K, lower_trust=True)
+    def piece(u):
+        u = np.asarray(u, dtype=np.float64)
+        i = np.clip(np.searchsorted(grid, u, side="right") - 1, 0, grid.size - 2)
+        return u - grid[i], i
+
+    def f(u):
+        h, i = piece(u)
+        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+
+    def f1(u):
+        h, i = piece(u)
+        return (3.0 * c3[i] * h + 2.0 * c2[i]) * h + c1[i]
+
+    def f2(u):
+        h, i = piece(u)
+        return 6.0 * c3[i] * h + 2.0 * c2[i]
+
+    lo, hi = float(grid[0]), float(grid[-1])
+    spline = SmoothMap(id=name, f=f, f1=f1, f2=f2, K=1.0, lower_trust=True,
+                       table_range=(lo, hi))
+    measured = spline.fd_residual(lo + _FD_H, hi - _FD_H)
+    return replace(spline, K=max(4.0 * measured / _FD_H ** 2, 1.0))
 
 
 _BUILTINS = {"identity": identity_map, "square_plus_one": square_plus_one_map,
@@ -288,6 +359,17 @@ def _index_warning(x: Path, p: float, levels, inc: _Increments) -> list:
     return []
 
 
+def _map_warnings(x: Path, f: SmoothMap, p: float, levels, inc: _Increments) -> list:
+    """The index warning, plus one when the path leaves the map's table."""
+    warnings = _index_warning(x, p, levels, inc)
+    lo, hi = float(np.min(x.samples)), float(np.max(x.samples))
+    if f.table_range is not None and not f.table_range[0] <= lo <= hi <= f.table_range[1]:
+        warnings.append(f"path samples span [{lo:.6g}, {hi:.6g}], outside map "
+                        f"{f.id}'s table [{f.table_range[0]:.6g}, "
+                        f"{f.table_range[1]:.6g}]; the spline extrapolates there")
+    return warnings
+
+
 def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
                       inc: _Increments, src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
@@ -347,7 +429,7 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
 
     def sides(lv, inc):
         lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", inc, src_x)
-        warnings = _index_warning(x, p, lv, inc)
+        warnings = _map_warnings(x, f, p, lv, inc)
         if float(np.min(np.abs(f.f1(x.samples)))) == 0.0:
             warnings.append(f"map {f.id} has vanishing derivative on the path's "
                             "range; degenerate blocks contribute zero")
@@ -360,7 +442,7 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
 def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryReport:
     """Compare the p-th variation of f(x) against sum |f'(x)|^p * d[x]^(p)."""
     return _two_sided("chain_rule", x, p, levels, lambda lv, inc: (
-        *_integrated_sides(x, f, p, lv, "pth", inc), _index_warning(x, p, lv, inc)),
+        *_integrated_sides(x, f, p, lv, "pth", inc), _map_warnings(x, f, p, lv, inc)),
         map_id=f.id)
 
 

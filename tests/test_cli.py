@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -47,7 +48,9 @@ class TestGen:
         manifest = json.loads((tmp_path / "p.manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert manifest["generator"]["kind"] == "takagi"
-        assert "numpy" in manifest["versions"]
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__,
+                                        "roughvar": rv.__version__}
         assert manifest["timings"]["total_s"] >= 0.0
 
     def test_json_output_round_trips(self, tmp_path, capsys):
@@ -388,6 +391,33 @@ class TestTwoSidedCommands:
         assert err.startswith("error:")
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
+    @pytest.mark.parametrize("rows", [
+        ["0,0", "1,1", "0.5,0.2", "2,4", "3,9"],
+        ["0,0", "1,1", "1,1", "2,4", "3,9"],
+        ["0,0", "1,1", "2,nan", "3,9", "4,16"],
+    ])
+    @pytest.mark.parametrize("command", ["isometry", "chainrule"])
+    def test_malformed_map_table_exits_one(self, command, rows, takagi_csv,
+                                           tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("u,f\n" + "\n".join(rows) + "\n")
+        rc, _, err = run(capsys, command, "--in", takagi_csv, "--p", "2",
+                         "--map-file", str(table), "--levels", "6:10")
+        assert rc == 1
+        assert err.startswith("error: tabulated map table")
+
+    def test_path_leaving_the_map_table_is_warned(self, takagi_csv, tmp_path,
+                                                  capsys):
+        u = np.linspace(-0.05, 0.05, 21)
+        table = tmp_path / "narrow.csv"
+        np.savetxt(table, np.column_stack([u, np.sin(u)]), delimiter=",",
+                   header="u,f", comments="")
+        rc, out, err = run(capsys, "isometry", "--in", takagi_csv, "--p", "2",
+                           "--map-file", str(table), "--levels", "6:10")
+        assert rc == 0, err
+        assert ("warning: path samples span [0, 1.12241], outside map narrow's "
+                "table [-0.05, 0.05]") in out
+
     def test_invariance_with_builtin_sine(self, takagi_csv, capsys):
         doc = run_json(capsys, "invariance", "--in", takagi_csv, "--p", "2",
                        "--amplitude", "0.5", "--levels", "6:10")
@@ -530,16 +560,25 @@ class TestLevelCap:
         assert not (tmp_path / "p.csv").exists()
 
 
-def test_startup_does_not_import_scipy():
-    # scipy is only needed for --map-file splines; loading it at start-up
-    # costs about half a second on every CLI job.  A fresh interpreter,
+def test_startup_does_not_import_scipy(tmp_path):
+    # No command needs scipy, not even --map-file splines; loading it costs
+    # about half a second and 40 MiB on a CLI job.  A fresh interpreter,
     # because other test modules load scipy into this one.
     src = str(pathlib.Path(rv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    u = np.linspace(-2.0, 2.0, 41)
+    table = tmp_path / "tanh.csv"
+    np.savetxt(table, np.column_stack([u, np.tanh(u)]), delimiter=",",
+               header="u,f", comments="")
+    argv = ["isometry", "--kind", "takagi", "--H", "0.5", "--level", "10",
+            "--p", "2", "--map-file", str(table), "--out", str(tmp_path / "i.json")]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import roughvar.cli, sys; print('scipy' in sys.modules)"],
+         "import roughvar.cli, sys; print('scipy' in sys.modules); "
+         f"rc = roughvar.cli.main({argv!r}); print(rc, 'scipy' in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"

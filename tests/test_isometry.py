@@ -71,6 +71,105 @@ class TestSmoothMapCatalog:
             rv.builtin_map("tan")
 
 
+class TestTabulatedMapSpline:
+    """The numpy not-a-knot spline behind ``tabulated_map``."""
+
+    def test_reproduces_cubics_inside_and_beyond_the_table(self):
+        # A not-a-knot spline through samples of a cubic is that cubic.
+        # Grids: n in [4, 400] on [-1, 1], adjacent gaps within a factor 3.
+        # Derivative k is judged against eps * max|p| / min_gap**k, the size
+        # of one rounding in the samples seen through k divided differences;
+        # the worst ratio over 600 such grids (300 each from seeds 0 and 1) was 128.
+        rng = np.random.default_rng(0)
+        eps = np.finfo(np.float64).eps
+        for _ in range(200):
+            n = int(rng.integers(4, 401))
+            x = np.cumsum(rng.uniform(0.5, 1.5, n))
+            x = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
+            p = np.polynomial.Polynomial(rng.standard_normal(4))
+            f = rv.tabulated_map("cubic", x, p(x))
+            dx = np.diff(x)
+            # inside, at the knots, and two end pieces' widths beyond each end
+            u = np.concatenate([np.linspace(x[0] - 2.0 * dx[0],
+                                            x[-1] + 2.0 * dx[-1], 2001), x])
+            scale = eps * float(np.max(np.abs(p(u))))
+            for k, fk in enumerate((f.f, f.f1, f.f2)):
+                err = float(np.max(np.abs(fk(u) - p.deriv(k)(u))))
+                assert err <= 1e3 * scale / dx.min() ** k, (n, k, err)
+
+    def test_extrapolates_with_the_end_pieces(self):
+        x = np.linspace(0.0, 1.0, 9)
+        f = rv.tabulated_map("sq", x, x ** 3 - x)
+        u = np.array([-3.0, 4.0])
+        npt.assert_allclose(f.f(u), u ** 3 - u, rtol=1e-12)
+        npt.assert_allclose(f.f2(u), 6.0 * u, rtol=1e-12)
+
+    def test_matches_scipy_on_random_grids(self):
+        interp = pytest.importorskip("scipy.interpolate")
+        # 200 grids, n in [4, 400], sorted uniform knots on [-3, 3] (gaps
+        # down to ~1e-5 of the span), standard-normal values, evaluated on
+        # the knots and 2000 points spanning 20% past each end.  Worst
+        # measured max|f_k - ref_k| / max|ref_k| over k = 0, 1, 2: 1.6e-11.
+        rng = np.random.default_rng(12345)
+        for _ in range(200):
+            n = int(rng.integers(4, 401))
+            x = np.sort(rng.uniform(-3.0, 3.0, n))
+            if not (np.diff(x) > 0.0).all():
+                continue
+            y = rng.standard_normal(n)
+            span = x[-1] - x[0]
+            u = np.concatenate([rng.uniform(x[0] - 0.2 * span, x[-1] + 0.2 * span,
+                                            2000), x])
+            ref = interp.CubicSpline(x, y)
+            f = rv.tabulated_map("random", x, y)
+            for k, fk in enumerate((f.f, f.f1, f.f2)):
+                want = ref(u, k)
+                err = np.max(np.abs(fk(u) - want)) / np.max(np.abs(want))
+                assert err <= 2e-10, (n, k, err)
+
+    @pytest.mark.parametrize("n,tol", [(4, 1e-14), (5, 1e-14), (50, 1e-12),
+                                       (400, 2e-10), ("tanh", 1e-14)])
+    def test_matches_scipy_on_uniform_grids(self, n, tol):
+        # tanh: the 161-point table on [-4, 4] of the short-jobs benchmark.
+        # Measured worst relative errors: 4e-16 (n=4), 1e-15 (n=5),
+        # 2.6e-13 (n=50), 1.6e-11 (n=400), 2.2e-16 (tanh).
+        interp = pytest.importorskip("scipy.interpolate")
+        if n == "tanh":
+            x = np.linspace(-4.0, 4.0, 161)
+            y, u = np.tanh(x), np.linspace(-5.0, 5.0, 4001)
+        else:
+            x = np.linspace(0.0, 1.0, n)
+            y, u = np.sin(7.0 * x), np.linspace(-0.3, 1.3, 999)
+        ref = interp.CubicSpline(x, y)
+        f = rv.tabulated_map("uniform", x, y)
+        for k, fk in enumerate((f.f, f.f1, f.f2)):
+            want = ref(u, k)
+            assert np.max(np.abs(fk(u) - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid,values,match", [
+        ([0.0, 1.0, 0.5, 2.0, 3.0], [0.0, 1.0, 0.2, 4.0, 9.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 4.0, 9.0], "strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, np.nan, 9.0, 16.0], "non-finite"),
+        ([0.0, 1.0, 2.0, np.inf, 4.0], [0.0, 1.0, 4.0, 9.0, 16.0], "non-finite"),
+        ([-1e308, -1.0, 1.0, 1e308], [0.0, 1.0, 1.0, 0.0], "overflows"),
+    ])
+    def test_malformed_tables_are_rejected(self, grid, values, match):
+        with pytest.raises(ValidationError, match=match):
+            rv.tabulated_map("bad", grid, values)
+
+    @pytest.mark.parametrize("check", [rv.isometry_check, rv.chain_rule_check])
+    def test_warns_when_the_path_leaves_the_table(self, check):
+        x = rv.takagi_path(0.5, 12)  # samples span [0, 1.12]
+        u = np.linspace(-0.05, 0.05, 21)
+        narrow = check(x, rv.tabulated_map("narrow", u, np.sin(u)), 2.0, LEVELS)
+        [msg] = [w for w in narrow.warnings if "table" in w]
+        assert "[0, 1.12241]" in msg and "[-0.05, 0.05]" in msg
+        u = np.linspace(-2.0, 2.0, 201)
+        wide = check(x, rv.tabulated_map("wide", u, np.sin(u)), 2.0, LEVELS)
+        assert not [w for w in wide.warnings if "table" in w]
+        assert rv.sin_map().table_range is None
+
+
 class TestComposePath:
     def test_identity_is_a_bitwise_copy(self, takagi14):
         fx = rv.compose_path(rv.identity_map(), takagi14)
