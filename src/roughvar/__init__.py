@@ -23,12 +23,10 @@ from .errors import (
     ValidationError,
 )
 from .grid import (
-    MeshStats,
     Partition,
     Path,
     dyadic_partition,
     grid_times,
-    mesh_stats,
     oscillation,
     read_path_csv,
     read_path_json,
@@ -50,7 +48,6 @@ from .pathgen import (
     counterexample_path,
     fbm_path,
     generate,
-    smooth_lipschitz_bound,
     smooth_perturbation,
     takagi_path,
 )
@@ -89,7 +86,6 @@ from .isometry import (
     isometry_check,
     sin_map,
     square_plus_one_map,
-    stieltjes_integral,
     tabulated_map,
     write_report_csv,
 )
@@ -103,9 +99,8 @@ __all__ = [
     "NumericalError", "BracketError", "InconclusiveError", "EvaluationError",
     "FormatError",
     # grid
-    "Path", "Partition", "MeshStats", "grid_times", "dyadic_partition",
-    "mesh_stats", "oscillation", "read_path_csv", "write_path_csv",
-    "read_path_json", "write_path_json",
+    "Path", "Partition", "grid_times", "dyadic_partition", "oscillation",
+    "read_path_csv", "write_path_csv", "read_path_json", "write_path_json",
     # schauder
     "SchauderCoefficients", "schauder_eval",
     "takagi_coefficients", "counterexample_coefficients",
@@ -113,7 +108,7 @@ __all__ = [
     "read_coefficients_json", "write_coefficients_json",
     # pathgen
     "GeneratorSpec", "generate", "fbm_path", "takagi_path",
-    "counterexample_path", "smooth_perturbation", "smooth_lipschitz_bound",
+    "counterexample_path", "smooth_perturbation",
     # variation
     "VariationProfile", "PVarSource", "accurate_cumsum", "pth_variation",
     "scaled_qv", "classical_scaled_qv", "ClassificationThresholds",
@@ -125,7 +120,7 @@ __all__ = [
     # isometry
     "SmoothMap", "IsometryReport", "identity_map", "affine_map",
     "square_plus_one_map", "sin_map", "exp_clamped_map", "tabulated_map",
-    "builtin_map", "compose_path", "stieltjes_integral", "holder_proxy",
+    "builtin_map", "compose_path", "holder_proxy",
     "isometry_check", "chain_rule_check", "invariance_check",
     "write_report_csv",
 ]

@@ -31,12 +31,21 @@ __all__ = ["main", "build_parser"]
 # Small helpers
 # ---------------------------------------------------------------------------
 
-def _sha256(filename: str) -> str:
+def _hashed(inputs: dict, filename: str, read, *args):
+    """``read(filename, *args, digest=...)``; ``inputs[filename]`` gets the SHA-256 of the bytes read.
+
+    Every input is read once, so that a pipe works and the digest is of the
+    bytes parsed.
+    """
     digest = hashlib.sha256()
-    with open(filename, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    result = read(filename, *args, digest=digest)
+    inputs[filename] = digest.hexdigest()
+    return result
+
+
+def _load_json(filename: str, digest):
+    with grid._open_text(filename, digest) as fh:
+        return json.load(fh)
 
 
 def _json_default(obj):
@@ -175,11 +184,18 @@ def _generator_spec(args) -> pathgen.GeneratorSpec:
                                  seed=getattr(args, "seed", None), params=params)
 
 
+def _generate(spec: pathgen.GeneratorSpec, inputs: dict) -> grid.Path:
+    """The path ``spec`` describes; a coefficient file it names is digested into ``inputs``."""
+    if spec.kind != "custom_schauder":
+        return pathgen.generate(spec)
+    return _hashed(inputs, spec.params["coeffs_file"],
+                   lambda name, digest: pathgen.generate(spec, digest))
+
+
 def _read_path(filename: str, inputs: dict) -> grid.Path:
     """A path file, JSON by extension and CSV otherwise; digest into ``inputs``."""
-    inputs[filename] = _sha256(filename)
     read = grid.read_path_json if filename.endswith(".json") else grid.read_path_csv
-    return read(filename)
+    return _hashed(inputs, filename, read)
 
 
 def _load_path(args) -> tuple:
@@ -190,9 +206,7 @@ def _load_path(args) -> tuple:
         x = _read_path(infile, inputs)
     elif getattr(args, "kind", None):
         spec = _generator_spec(args)
-        if spec.kind == "custom_schauder":
-            inputs[spec.params["coeffs_file"]] = _sha256(spec.params["coeffs_file"])
-        x = pathgen.generate(spec)
+        x = _generate(spec, inputs)
         extra["generator"] = spec.metadata()
     else:
         raise ValidationError("provide an input path with --in FILE or "
@@ -207,10 +221,11 @@ def _load_path(args) -> tuple:
 def _cmd_gen(args) -> int:
     t0 = time.perf_counter()
     spec = _generator_spec(args)
-    x = pathgen.generate(spec)
+    inputs = {}
+    x = _generate(spec, inputs)
     write = grid.write_path_json if args.out.endswith(".json") else grid.write_path_csv
     write(x, args.out)
-    _write_manifest(args, t0, {}, args.out, {"generator": spec.metadata()})
+    _write_manifest(args, t0, inputs, args.out, {"generator": spec.metadata()})
     payload = {"command": "gen", "out": args.out, "generator": spec.metadata(),
                "samples": int(x.samples.size)}
     _emit(args, payload, [f"wrote {args.out}: level {x.grid_level}, "
@@ -296,8 +311,7 @@ def _cmd_roughness(args) -> int:
 
 def _map_from_args(args, inputs: dict) -> isometry.SmoothMap:
     if getattr(args, "map_file", None):
-        inputs[args.map_file] = _sha256(args.map_file)
-        data = grid._read_csv(args.map_file, "map table")
+        data = _hashed(inputs, args.map_file, grid._read_csv, "map table")
         name = os.path.splitext(os.path.basename(args.map_file))[0]
         return isometry.tabulated_map(name, data[:, 0], data[:, 1])
     return isometry.builtin_map(args.map)
@@ -397,10 +411,8 @@ def _cmd_report(args) -> int:
     entries = []
     lines = []
     for name in args.infiles:
-        inputs[name] = _sha256(name)
         try:
-            with open(name) as fh:
-                payload = json.load(fh)
+            payload = _hashed(inputs, name, _load_json)
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot parse report {name}: {exc}") from exc
         if not isinstance(payload, dict):

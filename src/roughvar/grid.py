@@ -1,4 +1,4 @@
-"""Dyadic grids, partitions, mesh statistics, and oscillation.
+"""Dyadic grids, partitions, and oscillation.
 
 A :class:`Path` is a function on [0, 1] sampled at the dyadic grid points
 ``t_j = j * 2**-L``.  A :class:`Partition` selects a subset of those grid
@@ -8,6 +8,8 @@ are accumulated.  All objects are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import warnings
@@ -20,9 +22,7 @@ from .errors import FormatError, ResolutionError, ValidationError
 __all__ = [
     "Path",
     "Partition",
-    "MeshStats",
     "dyadic_partition",
-    "mesh_stats",
     "oscillation",
     "grid_times",
     "read_path_csv",
@@ -132,21 +132,6 @@ class Partition:
         return self.indices * 2.0 ** (-grid_level)
 
 
-@dataclass(frozen=True)
-class MeshStats:
-    """Largest and smallest interval of a partition, and the interval count."""
-
-    mesh: float
-    min_mesh: float
-    count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.min_mesh <= self.mesh <= 1.0):
-            raise ValidationError(
-                f"mesh statistics out of range: min_mesh={self.min_mesh}, mesh={self.mesh}"
-            )
-
-
 def dyadic_partition(n: int, grid_level: int) -> Partition:
     """The level-``n`` dyadic partition on a level-``grid_level`` grid.
 
@@ -160,13 +145,6 @@ def dyadic_partition(n: int, grid_level: int) -> Partition:
         )
     step = 1 << (grid_level - n)
     return Partition(level=n, indices=np.arange(0, (1 << grid_level) + 1, step))
-
-
-def mesh_stats(part: Partition, grid_level: int) -> MeshStats:
-    """Mesh (largest interval), minimal mesh, and interval count of ``part``."""
-    part.check_grid(grid_level)
-    gaps = np.diff(part.indices) * 2.0 ** (-grid_level)
-    return MeshStats(mesh=float(gaps.max()), min_mesh=float(gaps.min()), count=part.count)
 
 
 def oscillation(x: Path, part: Partition) -> float:
@@ -209,10 +187,50 @@ def _write_csv(filename, header: str, columns) -> None:
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _read_csv(filename, what: str) -> np.ndarray:
+class _Hashing(io.BufferedReader):
+    """A buffered binary file whose bytes, as they are read, also update ``digest``.
+
+    A text wrapper reads through ``read1`` and ``read``.  Hashing here, not
+    in a wrapper of the raw file, leaves the raw file a plain ``FileIO``,
+    whose ``closed``, which the text wrapper checks on every line, is a C
+    attribute.
+    """
+
+    def __init__(self, raw, digest):
+        super().__init__(raw)
+        self._digest = digest
+
+    def read(self, size=-1) -> bytes:
+        data = super().read(size)
+        self._digest.update(data)
+        return data
+
+    def read1(self, size=-1) -> bytes:
+        data = super().read1(size)
+        self._digest.update(data)
+        return data
+
+
+@contextlib.contextmanager
+def _open_text(filename, digest=None):
+    """``filename`` opened once, as text.
+
+    With a hashlib ``digest``, the bytes the reader consumes update it, and
+    the rest of the file does too when the block exits normally: a pipe
+    cannot be opened a second time to hash it.
+    """
+    with open(filename, "rb", buffering=0) as raw:
+        binary = io.BufferedReader(raw) if digest is None else _Hashing(raw, digest)
+        with io.TextIOWrapper(binary) as fh:
+            yield fh
+            while digest is not None and binary.read(1 << 20):
+                pass
+
+
+def _read_csv(filename, what: str, digest=None) -> np.ndarray:
     """The two float columns below a CSV file's header line, as an (n, 2) array."""
     try:  # loadtxt given a handle, not a name, picks no decompressor from a suffix
-        with open(filename) as fh, warnings.catch_warnings():
+        with _open_text(filename, digest) as fh, warnings.catch_warnings():
             # loadtxt warns on a file without data rows; that is an error here
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
@@ -235,8 +253,9 @@ def write_path_csv(x: Path, filename) -> None:
     _write_csv(filename, "t,value", [x.times, x.samples])
 
 
-def read_path_csv(filename, label: str | None = None) -> Path:
-    data = _read_csv(filename, "path CSV")
+def read_path_csv(filename, label: str | None = None, digest=None) -> Path:
+    """A path CSV; the bytes read update the hashlib ``digest``, if given."""
+    data = _read_csv(filename, "path CSV", digest)
     grid_level = _level_of(data.shape[0])
     if grid_level is None:
         raise FormatError(f"path CSV {filename} has {data.shape[0]} rows; "
@@ -262,9 +281,10 @@ def write_path_json(x: Path, filename) -> None:
         fh.write(f'], "label": {json.dumps(x.label)}}}\n')
 
 
-def read_path_json(filename) -> Path:
+def read_path_json(filename, digest=None) -> Path:
+    """A path JSON; the bytes read update the hashlib ``digest``, if given."""
     try:
-        with open(filename) as fh:
+        with _open_text(filename, digest) as fh:
             doc = json.load(fh)
         grid_level = doc["grid_level"]
         samples = np.asarray(doc["samples"], dtype=np.float64)

@@ -24,14 +24,12 @@ from .grid import Path, _write_csv
 from .variation import (
     LimitReport,
     PVarSource,
-    VariationProfile,
     _check_levels,
     _dyadic_levels,
     _Increments,
     _level_terminals,
     _level_total,
     _tail_slope,
-    accurate_cumsum,
     default_levels,
     limit_diagnostics,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "tabulated_map",
     "builtin_map",
     "compose_path",
-    "stieltjes_integral",
     "holder_proxy",
     "isometry_check",
     "chain_rule_check",
@@ -265,21 +262,6 @@ def compose_path(f: SmoothMap, x: Path) -> Path:
                 label=f"{f.id}({x.label})" if x.label else f.id)
 
 
-def stieltjes_integral(g: np.ndarray, mu: VariationProfile) -> np.ndarray:
-    """Left-endpoint Stieltjes sums of g against the profile's atoms.
-
-    ``out[j] = sum_{i<j} g[i] * (mu.values[i+1] - mu.values[i])``, aligned
-    with ``mu.times``.  With ``g = 1`` this reproduces ``mu.values``
-    bitwise, since the same atoms pass through the same accumulation.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != mu.times.shape:
-        raise ValidationError(
-            f"integrand has {g.size} values, profile has {mu.times.size} points"
-        )
-    return accurate_cumsum(g[:-1] * mu.terms)
-
-
 @dataclass(frozen=True)
 class IsometryReport:
     """Per-level two-sided comparison with an error trend verdict.
@@ -376,8 +358,8 @@ def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
 
     The left side is the ``kind`` pass of :func:`_dyadic_levels` over f(x)
     with its default source; the right side is the left-endpoint Stieltjes
-    sum of :func:`stieltjes_integral` over the same pass over x (weights
-    from ``src``), reduced like every other level terminal.
+    sum of ``|f1(x)|**p`` against the terms of the same pass over x
+    (weights from ``src``), reduced like every other level terminal.
     """
     fx = compose_path(f, x)
     lhs, rhs = {}, {}

@@ -26,14 +26,14 @@ __all__ = [
     "GeneratorSpec",
     "fbm_path",
     "smooth_perturbation",
-    "smooth_lipschitz_bound",
     "takagi_path",
     "counterexample_path",
     "generate",
 ]
 
-GENERATOR_VERSION = "1"
+GENERATOR_VERSION = "2"
 _LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
+_FFT_BLOCK = 1 << 15  # complex values per block of the four-step FFT's passes
 
 
 def _fgn_covariance(H: float, N: int) -> np.ndarray:
@@ -44,9 +44,11 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
     below ``k**2H``; it is evaluated as
     ``0.5 * k**2H * (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k)))`` for
     k >= 2, and in closed form at k = 0 (1) and k = 1 (``2**(2H-1) - 1``).
+    The 2N doubles are the float view of N complex values, the buffer that
+    :func:`_fgn_circulant` transforms in place.
     """
     two_h = 2.0 * H
-    row = np.empty(2 * N)
+    row = np.empty(N, dtype=np.complex128).view(np.float64)
     row[0] = 1.0
     row[1] = np.expm1((two_h - 1.0) * np.log(2.0))
     for lo in range(2, N + 1, _LAG_BLOCK):
@@ -58,36 +60,169 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
     return row
 
 
+class _FourStep:
+    """In-place FFT of N = N1 * N2 complex values held as an N1 x N2 matrix.
+
+    Bailey's four-step FFT ("FFTs in external or hierarchical memory",
+    1990): length-N1 transforms down the columns, the twiddle
+    ``exp(-2 pi i k1 n2 / N)``, length-N2 transforms along the rows.  Each
+    pass works on ``_FFT_BLOCK`` values at a time, so numpy's FFT scratch is
+    a block's, not the buffer's.  The spectrum stays in the transposed
+    layout, ``m[k1, k2]`` = bin ``k1 + N1 k2``, and the inverse (rows,
+    conjugate twiddle, columns; unnormalized) takes it back to natural order.
+    """
+
+    def __init__(self, N: int):
+        self.n1 = 1 << ((N.bit_length() - 1) // 2)
+        self.n2 = N // self.n1
+        # exp(-2 pi i j / N) = lo[j % N2] * hi[j // N2] for 0 <= j < N
+        self._lo = np.exp(-2j * np.pi / N * np.arange(self.n2))
+        self._hi = np.exp(-2j * np.pi / self.n1 * np.arange(self.n1))
+        # exp(-i pi k / N) = half1[k1] * half2[k2] for bin k = k1 + N1 k2
+        self._half1 = np.exp(-1j * np.pi / N * np.arange(self.n1))[:, None]
+        self._half2 = np.exp(-1j * np.pi / self.n2 * np.arange(self.n2))
+
+    def _root(self, j: np.ndarray) -> np.ndarray:
+        """``exp(-2 pi i j / N)`` for integers 0 <= j < N."""
+        out = self._lo[j & (self.n2 - 1)]
+        out *= self._hi[j >> (self.n2.bit_length() - 1)]
+        return out
+
+    def half_angle(self, x) -> np.ndarray:
+        """``exp(-i pi k / N)`` for the bins k at ``m[x]``."""
+        return self._half1[x[0]] * self._half2[x[1]]
+
+    def columns(self, m: np.ndarray, inverse: bool = False) -> None:
+        """The column transforms and the twiddle (conjugated, before, if inverse)."""
+        cols = min(self.n2, max(1, _FFT_BLOCK // self.n1))
+        k1 = np.arange(self.n1)[:, None]
+        step = self._root(k1 * np.arange(cols))  # the twiddle of columns 0..cols-1
+        for j in range(0, self.n2, cols):
+            blk = m[:, j:j + cols]
+            tw = step[:, :blk.shape[1]] * self._root(k1 * j)
+            if inverse:
+                blk *= np.conjugate(tw, out=tw)
+                np.fft.ifft(blk, axis=0, norm="forward", out=blk)
+            else:
+                np.fft.fft(blk, axis=0, out=blk)
+                blk *= tw
+
+    @staticmethod
+    def rows(m: np.ndarray, slices, inverse: bool = False) -> None:
+        """The row transforms of the rows in ``slices``."""
+        for r in slices:
+            if inverse:
+                np.fft.ifft(m[r], axis=1, norm="forward", out=m[r])
+            else:
+                np.fft.fft(m[r], axis=1, out=m[r])
+
+    def mirror_blocks(self):
+        """Row blocks of the transposed layout, each with its mirror bins.
+
+        Yields ``(rows, x, y)``: ``rows`` are the row slices of the block,
+        every row once over all blocks, and ``m[x]``, ``m[y]`` hold bins k
+        and N - k element by element.  Row k1 > 0 mirrors row N1 - k1
+        reversed, one column over; rows 0 and N1/2 mirror themselves.  Bin 0,
+        whose mirror N is bin 0 again, is in no ``x``.
+        """
+        n1, h = self.n1, self.n1 // 2
+        every, rev = slice(None), slice(None, None, -1)
+        yield (slice(0, 1),), (slice(0, 1), slice(1, None)), (slice(0, 1), slice(None, 0, -1))
+        if n1 > 1:
+            yield (slice(h, h + 1),), (slice(h, h + 1), every), (slice(h, h + 1), rev)
+        step = max(1, _FFT_BLOCK // (2 * self.n2))
+        for lo in range(1, h, step):
+            hi = min(lo + step, h)
+            yield ((slice(lo, hi), slice(n1 - hi + 1, n1 - lo + 1)),
+                   (slice(lo, hi), every), (slice(n1 - lo, n1 - hi, -1), rev))
+
+
+def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
+    """The embedding's eigenvalues, computed in the buffer of its row.
+
+    The 2N-double row is N complex values ``row[2n] + i row[2n+1]``; the
+    eigenvalues are the real parts of the row's real FFT, unpacked from
+    bins k and N - k of their length-N FFT with the half-angle twiddle
+    (the packing of Numerical Recipes' ``realft``).  Returns the N1 x N2
+    buffer, whose imaginary parts hold lam_0..lam_{N-1} in the transposed
+    layout, and lam_N.
+    """
+    m = _fgn_covariance(H, N).view(np.complex128).reshape(fs.n1, fs.n2)
+    fs.columns(m)
+    for rows, x, y in fs.mirror_blocks():
+        fs.rows(m, rows)
+        e = fs.half_angle(x)
+        zx, zy = m[x], m[y]
+        p = zx.real + zy.real
+        v = e.real * (zx.imag + zy.imag) + e.imag * (zx.real - zy.real)
+        m.imag[y] = 0.5 * (p - v)  # where x and y overlap, x's value is written last
+        m.imag[x] = 0.5 * (p + v)
+    lam_n = m[0, 0].real - m[0, 0].imag
+    m.imag[0, 0] = m[0, 0].real + m[0, 0].imag
+    return m, lam_n
+
+
+def _normal_blocks(rng: np.random.Generator, m: np.ndarray):
+    """Column blocks of ``m`` with the stream's next N - 1 normals, one per bin k >= 1.
+
+    The normals are drawn in bin order; bin 0's slot is zero.
+    """
+    n1, n2 = m.shape
+    buf = np.empty((min(n2, max(1, _FFT_BLOCK // n1)), n1))
+    for j in range(0, n2, buf.shape[0]):
+        w = buf[:n2 - j]
+        flat = w.reshape(-1)
+        if j == 0:
+            flat[0] = 0.0
+        rng.standard_normal(out=flat[1:] if j == 0 else flat)
+        yield m[:, j:j + w.shape[0]], w.T
+
+
 def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     """Sample N fractional-Gaussian-noise increments by circulant embedding.
 
-    The length-2N circulant is real and symmetric, so its eigenvalues are
-    the N+1 real bins of one real FFT, and the Hermitian spectrum of the
-    sample is built in that FFT's output for one inverse real FFT: at most
-    two arrays of 2N doubles are live, besides numpy's FFT scratch.  A
-    negative eigenvalue means the embedding is not a valid covariance:
+    One buffer of N complex values holds, in turn, the length-2N circulant
+    row, the eigenvalues (:func:`_fgn_eigenvalues`), the sample's spectrum
+    packed as the real FFT's inverse needs it, and the increments: the
+    inverse four-step FFT leaves them in ``z.view(float)[:N]``.  Besides it,
+    nothing larger than a block is allocated, numpy's FFT scratch included.
+    A negative eigenvalue means the embedding is not a valid covariance:
     that raises :class:`NumericalError` and is never clipped.
     """
-    spec = np.fft.rfft(_fgn_covariance(H, N))
-    lam = spec.real  # the eigenvalues, bins 0..N
-    if lam.min() < 0.0:
+    fs = _FourStep(N)
+    m, lam_n = _fgn_eigenvalues(H, N, fs)
+    lam = m.imag
+    lam_min = min(lam.min(), lam_n)
+    if lam_min < 0.0:
         raise NumericalError(
             f"circulant embedding of the fractional-noise covariance has a "
-            f"negative eigenvalue ({lam.min():.3g}) at H={H}, N={N}"
+            f"negative eigenvalue ({lam_min:.3g}) at H={H}, N={N}"
         )
-    # 2N normals drawn as w[0], w[1:N], w[N], w[N+1:]: one stream, one N-1 buffer
-    w = np.empty(N - 1)
-    scale = lam[1:N]
-    np.sqrt(np.divide(scale, 2.0, out=scale), out=scale)
-    spec[0] = np.sqrt(lam[0]) * rng.standard_normal()
-    spec.imag[1:N] = rng.standard_normal(out=w)  # parked until scale is used up
-    spec[N] = np.sqrt(lam[N]) * rng.standard_normal()
-    np.multiply(scale, rng.standard_normal(out=w), out=w)
-    np.multiply(scale, spec.imag[1:N], out=scale)
-    spec.imag[1:N] = w
-    del w  # before the inverse FFT allocates the second 2N buffer
-    x = np.fft.irfft(spec, n=2 * N)[:N]
-    return np.multiply(x, np.sqrt(2 * N), out=x)
+    # 2N normals in stream order w[0], w[1:N], w[N], w[N+1:]; bin k < N is
+    # sqrt(lam_k / 2) (w[k] + i w[N+k]), and bins 0 and N are real, with
+    # sqrt(2N) / N for the unnormalized inverse and 1/2 for the packing
+    lam0 = lam[0, 0]
+    np.sqrt(np.multiply(lam, 0.25 / N, out=lam), out=lam)
+    w0 = rng.standard_normal()
+    for blk, w in _normal_blocks(rng, m):
+        np.multiply(w, blk.imag, out=blk.real)
+    wn = rng.standard_normal()
+    for blk, w in _normal_blocks(rng, m):
+        blk.imag *= w
+    s0, sn = np.sqrt(lam0 / (2 * N)) * w0, np.sqrt(lam_n / (2 * N)) * wn
+    m[0, 0] = complex(s0 + sn, s0 - sn)
+    # bins k and N - k of the packed inverse are a + b and conj(a - b)
+    for rows, x, y in fs.mirror_blocks():
+        u, v = m[x], np.conjugate(m[y])
+        a = u + v
+        b = u - v
+        b *= np.conjugate(fs.half_angle(x))
+        b *= 1j
+        m[y] = np.conjugate(a - b)
+        m[x] = a + b
+        fs.rows(m, rows, inverse=True)
+    fs.columns(m, inverse=True)
+    return m.reshape(-1).view(np.float64)[:N]
 
 
 def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> Path:
@@ -139,19 +274,6 @@ def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
     return Path(grid_level=grid_level, samples=samples, label=label)
 
 
-def smooth_lipschitz_bound(kind: str, amplitude: float, params: dict | None = None) -> float:
-    """An explicit Lipschitz constant for :func:`smooth_perturbation` output."""
-    params = dict(params or {})
-    if kind == "sine":
-        freq = float(params.get("freq", 1.0))
-        return abs(amplitude) * 2.0 * np.pi * abs(freq)
-    if kind == "poly":
-        coeffs = np.asarray(params.get("coeffs", [0.0, 1.0]), dtype=np.float64)
-        k = np.arange(coeffs.size)
-        return abs(amplitude) * float(np.sum(k * np.abs(coeffs)))
-    raise ValidationError(f"unknown perturbation kind {kind!r}")
-
-
 def takagi_path(H: float, grid_level: int, signs: str = "plus",
                 seed: int | None = None, max_level: int | None = None) -> Path:
     """Takagi-class path: Schauder coefficients ``2**(m*(1/2-H)) * (+-1)``.
@@ -201,8 +323,12 @@ class GeneratorSpec:
                 "generator_version": GENERATOR_VERSION}
 
 
-def generate(spec: GeneratorSpec) -> Path:
-    """Build the path described by ``spec``."""
+def generate(spec: GeneratorSpec, digest=None) -> Path:
+    """Build the path described by ``spec``.
+
+    The bytes of the coefficient file a ``custom_schauder`` spec names update
+    the hashlib ``digest``, if given.
+    """
     if spec.kind == "fbm":
         return fbm_path(spec.H, spec.grid_level, spec.seed if spec.seed is not None else 0)
     if spec.kind == "takagi":
@@ -217,6 +343,6 @@ def generate(spec: GeneratorSpec) -> Path:
                                    spec.grid_level, spec.params)
     if spec.kind == "custom_schauder":
         from .schauder import read_coefficients_json
-        coeffs = read_coefficients_json(spec.params["coeffs_file"])
+        coeffs = read_coefficients_json(spec.params["coeffs_file"], digest)
         return schauder_eval(coeffs, spec.grid_level)
     raise ValidationError(f"unknown generator kind {spec.kind!r}")

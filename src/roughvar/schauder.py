@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResolutionError, ValidationError
-from .grid import Path, _check_max_level
+from .grid import Path, _check_max_level, _open_text
 
 __all__ = [
     "SchauderCoefficients",
@@ -171,9 +171,10 @@ def write_coefficients_json(c: SchauderCoefficients, filename) -> None:
         print(json.dumps(doc), file=fh)
 
 
-def read_coefficients_json(filename) -> SchauderCoefficients:
+def read_coefficients_json(filename, digest=None) -> SchauderCoefficients:
+    """Coefficients from JSON; the bytes read update the hashlib ``digest``, if given."""
     try:
-        with open(filename) as fh:
+        with _open_text(filename, digest) as fh:
             doc = json.load(fh)
         return SchauderCoefficients(max_level=int(doc["max_level"]),
                                     theta=tuple(doc["theta"]),

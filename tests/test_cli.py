@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process, exit codes and artifacts)."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -61,6 +62,8 @@ class TestGen:
         x = rv.read_path_json(out)
         direct = rv.fbm_path(0.3, 9, seed=5)
         np.testing.assert_array_equal(x.samples, direct.samples)
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["generator"]["generator_version"] == "2"
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_gen_level_17_reads_back_bitwise(self, suffix, tmp_path, capsys):
@@ -95,6 +98,8 @@ class TestGen:
                          "--out", str(out))
         assert rc == 0, err
         assert rv.read_path_csv(out).grid_level == 8
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["inputs"] == {str(cfile): _sha256_of(cfile)}
 
     def test_missing_required_generator_flag(self, capsys, tmp_path):
         rc, _, err = run(capsys, "gen", "--kind", "fbm", "--level", "8",
@@ -582,3 +587,74 @@ def test_startup_does_not_import_scipy(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 False"
+
+
+def _cli(argv, stdin_bytes=None):
+    """``python -m roughvar argv`` in a fresh interpreter; ``stdin_bytes`` arrive through a pipe."""
+    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "roughvar", *argv], input=stdin_bytes,
+                          capture_output=True, env=env)
+
+
+def _sha256_of(name):
+    return hashlib.sha256(pathlib.Path(name).read_bytes()).hexdigest()
+
+
+class TestInputsReadOnce:
+    """Each input is read once: a pipe works, and the digest is of the bytes parsed."""
+
+    def test_map_table_from_a_pipe(self, tmp_path):
+        u = np.linspace(-0.5, 1.5, 81)
+        table = tmp_path / "tanh.csv"
+        np.savetxt(table, np.column_stack([u, np.tanh(u)]), delimiter=",",
+                   header="u,f", comments="")
+        argv = ["chainrule", "--kind", "takagi", "--H", "0.5", "--level", "12", "--p", "2"]
+        named = _cli(argv + ["--map-file", str(table), "--out", str(tmp_path / "a.json")])
+        piped = _cli(argv + ["--map-file", "/dev/stdin", "--out", str(tmp_path / "b.json")],
+                     table.read_bytes())
+        assert named.returncode == 0, named.stderr
+        assert piped.returncode == 0, piped.stderr
+        a, b = (json.loads((tmp_path / n).read_text()) for n in ("a.json", "b.json"))
+        assert (a["lhs_terminal"], a["rhs_terminal"]) == (b["lhs_terminal"], b["rhs_terminal"])
+        inputs = json.loads((tmp_path / "b.manifest.json").read_text())["inputs"]
+        assert inputs == {"/dev/stdin": _sha256_of(table)}
+
+    def test_path_csv_from_a_pipe(self, takagi_csv, tmp_path):
+        argv = ["--json", "pvar", "--p", "2", "--levels", "4:9"]
+        named = _cli(argv + ["--in", takagi_csv])
+        piped = _cli(argv + ["--in", "/dev/stdin", "--out", str(tmp_path / "p.json")],
+                     pathlib.Path(takagi_csv).read_bytes())
+        assert named.returncode == 0, named.stderr
+        assert piped.returncode == 0, piped.stderr
+        assert json.loads(piped.stdout)["terminals"] == json.loads(named.stdout)["terminals"]
+        inputs = json.loads((tmp_path / "p.manifest.json").read_text())["inputs"]
+        assert inputs == {"/dev/stdin": _sha256_of(takagi_csv)}
+
+    def test_every_input_kind_records_its_sha256(self, takagi_csv, tmp_path, capsys):
+        path_json = str(tmp_path / "x.json")
+        coeffs = str(tmp_path / "c.json")
+        rv.write_path_json(rv.read_path_csv(takagi_csv), path_json)
+        schauder.write_coefficients_json(rv.takagi_coefficients(0.5, 6), coeffs)
+        runs = {
+            "sqv": (["sqv", "--in", path_json, "--p", "2"], [path_json]),
+            "pvar": (["pvar", "--kind", "custom_schauder", "--coeffs-file", coeffs,
+                      "--level", "8", "--p", "2"], [coeffs]),
+            "inv": (["invariance", "--in", takagi_csv, "--perturb-in", path_json,
+                     "--p", "2"], [takagi_csv, path_json]),
+        }
+        for stem, (argv, names) in runs.items():
+            out = str(tmp_path / f"{stem}.json")
+            rc, _, err = run(capsys, *argv, "--out", out)
+            assert rc == 0, err
+            manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+            assert manifest["inputs"] == {n: _sha256_of(n) for n in names}
+        bundle = str(tmp_path / "all.json")
+        reports = [str(tmp_path / "sqv.json"), str(tmp_path / "inv.json")]
+        rc, _, err = run(capsys, "report", "--in", *reports, "--out", bundle)
+        assert rc == 0, err
+        doc = json.loads(pathlib.Path(bundle).read_text())
+        assert [e["sha256"] for e in doc["reports"]] == [_sha256_of(n) for n in reports]
+        assert json.loads((tmp_path / "all.manifest.json").read_text())["inputs"] == \
+            {n: _sha256_of(n) for n in reports}

