@@ -16,9 +16,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grid import Path, _check_max_level, grid_times
 from .schauder import (
+    _midpoint_path,
+    _takagi_rows,
     counterexample_coefficients,
     schauder_eval,
-    takagi_coefficients,
 )
 
 __all__ = [
@@ -184,8 +185,10 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     One buffer of N complex values holds, in turn, the length-2N circulant
     row, the eigenvalues (:func:`_fgn_eigenvalues`), the sample's spectrum
     packed as the real FFT's inverse needs it, and the increments: the
-    inverse four-step FFT leaves them in ``z.view(float)[:N]``.  Besides it,
-    nothing larger than a block is allocated, numpy's FFT scratch included.
+    inverse four-step FFT leaves them in ``z.view(float)[:N]``, and the
+    returned view's ``base`` is ``z``, which :func:`fbm_path` turns into the
+    samples in place.  Besides it, nothing larger than a block is
+    allocated, numpy's FFT scratch included.
     A negative eigenvalue means the embedding is not a valid covariance:
     that raises :class:`NumericalError` and is never clipped.
     """
@@ -232,19 +235,41 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     stationary fGN covariance, scaled by ``2**(-grid_level * H)`` so that
     ``Var(B(t) - B(s)) = |t - s|**(2H)`` on the grid.  Deterministic given
     the seed.  A circulant embedding with a negative eigenvalue raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  The samples are summed in the buffer that
+    held the increments, which then shrinks to them: no second path-sized
+    array is made.
     """
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
     _check_max_level(grid_level)
-    rng = np.random.default_rng(seed)
     N = 1 << grid_level
-    increments = _fgn_circulant(H, N, rng)
+    increments = _fgn_circulant(H, N, np.random.default_rng(seed))
     increments *= 2.0 ** (-grid_level * H)
-    samples = np.zeros(N + 1)
-    np.cumsum(increments, out=samples[1:])
-    return Path(grid_level=grid_level, samples=samples,
+    buf = increments.base  # the N complex values that hold the increments
+    del increments
+    _shifted_cumsum(buf.view(np.float64), N)
+    # the samples fill the front N + 1 doubles; give the rest back in place
+    buf.resize(N // 2 + 1)
+    return Path(grid_level=grid_level, samples=buf.view(np.float64)[:N + 1],
                 label=label if label is not None else f"fbm(H={H}, seed={seed})")
+
+
+def _shifted_cumsum(x: np.ndarray, N: int) -> None:
+    """``x[:N + 1] = 0, cumsum(x[:N])`` in place, a block at a time.
+
+    The N values move right by one from the end, then each block of the
+    running sum starts from the last sum of the block before: the same
+    sequential additions as one ``np.cumsum``, with no second array.
+    """
+    for hi in range(N, 0, -_FFT_BLOCK):
+        lo = max(hi - _FFT_BLOCK, 0)
+        x[lo + 1:hi + 1] = x[lo:hi]
+    x[0] = 0.0
+    for lo in range(1, N + 1, _FFT_BLOCK):
+        blk = x[lo:min(lo + _FFT_BLOCK, N + 1)]
+        if lo > 1:
+            blk[0] += x[lo - 1]
+        np.cumsum(blk, out=blk)
 
 
 def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
@@ -279,10 +304,14 @@ def takagi_path(H: float, grid_level: int, signs: str = "plus",
     """Takagi-class path: Schauder coefficients ``2**(m*(1/2-H)) * (+-1)``.
 
     Coefficient levels run to ``max_level`` (default: the grid level, the
-    finest resolvable truncation).
+    finest resolvable truncation); with none the path is zero.  Rows are
+    drawn one per recursion level, in the order of
+    :func:`~roughvar.schauder.takagi_coefficients`, and the triangle is
+    never held.
     """
     M = grid_level if max_level is None else max_level
-    return schauder_eval(takagi_coefficients(H, M, signs=signs, seed=seed), grid_level)
+    rows, label = _takagi_rows(H, M, signs, seed)
+    return _midpoint_path(rows, M, grid_level, label)
 
 
 def counterexample_path(n_max: int, grid_level: int | None = None) -> Path:

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import FormatError, ResolutionError, ValidationError
 from .grid import Path, _check_max_level, _open_text
 
+_BLOCK = 1 << 16  # midpoints written per block of the recursion
+
 __all__ = [
     "SchauderCoefficients",
     "schauder_eval",
@@ -77,21 +79,40 @@ def schauder_eval(c: SchauderCoefficients, grid_level: int) -> Path:
     level-``max_level`` dyadic points and the averaging reproduces it exactly
     on the finer grid.
     """
+    return _midpoint_path(c.theta, c.max_level, grid_level, c.label)
+
+
+def _midpoint_path(rows, max_level: int, grid_level: int, label: str) -> Path:
+    """The midpoint recursion of :func:`schauder_eval`, one coefficient row per level.
+
+    ``rows`` yields rows 0..max_level-1, each taken only when its level's
+    midpoints are due, and each level's midpoints are written into the
+    samples ``_BLOCK`` at a time: besides the path, at most one row and a
+    block are held.
+    """
     _check_max_level(grid_level)
-    if grid_level < c.max_level:
+    if grid_level < max_level:
         raise ResolutionError(
             f"grid level {grid_level} cannot resolve coefficients up to level "
-            f"{c.max_level - 1}; need grid_level >= {c.max_level}"
+            f"{max_level - 1}; need grid_level >= {max_level}"
         )
+    rows = iter(rows)
     x = np.zeros((1 << grid_level) + 1)
     for m in range(grid_level):
         stride = 1 << (grid_level - m)
-        half = stride >> 1
-        mid = 0.5 * (x[0:-1:stride] + x[stride::stride])
-        if m < c.max_level:
-            mid = mid + c.theta[m] * (2.0 ** (-m / 2.0) * 0.5)
-        x[half::stride] = mid
-    return Path(grid_level=grid_level, samples=x, label=c.label)
+        row = next(rows) if m < max_level else None
+        scale = 2.0 ** (-m / 2.0) * 0.5
+        for lo in range(0, 1 << m, _BLOCK):
+            a, b = lo * stride, min(lo + _BLOCK, 1 << m) * stride
+            mid = x[a:b:stride] + x[a + stride:b + stride:stride]
+            mid *= 0.5
+            if row is not None:
+                mid += row[lo:lo + _BLOCK] * scale
+            x[a + (stride >> 1):b:stride] = mid
+    return Path(grid_level=grid_level, samples=x, label=label)
+
+
+_SIGNS = ("plus", "minus", "alternating", "random")
 
 
 def _sign_stream(signs, m: int, rng) -> np.ndarray:
@@ -103,11 +124,32 @@ def _sign_stream(signs, m: int, rng) -> np.ndarray:
     if signs == "alternating":
         k = np.arange(width)
         return np.where((m + k) % 2 == 0, 1.0, -1.0)
-    if signs == "random":
-        return rng.choice([-1.0, 1.0], size=width)
-    raise ValidationError(
-        f"unknown sign source {signs!r}; expected plus, minus, alternating, or random"
-    )
+    return rng.choice([-1.0, 1.0], size=width)
+
+
+def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:
+    """``(rows, label)``: Takagi-class rows 0..M-1, drawn lazily in stream order.
+
+    The arguments are checked at once; each row is made when the iterator
+    reaches it, so a consumer that takes them one at a time holds one row.
+    """
+    if not 0.0 < H < 1.0:
+        raise ValidationError(f"H must lie in (0, 1), got {H}")
+    _check_max_level(M, "max_level")
+    if signs not in _SIGNS:
+        raise ValidationError(
+            f"unknown sign source {signs!r}; expected plus, minus, alternating, or random"
+        )
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        for m in range(M):
+            row = _sign_stream(signs, m, rng)
+            row *= 2.0 ** (m * (0.5 - H))
+            yield row
+
+    tag = signs if signs != "random" else f"random(seed={seed})"
+    return rows(), f"takagi(H={H}, signs={tag})"
 
 
 def takagi_coefficients(H: float, M: int, signs: str = "plus",
@@ -118,16 +160,10 @@ def takagi_coefficients(H: float, M: int, signs: str = "plus",
     ``alternating`` (``(-1)**(m+k)``), or ``random`` (seeded +-1 stream).
     The scale factor is folded into the stored coefficients.
     """
-    if not 0.0 < H < 1.0:
-        raise ValidationError(f"H must lie in (0, 1), got {H}")
+    rows, label = _takagi_rows(H, M, signs, seed)
     if M < 1:
         raise ValidationError(f"max_level must be >= 1, got {M}")
-    _check_max_level(M, "max_level")
-    rng = np.random.default_rng(seed)
-    theta = [2.0 ** (m * (0.5 - H)) * _sign_stream(signs, m, rng) for m in range(M)]
-    tag = signs if signs != "random" else f"random(seed={seed})"
-    return SchauderCoefficients(max_level=M, theta=tuple(theta),
-                                label=f"takagi(H={H}, signs={tag})")
+    return SchauderCoefficients(max_level=M, theta=tuple(rows), label=label)
 
 
 def counterexample_burst_levels(n_max: int) -> list[int]:

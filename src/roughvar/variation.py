@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_PASS_BLOCK = 1 << 16  # values per block of a pyramid pass's sweeps and scaled terms
 
 
 def accurate_cumsum(terms: np.ndarray) -> np.ndarray:
@@ -152,12 +153,14 @@ def _atom_risk(terms: np.ndarray, total: float) -> float:
     return float(np.max(terms) / total)
 
 
-def _pth_terms(dx: np.ndarray, p: float) -> np.ndarray:
+def _pth_terms(dx: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """``|dx|**p`` written into ``out``, which may be ``dx`` itself."""
     if p == 2.0:
-        return dx * dx
-    if p == 1.0:
-        return np.abs(dx)
-    return np.abs(dx) ** p
+        return np.multiply(dx, dx, out=out)
+    out = np.abs(dx, out=out)
+    if p != 1.0:
+        out **= p
+    return out
 
 
 def _resolve(kind: str, p: float = 2.0, gamma: float | None = None,
@@ -181,33 +184,51 @@ def _resolve(kind: str, p: float = 2.0, gamma: float | None = None,
     return p, (p - 2.0) / p, src or PVarSource()
 
 
-def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
-           weights: Callable, dt: Callable) -> tuple:
+def _terms(kind: str, dx: np.ndarray, out: np.ndarray, p: float,
+           gamma: float | None, weights: Callable, dt: Callable) -> tuple:
     """``(terms, clamped, divergent)`` of ``kind`` on the increments ``dx``.
 
     The one definition of each functional, for ``(p, gamma)`` from
     :func:`_resolve`: ``pth`` is ``|dx|**p``, ``classical_scaled`` is
     ``dt()**gamma * dx**2`` and ``scaled`` is ``w**gamma * dx**2`` with
-    ``(w, clamped) = weights()``, called for scaled terms only, under the
-    degenerate-block conventions of :func:`scaled_qv`.
+    ``(w, clamped) = weights()``, called for scaled terms only (before
+    ``out`` is written), under the degenerate-block conventions of
+    :func:`scaled_qv`.  The terms are written into ``out``, which may be
+    ``dx`` itself, and returned.
     """
     if kind == "pth":
-        return _pth_terms(dx, p), 0, False
+        return _pth_terms(dx, p, out), 0, False
     if gamma == 0.0:
         # the weight exponent vanishes: plain quadratic variation, any source
-        return dx * dx, 0, False
+        return np.multiply(dx, dx, out=out), 0, False
     if kind == "classical_scaled":
-        return dt() ** gamma * (dx * dx), 0, False
+        scale = dt() ** gamma
+        out = np.multiply(dx, dx, out=out)
+        out *= scale
+        return out, 0, False
     w, clamped = weights()
-    with np.errstate(divide="ignore"):
-        terms = w ** gamma
-    with np.errstate(invalid="ignore"):
-        terms *= dx
-        terms *= dx
-    bad = np.isnan(terms)
-    if bad.any():
-        terms = np.where(bad, 0.0, terms)
-    return terms, clamped, bool(np.isinf(terms).any())
+    return out, clamped, _scaled_terms(w, dx, gamma, out)
+
+
+def _scaled_terms(w: np.ndarray, dx: np.ndarray, gamma: float,
+                  out: np.ndarray) -> bool:
+    """``w**gamma * dx * dx`` into ``out`` (which may be ``dx``); whether one is inf.
+
+    A block of ``_PASS_BLOCK`` terms at a time: a zero weight with a zero
+    increment (0 * inf, NaN) gives 0, and a zero weight with a nonzero
+    increment at gamma < 0 gives +inf.
+    """
+    divergent = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, dx.size, _PASS_BLOCK):
+            hi = lo + _PASS_BLOCK
+            t = w[lo:hi] ** gamma
+            t *= dx[lo:hi]
+            t *= dx[lo:hi]
+            t[np.isnan(t)] = 0.0
+            divergent = divergent or bool(np.isinf(t).any())
+            out[lo:hi] = t
+    return divergent
 
 
 def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
@@ -218,7 +239,7 @@ def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
     times = part.times(x.grid_level)  # checks that part ends on the grid
     dx = np.diff(x.samples[part.indices])
     return _from_terms(kind, p, gamma, src, part.level, times, *_terms(
-        kind, dx, p, gamma, lambda: src.block_weights(x, part, p, dx),
+        kind, dx, dx, p, gamma, lambda: src.block_weights(x, part, p, dx),
         lambda: np.diff(times)))
 
 
@@ -312,7 +333,8 @@ class PVarSource:
             # large running total survives, where a cumulative difference
             # would round it to zero
             part.check_grid(x.grid_level)
-            w = np.add.reduceat(_pth_terms(np.diff(x.samples), p), part.indices[:-1])
+            fine = np.diff(x.samples)
+            w = np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1])
         else:
             profile = self.finest_profile
             if profile.level < part.level:
@@ -376,14 +398,14 @@ def _check_levels(x: Path, levels, at_least: int) -> list:
 
 
 class _Increments:
-    """The exponent-free inputs of pyramid passes over one path.
+    """The per-level increments of pyramid passes over one path.
 
-    ``dx(n)`` is level n's increments (a strided difference of the samples)
-    and ``grid_abs()`` the grid-level ``|dx|`` that finest-level weights
-    raise to the power p.  With ``keep`` each array is taken once, made
+    ``dx(n, out)`` is level n's increments, a strided difference of the
+    samples.  With ``keep`` each level's array is taken once, made
     read-only and shared by every later pass (a search probing many
-    exponents); without it each call takes a fresh array that the one pass
-    using it may overwrite.
+    exponents); without it each call writes them into the front of
+    ``out``, the pass's scratch array, or into a fresh array when ``out``
+    is None.
     """
 
     def __init__(self, x: Path, keep: bool = True):
@@ -391,24 +413,59 @@ class _Increments:
         self.keep = keep
         self._kept = {}
 
-    def _get(self, key, make) -> np.ndarray:
+    def dx(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        s, stride = self.x.samples, 1 << (self.x.grid_level - n)
         if not self.keep:
-            return make()
-        if key not in self._kept:
-            arr = make()
+            return np.subtract(s[stride::stride], s[:-1:stride],
+                               out=None if out is None else out[:1 << n])
+        if n not in self._kept:
+            arr = np.subtract(s[stride::stride], s[:-1:stride])
             arr.setflags(write=False)
-            self._kept[key] = arr
-        return self._kept[key]
+            self._kept[n] = arr
+        return self._kept[n]
 
-    def dx(self, n: int) -> np.ndarray:
-        stride = 1 << (self.x.grid_level - n)
-        return self._get(n, lambda: np.diff(self.x.samples[::stride]))
 
-    def grid_abs(self) -> np.ndarray:
-        def make():
-            a = np.diff(self.x.samples)
-            return np.abs(a, out=a)
-        return self._get(None, make)
+def _halve(w: np.ndarray, n: int) -> None:
+    """Pairwise sums ``w[2k] + w[2k+1]`` of level n+1 weights into ``w[:2**n]``.
+
+    Front to back a block at a time, so each block's pairs are read before
+    any output lands on them.
+    """
+    for lo in range(0, 1 << n, _PASS_BLOCK):
+        hi = min(lo + _PASS_BLOCK, 1 << n)
+        np.add(w[2 * lo:2 * hi:2], w[2 * lo + 1:2 * hi:2], out=w[lo:hi])
+
+
+def _finest_sweep(x: Path, p: float, gamma: float, top: int, inc: _Increments,
+                  buf: np.ndarray) -> tuple:
+    """Finest-level weights from one blocked sweep over the samples.
+
+    Each block of ``_PASS_BLOCK`` grid increments is differenced, made
+    ``|dx|**p`` and halved pairwise (``w[0::2] + w[1::2]``) as far as the
+    block allows, down to level ``top - 1``, so every weight is an
+    exact-order block sum.  When the sweep passes level ``top``, that
+    level's scaled terms are taken on the way into ``buf``.  Returns
+    ``(w, level, divergent)``: the stored weights, their level, and the top
+    level's divergence flag (None when its terms were not taken).
+    """
+    L, s = x.grid_level, x.samples
+    size = min(_PASS_BLOCK, 1 << L)
+    halvings = min(L - top + 1, size.bit_length() - 1)
+    w = np.empty(1 << (L - halvings))
+    dx = inc.dx(top, buf) if top >= L - halvings else None
+    divergent = None if dx is None else False
+    for lo in range(0, 1 << L, size):
+        a = np.subtract(s[lo + 1:lo + size + 1], s[lo:lo + size])
+        np.abs(a, out=a)
+        np.power(a, p, out=a)
+        for level in range(L, L - halvings - 1, -1):
+            if level == top:
+                j = slice(lo >> (L - top), (lo + size) >> (L - top))
+                divergent |= _scaled_terms(a, dx[j], gamma, buf[j])
+            if level > L - halvings:
+                a = a[0::2] + a[1::2]
+        w[lo >> halvings:(lo + size) >> halvings] = a
+    return w, L - halvings, divergent
 
 
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
@@ -418,29 +475,36 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
     level's dyadic partition, but no partition, time grid, cumulative array
-    or profile is built: increments are strided slices of the samples, taken
-    from ``inc`` when the caller keeps them across passes.  With the default
-    finest-level source the grid-level ``|dx|**p`` is taken once, and each
-    coarser level's block weights are pairwise sums of the level below
-    (``w[0::2] + w[1::2]``), so every weight is an exact-order block sum.
-    Other sources supply weights through :meth:`PVarSource.block_weights`.
+    or profile is built.  One scratch array of ``2**top`` doubles (``top``
+    the finest wanted level) serves the whole pass: each level's increments
+    are written into its front, unless ``inc`` keeps them across passes,
+    and its terms overwrite them there, so the yielded terms are valid
+    until the next level is taken.  With the default finest-level source
+    the weights come from :func:`_finest_sweep`, which also takes the top
+    level's terms, and each coarser level's weights are pairwise sums of
+    the level below, halved in place over the weights' own front half
+    (:func:`_halve`), so every weight is an exact-order block sum.  Other
+    sources supply weights through :meth:`PVarSource.block_weights`.
     """
     L = x.grid_level
     wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
     p, gamma, src = _resolve(kind, p, gamma, src)
     inc = inc or _Increments(x, keep=False)
+    buf = np.empty(1 << wanted[0])
     w = None
     if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
             and src.finest_profile is None):
-        w, w_level = inc.grid_abs(), L
-        w = np.power(w, p, out=None if inc.keep else w)
+        w, w_level, divergent = _finest_sweep(x, p, gamma, wanted[0], inc, buf)
+        if divergent is not None:
+            yield wanted.pop(0), buf, 0, divergent
     for n in wanted:
-        dx = inc.dx(n)
+        dx = inc.dx(n, buf)
         while w is not None and w_level > n:
-            w, w_level = w[0::2] + w[1::2], w_level - 1
+            w_level -= 1
+            _halve(w, w_level)
         yield (n, *_terms(
-            kind, dx, p, gamma,
-            lambda: (w, 0) if w is not None else src.block_weights(
+            kind, dx, buf[:1 << n], p, gamma,
+            lambda: (w[:1 << n], 0) if w is not None else src.block_weights(
                 x, dyadic_partition(n, L), p, dx),
             lambda: np.float64(2.0 ** -n)))
 
@@ -465,7 +529,8 @@ def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
     """:meth:`VariationProfile.metadata` of each level, from one pyramid pass.
 
     Profiles are built only for ``write``, which gets each distinct level's
-    profile made from the same terms, so it ends on the same terminal.
+    profile made from a copy of the same terms (the pass reuses its
+    scratch array), so it ends on the same terminal.
     """
     p, gamma, src = _resolve(kind, p, gamma, src)
     got = {}
@@ -473,7 +538,7 @@ def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
         got[n] = _metadata(n, kind, p, gamma, src.mode if src else None, terms,
                            _level_total(terms), clamped, divergent)
         if write:
-            write(_from_terms(kind, p, gamma, src, n, grid_times(n), terms,
+            write(_from_terms(kind, p, gamma, src, n, grid_times(n), terms.copy(),
                               clamped, divergent))
     return [got[int(n)] for n in levels]
 

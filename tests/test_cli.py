@@ -541,6 +541,16 @@ class TestReportCommand:
         assert err.startswith("error:") and "not a JSON object" in err
 
 
+class TestZeroLevelTakagi:
+    def test_takagi_at_level_zero_writes_the_zero_path(self, tmp_path, capsys):
+        # no coefficient levels: the path is 0 at both grid points
+        out = tmp_path / "p.csv"
+        rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5",
+                         "--level", "0", "--out", str(out))
+        assert rc == 0, err
+        assert rv.read_path_csv(out).samples.tolist() == [0.0, 0.0]
+
+
 class TestLevelCap:
     def test_deep_smooth_path_exits_one_before_allocating(self, tmp_path, capsys):
         rc, _, err = run(capsys, "gen", "--kind", "smooth", "--level", "40",
@@ -596,6 +606,44 @@ def _cli(argv, stdin_bytes=None):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "roughvar", *argv], input=stdin_bytes,
                           capture_output=True, env=env)
+
+
+def _vmhwm_mib(argv=None):
+    """VmHWM of a fresh interpreter that imports the CLI, then runs ``argv``."""
+    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run_argv = f"assert roughvar.cli.main({argv!r}) == 0\n" if argv else ""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import roughvar.cli\n{run_argv}"
+         "print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=env, check=True)
+    line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+class TestResidentPeak:
+    """Level-20 fBM jobs' resident high-water mark above an import-only interpreter.
+
+    A pass holds the 8 MiB path, one scratch array of its finest level and
+    half as many weights; generating the path holds a 16 MiB buffer.
+    """
+
+    FBM20 = ("--kind", "fbm", "--H", "0.4", "--level", "20", "--seed", "5")
+
+    def test_scaled_qv_to_the_grid_level(self, tmp_path):
+        # 24.5 MiB measured, 40.5 with a fresh array for every step of the pass
+        peak = _vmhwm_mib(["sqv", *self.FBM20, "--p", "2.5", "--levels", "6:20",
+                           "--out", str(tmp_path / "sqv.json")])
+        assert peak - _vmhwm_mib() <= 32.0
+
+    def test_roughness_search(self, tmp_path):
+        # 22.5 MiB measured, 38.6 with the kept grid-level |dx| and fresh arrays
+        peak = _vmhwm_mib(["roughness", *self.FBM20,
+                           "--out", str(tmp_path / "roughness.json")])
+        assert peak - _vmhwm_mib() <= 30.0
 
 
 def _sha256_of(name):

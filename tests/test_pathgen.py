@@ -283,6 +283,17 @@ class TestFbmPath:
         peak = _vmhwm_mib("rv.fbm_path(0.4, 20, seed=0)")
         assert peak - base <= 40.0
 
+    @pytest.mark.parametrize("level", [*range(17), 20])
+    def test_samples_are_the_allocate_and_cumsum_bits(self, level):
+        """The in-place shift and blocked cumsum add in np.cumsum's order."""
+        for H, seed in ((0.4, level), (0.05, 1), (0.9, 2)):
+            increments = _fgn_circulant(H, 1 << level, np.random.default_rng(seed))
+            increments *= 2.0 ** (-level * H)
+            want = np.zeros((1 << level) + 1)
+            np.cumsum(increments, out=want[1:])
+            got = rv.fbm_path(H, level, seed=seed).samples
+            assert got.tobytes() == want.tobytes(), (H, seed)
+
     def test_h_bounds_validated(self):
         for H in (0.0, 1.0, -0.2):
             with pytest.raises(ValidationError):
@@ -354,6 +365,39 @@ class TestConvenienceWrappers:
         full = rv.takagi_path(0.5, 10)
         shallow = rv.takagi_path(0.5, 10, max_level=3)
         assert not np.array_equal(full.samples, shallow.samples)
+
+    @pytest.mark.parametrize("signs", ["plus", "minus", "alternating", "random"])
+    def test_takagi_path_is_the_coefficient_triangle_bits(self, signs):
+        """Rows drawn lazily give the triangle's path, across 2**16-midpoint blocks."""
+        for grid_level, max_level in ((18, 18), (18, 17), (18, 5), (9, 1), (3, 0)):
+            got = rv.takagi_path(0.3, grid_level, signs=signs, seed=4, max_level=max_level)
+            if max_level:
+                c = rv.takagi_coefficients(0.3, max_level, signs=signs, seed=4)
+                want = rv.schauder_eval(c, grid_level)
+                assert got.label == want.label
+            else:
+                want = rv.Path(grid_level=grid_level,
+                               samples=np.zeros((1 << grid_level) + 1))
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_takagi_with_no_coefficient_levels_is_the_zero_path(self):
+        x = rv.takagi_path(0.5, 0)
+        assert x.samples.tolist() == [0.0, 0.0]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_takagi_resident_peak_is_the_path_and_a_row(self):
+        """The resident high-water mark above an import-only interpreter, at level 20.
+
+        The path (8 MiB) and the finest row (4 MiB) are 12 MiB; 20.1 MiB was
+        measured, the rest being numpy's random module (loaded on first use)
+        and block temporaries.  The bound leaves 3.9 MiB; the whole
+        coefficient triangle and the recursion's full-row temporaries
+        measured 30.0 MiB.
+        """
+        base = _vmhwm_mib("")
+        peak = _vmhwm_mib("rv.takagi_path(0.5, 20)")
+        assert peak - base <= 24.0
 
     def test_counterexample_default_level_is_last_burst_top(self):
         x = rv.counterexample_path(4)

@@ -70,6 +70,19 @@ class TestEvaluation:
             slow = _schauder_eval_direct(c, 8)
             npt.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
 
+    def test_blocked_recursion_is_the_whole_row_bits(self):
+        """Midpoints written in 2**16 blocks match whole-row updates bitwise."""
+        for max_level, grid_level in ((17, 17), (17, 18), (4, 18)):
+            c = _random_coefficients(max_level, max_level)
+            x = np.zeros((1 << grid_level) + 1)
+            for m in range(grid_level):
+                stride = 1 << (grid_level - m)
+                mid = 0.5 * (x[0:-1:stride] + x[stride::stride])
+                if m < max_level:
+                    mid = mid + c.theta[m] * (2.0 ** (-m / 2.0) * 0.5)
+                x[stride >> 1::stride] = mid
+            assert rv.schauder_eval(c, grid_level).samples.tobytes() == x.tobytes()
+
     def test_grid_must_resolve_all_levels(self):
         c = _random_coefficients(5, 0)
         with pytest.raises(ResolutionError):

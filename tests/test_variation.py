@@ -567,6 +567,140 @@ class TestDyadicPyramid:
 
 
 # ---------------------------------------------------------------------------
+# The pyramid pass against the allocate-per-step pass it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_terms(kind, dx, p, gamma, weights, dt):
+    """One level's ``(terms, clamped, divergent)``, a fresh array per step."""
+    if kind == "pth":
+        if p == 2.0:
+            return dx * dx, 0, False
+        if p == 1.0:
+            return np.abs(dx), 0, False
+        return np.abs(dx) ** p, 0, False
+    if gamma == 0.0:
+        return dx * dx, 0, False
+    if kind == "classical_scaled":
+        return dt() ** gamma * (dx * dx), 0, False
+    w, clamped = weights()
+    with np.errstate(divide="ignore"):
+        terms = w ** gamma
+    with np.errstate(invalid="ignore"):
+        terms *= dx
+        terms *= dx
+    bad = np.isnan(terms)
+    if bad.any():
+        terms = np.where(bad, 0.0, terms)
+    return terms, clamped, bool(np.isinf(terms).any())
+
+
+def _reference_dyadic_levels(x, levels, kind, p=2.0, gamma=None, src=None):
+    """Each distinct level's ``(n, terms, clamped, divergent)``, finest first.
+
+    The pass as it stood before it ran in one scratch array: the grid-level
+    ``|dx|**p`` taken whole, each coarser level's weights a new array of
+    pairwise sums, and a new array for every level's increments and terms.
+    """
+    L = x.grid_level
+    wanted = sorted({int(n) for n in levels}, reverse=True)
+    p, gamma, src = variation._resolve(kind, p, gamma, src)
+    w = None
+    if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
+            and src.finest_profile is None):
+        w, w_level = np.power(np.abs(np.diff(x.samples)), p), L
+    out = []
+    for n in wanted:
+        dx = np.diff(x.samples[::1 << (L - n)])
+        while w is not None and w_level > n:
+            w, w_level = w[0::2] + w[1::2], w_level - 1
+        out.append((n, *_reference_terms(
+            kind, dx, p, gamma,
+            lambda: (w, 0) if w is not None else src.block_weights(
+                x, rv.dyadic_partition(n, L), p, dx),
+            lambda: np.float64(2.0 ** -n))))
+    return out
+
+
+def _edge_path():
+    """Level 6: flat stretches (zero increments), 1e-300 steps and a fBM part.
+
+    At p = 1.5 a 1e-300 step's ``|dx|**p`` underflows to 0, so its block
+    weight is 0 beside a nonzero increment (an infinite term); a flat block
+    has zero weight and zero increment (0 * inf, which counts 0).
+    """
+    s = np.zeros(65)
+    s[17:33] = np.arange(1, 17) * 1e-300
+    s[33:49] = s[32]
+    s[48:] = s[32] + rv.fbm_path(0.4, 4, seed=1).samples
+    return rv.Path(grid_level=6, samples=s)
+
+
+_PYRAMID_CASES = [
+    ("pth", 1.0, None, None),
+    ("pth", 2.0, None, None),
+    ("pth", 2.5, None, None),
+    ("scaled", 2.5, None, None),
+    ("scaled", 1.0, None, None),
+    ("scaled", 1.5, None, None),
+    ("scaled", 4.0, None, None),
+    ("scaled", 2.0, None, None),
+    ("scaled", 3.0, None, "analytic"),
+    ("scaled", 1.5, None, "self_level"),
+    ("scaled", 2.5, None, "profile"),
+    ("classical_scaled", 2.0, -0.3, None),
+    ("classical_scaled", 2.0, 0.0, None),
+]
+
+
+class TestPyramidBitsMatchReference:
+    """Every term, clamp count and divergence flag, bitwise, kept or not.
+
+    Grid levels 15-17 put the top levels below, at and above the pass's
+    2**16-value block; the level sets cover level 0, the grid level,
+    unsorted ones with duplicates and gaps.
+    """
+
+    @pytest.fixture(scope="class", params=[15, 16, 17, "edge"])
+    def path(self, request):
+        if request.param == "edge":
+            return _edge_path()
+        return rv.fbm_path(0.4, request.param, seed=request.param)
+
+    @pytest.mark.parametrize("kind, p, gamma, src", _PYRAMID_CASES)
+    def test_terms_are_the_reference_bits(self, path, kind, p, gamma, src):
+        L = path.grid_level
+        if src == "analytic":
+            src = rv.PVarSource.linear(0.7)
+        elif src == "self_level":
+            src = rv.PVarSource.self_level()
+        elif src == "profile":
+            src = rv.PVarSource.finest(
+                rv.pth_variation(path, rv.dyadic_partition(L, L), p))
+        level_sets = [[0], [L], [L - 3, 1, L // 2, L, 1, L - 3], [0, 2, L - 1],
+                      list(range(max(L - 12, 0), L + 1))]
+        for levels in level_sets:
+            want = _reference_dyadic_levels(path, levels, kind, p, gamma, src)
+            kept = variation._Increments(path)
+            for inc in (None, kept, kept):
+                got = [(n, t.copy(), c, d) for n, t, c, d in
+                       variation._dyadic_levels(path, levels, kind, p, gamma, src, inc)]
+                assert [g[0] for g in got] == [w[0] for w in want]
+                for (n, t, c, d), (_, rt, rc, rd) in zip(got, want):
+                    assert t.tobytes() == rt.tobytes(), (levels, n)
+                    assert (c, d) == (rc, rd), (levels, n)
+            profiles = []
+            _level_metadata(path, levels, kind, p, gamma, src, write=profiles.append)
+            for prof, (n, rt, _, _) in zip(profiles, want):
+                assert prof.level == n and prof.terms.tobytes() == rt.tobytes()
+
+    def test_edge_path_has_both_degenerate_blocks(self):
+        [(_, terms, _, divergent)] = _reference_dyadic_levels(
+            _edge_path(), [3], "scaled", 1.5)
+        assert divergent and np.isinf(terms[2]) and terms[4] == 0.0
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestProfileSerialization:
