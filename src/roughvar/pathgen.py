@@ -9,6 +9,7 @@ across numpy versions or other implementations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,21 @@ __all__ = [
     "generate",
 ]
 
-GENERATOR_VERSION = "2"
+GENERATOR_VERSION = "3"
 _LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
 _FFT_BLOCK = 1 << 15  # complex values per block of the four-step FFT's passes
+# Lags k >= _SERIES_LAG take the covariance from the first _SERIES_TERMS terms
+# of its series in 1/k**2; the first term left out is below 2**-60 of the
+# leading one there.
+_SERIES_LAG = 8
+_SERIES_TERMS = 10
+# Columns of the four-step FFT are at most 2**_COLUMN_LEVEL long.  Longer
+# columns mean fewer, longer rows, and a column pass that gathers each row's
+# part of a block from further apart.  fbm_path(0.4, 22) measured 0.56 s with
+# the square 2**11 x 2**11 split and 0.51 s with 2**7-2**9 rows; at level 20,
+# 0.120 s (2**10 rows) and 0.111-0.113 s (2**8-2**9); levels 14 and 18 the
+# same for every split (BENCH_13.json).
+_COLUMN_LEVEL = 9
 
 
 def _fgn_covariance(H: float, N: int) -> np.ndarray:
@@ -42,9 +55,12 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
 
     ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H)`` cancels catastrophically at
     large lags, where the covariance is a second difference many orders
-    below ``k**2H``; it is evaluated as
+    below ``k**2H``.  It is evaluated in closed form at k = 0 (1) and k = 1
+    (``2**(2H-1) - 1``); as
     ``0.5 * k**2H * (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k)))`` for
-    k >= 2, and in closed form at k = 0 (1) and k = 1 (``2**(2H-1) - 1``).
+    2 <= k < ``_SERIES_LAG``; and from there on by its series
+    ``k**(2H-2) * sum_{j>=1} C(2H, 2j) k**(-2(j-1))``, summed by Horner in
+    ``1/k**2`` over ``_SERIES_TERMS`` terms: one power per lag.
     The 2N doubles are the float view of N complex values, the buffer that
     :func:`_fgn_circulant` transforms in place.
     """
@@ -52,11 +68,25 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
     row = np.empty(N, dtype=np.complex128).view(np.float64)
     row[0] = 1.0
     row[1] = np.expm1((two_h - 1.0) * np.log(2.0))
-    for lo in range(2, N + 1, _LAG_BLOCK):
+    k = np.arange(2, min(_SERIES_LAG, N + 1), dtype=np.float64)
+    inv = 1.0 / k
+    row[2:2 + k.size] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
+                                           + np.expm1(two_h * np.log1p(-inv)))
+    # C(2H, 2j) for j = _SERIES_TERMS down to 1
+    coef = [math.prod(two_h - i for i in range(2 * j)) / math.factorial(2 * j)
+            for j in range(_SERIES_TERMS, 0, -1)]
+    for lo in range(_SERIES_LAG, N + 1, _LAG_BLOCK):
         k = np.arange(lo, min(lo + _LAG_BLOCK, N + 1), dtype=np.float64)
-        inv = 1.0 / k
-        row[lo:lo + k.size] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
-                                                 + np.expm1(two_h * np.log1p(-inv)))
+        out = row[lo:lo + k.size]
+        np.power(k, two_h - 2.0, out=out)
+        x = np.reciprocal(k, out=k)
+        x *= x
+        acc = coef[0] * x
+        for c in coef[1:-1]:
+            acc += c
+            acc *= x
+        acc += coef[-1]
+        out *= acc
     row[N + 1:] = row[N - 1:0:-1]
     return row
 
@@ -74,7 +104,7 @@ class _FourStep:
     """
 
     def __init__(self, N: int):
-        self.n1 = 1 << ((N.bit_length() - 1) // 2)
+        self.n1 = 1 << min((N.bit_length() - 1) // 2, _COLUMN_LEVEL)
         self.n2 = N // self.n1
         # exp(-2 pi i j / N) = lo[j % N2] * hi[j // N2] for 0 <= j < N
         self._lo = np.exp(-2j * np.pi / N * np.arange(self.n2))
@@ -94,19 +124,28 @@ class _FourStep:
         return self._half1[x[0]] * self._half2[x[1]]
 
     def columns(self, m: np.ndarray, inverse: bool = False) -> None:
-        """The column transforms and the twiddle (conjugated, before, if inverse)."""
+        """The column transforms and the twiddle (conjugated, before, if inverse).
+
+        Each block of columns is gathered into a contiguous scratch block, so
+        the transforms read it with the stride of a block's row, not of the
+        buffer's; the twiddle is applied as the block is written back (or,
+        if inverse, as it is gathered).
+        """
         cols = min(self.n2, max(1, _FFT_BLOCK // self.n1))
         k1 = np.arange(self.n1)[:, None]
         step = self._root(k1 * np.arange(cols))  # the twiddle of columns 0..cols-1
+        tw, b = np.empty_like(step), np.empty_like(step)
         for j in range(0, self.n2, cols):
             blk = m[:, j:j + cols]
-            tw = step[:, :blk.shape[1]] * self._root(k1 * j)
+            np.multiply(step, self._root(k1 * j), out=tw)
             if inverse:
-                blk *= np.conjugate(tw, out=tw)
-                np.fft.ifft(blk, axis=0, norm="forward", out=blk)
+                np.multiply(blk, np.conjugate(tw, out=tw), out=b)
+                np.fft.ifft(b, axis=0, norm="forward", out=b)
+                blk[...] = b
             else:
-                np.fft.fft(blk, axis=0, out=blk)
-                blk *= tw
+                b[...] = blk
+                np.fft.fft(b, axis=0, out=b)
+                np.multiply(b, tw, out=blk)
 
     @staticmethod
     def rows(m: np.ndarray, slices, inverse: bool = False) -> None:
@@ -154,10 +193,16 @@ def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
         fs.rows(m, rows)
         e = fs.half_angle(x)
         zx, zy = m[x], m[y]
-        p = zx.real + zy.real
-        v = e.real * (zx.imag + zy.imag) + e.imag * (zx.real - zy.real)
-        m.imag[y] = 0.5 * (p - v)  # where x and y overlap, x's value is written last
-        m.imag[x] = 0.5 * (p + v)
+        p = np.add(zx.real, zy.real)
+        v = np.add(zx.imag, zy.imag)
+        v *= e.real
+        t = np.subtract(zx.real, zy.real)
+        t *= e.imag
+        v += t
+        p *= 0.5
+        v *= 0.5
+        np.subtract(p, v, out=m.imag[y])  # where x and y overlap, x's value is written last
+        np.add(p, v, out=m.imag[x])
     lam_n = m[0, 0].real - m[0, 0].imag
     m.imag[0, 0] = m[0, 0].real + m[0, 0].imag
     return m, lam_n
@@ -216,13 +261,15 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     m[0, 0] = complex(s0 + sn, s0 - sn)
     # bins k and N - k of the packed inverse are a + b and conj(a - b)
     for rows, x, y in fs.mirror_blocks():
-        u, v = m[x], np.conjugate(m[y])
-        a = u + v
-        b = u - v
-        b *= np.conjugate(fs.half_angle(x))
-        b *= 1j
-        m[y] = np.conjugate(a - b)
-        m[x] = a + b
+        u, a = m[x], np.conjugate(m[y])
+        b = u - a
+        a += u
+        e = np.conjugate(fs.half_angle(x))
+        e *= 1j
+        b *= e
+        np.subtract(a, b, out=m[y])
+        np.negative(m.imag[y], out=m.imag[y])
+        np.add(a, b, out=m[x])
         fs.rows(m, rows, inverse=True)
     fs.columns(m, inverse=True)
     return m.reshape(-1).view(np.float64)[:N]
@@ -237,7 +284,8 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     the seed.  A circulant embedding with a negative eigenvalue raises
     :class:`NumericalError`.  The samples are summed in the buffer that
     held the increments, which then shrinks to them: no second path-sized
-    array is made.
+    array is made, unless a tracer or profiler keeps the buffer from
+    shrinking, when the samples are copied out of it.
     """
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
@@ -249,8 +297,14 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     del increments
     _shifted_cumsum(buf.view(np.float64), N)
     # the samples fill the front N + 1 doubles; give the rest back in place
-    buf.resize(N // 2 + 1)
-    return Path(grid_level=grid_level, samples=buf.view(np.float64)[:N + 1],
+    try:
+        buf.resize(N // 2 + 1)
+        samples = buf.view(np.float64)[:N + 1]
+    except ValueError:
+        # a tracer or profiler holds more references to buf, so numpy cannot
+        # tell that no view of it would dangle, and refuses: copy them out
+        samples = buf.view(np.float64)[:N + 1].copy()
+    return Path(grid_level=grid_level, samples=samples,
                 label=label if label is not None else f"fbm(H={H}, seed={seed})")
 
 

@@ -124,7 +124,14 @@ def _sign_stream(signs, m: int, rng) -> np.ndarray:
     if signs == "alternating":
         k = np.arange(width)
         return np.where((m + k) % 2 == 0, 1.0, -1.0)
-    return rng.choice([-1.0, 1.0], size=width)
+    # rng.choice([-1.0, 1.0], size=width) draws these indices and takes the
+    # signs; drawn _BLOCK at a time they are the same stream, bit for bit,
+    # without a row-sized index array
+    row = np.empty(width)
+    for lo in range(0, width, _BLOCK):
+        idx = rng.integers(0, 2, size=min(_BLOCK, width - lo))
+        np.take([-1.0, 1.0], idx, out=row[lo:lo + _BLOCK])
+    return row
 
 
 def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:

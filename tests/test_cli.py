@@ -63,7 +63,7 @@ class TestGen:
         direct = rv.fbm_path(0.3, 9, seed=5)
         np.testing.assert_array_equal(x.samples, direct.samples)
         manifest = json.loads((tmp_path / "p.manifest.json").read_text())
-        assert manifest["generator"]["generator_version"] == "2"
+        assert manifest["generator"]["generator_version"] == "3"
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_gen_level_17_reads_back_bitwise(self, suffix, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Path generator tests: fBM statistics, smooth perturbations, dispatch."""
 
+import cProfile
+import decimal
 import math
 import os
 import pathlib
@@ -18,21 +20,6 @@ from roughvar.errors import NumericalError, ValidationError
 from roughvar.pathgen import _FourStep, _fgn_circulant, _fgn_covariance, _fgn_eigenvalues
 
 
-def _reference_fgn_covariance(H, N):
-    """fGN autocovariance at lags 0..N, in one vectorized expression."""
-    two_h = 2.0 * H
-    gamma = np.empty(N + 1)
-    gamma[0] = 1.0
-    if N >= 1:
-        gamma[1] = np.expm1((two_h - 1.0) * np.log(2.0))
-    if N >= 2:
-        k = np.arange(2, N + 1, dtype=np.float64)
-        inv = 1.0 / k
-        gamma[2:] = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(inv))
-                                        + np.expm1(two_h * np.log1p(-inv)))
-    return gamma
-
-
 def _reference_fgn(H, grid_level, seed):
     """fGN increments by circulant embedding, with a fresh array for every step.
 
@@ -43,7 +30,7 @@ def _reference_fgn(H, grid_level, seed):
     """
     rng = np.random.default_rng(seed)
     N = 1 << grid_level
-    gamma = _reference_fgn_covariance(H, N)
+    gamma = _fgn_covariance(H, N)[:N + 1]  # the lags the 50-digit oracle test checks
     lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real.copy()
     assert lam.min() >= 0.0
     w = rng.standard_normal(2 * N)
@@ -95,9 +82,9 @@ def _vmhwm_mib(code):
 # Bounds against the reference, each about 3x the worst seen over
 # the ensemble H in {0.05, 0.1, 0.3, 0.5, 0.75, 0.97, 0.999} x levels 0-16 x
 # seeds 0-2, plus H = 0.4 at level 20, seed 1: max |difference| / max |reference|.
-# Increments: worst 1.06e-14 (H = 0.999, level 16; it grows with level at
-# that H, and is at most 1.2e-15 for H <= 0.75); 6.5e-16 at level 20.
-# Samples, where the increments' differences add up: worst 9.9e-13
+# Increments: worst 1.27e-14 (H = 0.999, level 16; it grows with level at
+# that H, and is at most 9.7e-16 for H <= 0.75); 5.6e-16 at level 20.
+# Samples, where the increments' differences add up: worst 8.1e-13
 # (H = 0.05, level 15).
 _INCREMENT_TOL = 3e-14
 _SAMPLE_TOL = 3e-12
@@ -176,7 +163,9 @@ class TestFbmPath:
 
         ``0.5 * ((k+1)**2H + (k-1)**2H - 2 k**2H) = k**2H * sum_j C(2H, 2j) k**-2j``
         for k > 1; four terms are exact to double precision at k >= 100.
-        The circulant row holds lag k at entries k and 2N - k.
+        The circulant row holds lag k at entries k and 2N - k.  Bound 3e-15
+        relative, from a worst of 8.7e-16 over these H and lags (the
+        ``expm1`` form of every lag measured 5.2e-10).
         """
         def binom(a, m):
             return math.prod(a - i for i in range(m)) / math.factorial(m)
@@ -190,8 +179,33 @@ class TestFbmPath:
             for k in (100, 1000, 12345, (1 << 16) + 1, (1 << 16) + 2, N):
                 series = k ** (2 * H) * math.fsum(binom(2 * H, 2 * j) * float(k) ** (-2 * j)
                                                   for j in range(1, 5))
-                npt.assert_allclose(row[k], series, rtol=1e-9)
+                npt.assert_allclose(row[k], series, rtol=3e-15)
             npt.assert_array_equal(row[N + 1:], row[N - 1:0:-1])
+
+    @pytest.mark.parametrize("H", [0.05, 0.1, 0.4, 0.6, 0.75, 0.97, 0.999])
+    def test_covariance_against_a_50_digit_oracle(self, H):
+        """Every branch of the covariance against its definition in 50-digit decimal.
+
+        Lags 2-70 (the ``expm1`` form below 8, the series from 8 on),
+        2**16 +- 1 and N.  The error is scaled by k**(2H-2), the size of the
+        covariance away from H = 1/2.  Bounds, about 3x the worst over the H
+        of this parametrization: 4e-15 at lags below 8 (worst 1.5e-15,
+        H = 0.75, lag 6) and 6e-16 from 8 on (worst 2.1e-16; the ``expm1``
+        form measured 1.2e-10 at lag 2**20).
+        """
+        def scaled_error(k):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                t, kk = 2 * decimal.Decimal(H), decimal.Decimal(k)
+                g = ((kk + 1) ** t + (kk - 1) ** t - 2 * kk ** t) / 2
+                return float(abs(decimal.Decimal(row[k]) - g) / kk ** (t - 2))
+
+        N = 1 << 20
+        row = _fgn_covariance(H, N)
+        lags = [*range(2, 71), (1 << 16) - 1, (1 << 16) + 1, N]
+        errors = {k: scaled_error(k) for k in lags}
+        assert max(e for k, e in errors.items() if k < 8) <= 4e-15
+        assert max(e for k, e in errors.items() if k >= 8) <= 6e-16
 
     @pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5, 0.75, 0.97, 0.999])
     def test_within_bound_of_reference(self, H):
@@ -206,7 +220,7 @@ class TestFbmPath:
     def test_four_step_fft_matches_numpy(self, level):
         """Forward and inverse blocked transforms against np.fft on random complex input.
 
-        Bound 2e-15 of max |reference|, from a worst of 6.0e-16 over levels
+        Bound 2e-15 of max |reference|, from a worst of 5.5e-16 over levels
         0-16 and 20, seeds 0-2.
         """
         N = 1 << level
@@ -293,6 +307,27 @@ class TestFbmPath:
             np.cumsum(increments, out=want[1:])
             got = rv.fbm_path(H, level, seed=seed).samples
             assert got.tobytes() == want.tobytes(), (H, seed)
+
+    def test_traced_samples_are_the_untraced_bits(self):
+        """Under a tracer or a profiler the buffer cannot shrink in place.
+
+        Both keep extra references to it, so ``ndarray.resize`` refuses; the
+        samples are then copied out of the buffer, with the same bits.
+        """
+        want = rv.fbm_path(0.4, 10, seed=1).samples.tobytes()
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = rv.fbm_path(0.4, 10, seed=1)
+        finally:
+            sys.settrace(previous)
+        assert traced.samples.tobytes() == want
+        profiled = cProfile.Profile().runcall(rv.fbm_path, 0.4, 10, seed=1)
+        assert profiled.samples.tobytes() == want
 
     def test_h_bounds_validated(self):
         for H in (0.0, 1.0, -0.2):
@@ -399,6 +434,19 @@ class TestConvenienceWrappers:
         peak = _vmhwm_mib("rv.takagi_path(0.5, 20)")
         assert peak - base <= 24.0
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_random_signs_cost_no_more_than_plus_signs(self):
+        """At level 22, random signs peak within 2 MiB of plus signs.
+
+        Random rows are drawn in 2**16-sign blocks, so no row-sized index
+        array is made: 0.6 MiB above plus signs was measured (92.4 MiB), and
+        16.2 MiB (108.0 MiB) when each row was one ``rng.choice`` call.
+        """
+        plus = _vmhwm_mib("rv.takagi_path(0.5, 22)")
+        random_signs = _vmhwm_mib("rv.takagi_path(0.5, 22, signs='random', seed=3)")
+        assert random_signs - plus <= 2.0
+
     def test_counterexample_default_level_is_last_burst_top(self):
         x = rv.counterexample_path(4)
         assert x.grid_level == 10  # S_4 = 10
@@ -445,4 +493,4 @@ class TestGeneratorSpec:
                                 params={"signs": "plus"})
         meta = spec.metadata()
         assert meta["kind"] == "takagi"
-        assert meta["generator_version"] == rv.pathgen.GENERATOR_VERSION == "2"
+        assert meta["generator_version"] == rv.pathgen.GENERATOR_VERSION == "3"

@@ -14,6 +14,7 @@ import pytest
 
 import roughvar as rv
 from roughvar.errors import FormatError, ResolutionError, ValidationError
+from roughvar.schauder import _sign_stream
 
 
 def _schauder_eval_direct(c, grid_level):
@@ -143,6 +144,18 @@ class TestTakagiCoefficients:
         for ra, rb in zip(a.theta, b.theta):
             npt.assert_array_equal(ra, rb)
         assert set(np.unique(np.concatenate(a.theta[2:]))) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("m", [0, 5, 16, 17, 18])
+    def test_random_signs_in_blocks_are_the_one_call_draw(self, m):
+        """Rows drawn 2**16 signs at a time are one ``rng.choice`` of the row, bitwise.
+
+        The generator is left where the one call leaves it, too.
+        """
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = _sign_stream("random", m, got_rng)
+        want = want_rng.choice([-1.0, 1.0], size=1 << m)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.standard_normal() == want_rng.standard_normal()
 
     def test_unknown_sign_rule_rejected(self):
         with pytest.raises(ValidationError, match="sign"):
