@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -175,16 +177,25 @@ def oscillation(x: Path, part: Partition) -> float:
 # hold a 42 MB string and 2M float objects.
 _CSV_BLOCK_ROWS = 1 << 16
 
+# Characters of text the readers parse at a time: about 6k CSV rows or 12k
+# JSON samples.  Reading a level-20 path peaks about 3 (CSV) and 2 MiB (JSON)
+# above its 8 MiB of samples, against 13 and 10 MiB with blocks of 2**20
+# characters, whose freed strings stay resident; the read takes as long.
+_READ_BLOCK = 1 << 18
 
-def _write_csv(filename, header: str, columns) -> None:
-    """Equal-length float columns as comma-separated ``%.17g`` rows under ``header``."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+
+def _write_csv(filename, header: str, n_rows: int, rows) -> None:
+    """``n_rows`` comma-separated ``%.17g`` rows under ``header``.
+
+    ``rows(start, stop)`` gives rows ``start`` to ``stop - 1`` as equal-length
+    float columns, so no column needs to exist whole.
+    """
     with open(filename, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack(rows(start, min(start + _CSV_BLOCK_ROWS, n_rows)))
+            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 class _Hashing(io.BufferedReader):
@@ -227,20 +238,106 @@ def _open_text(filename, digest=None):
                 pass
 
 
-def _read_csv(filename, what: str, digest=None) -> np.ndarray:
-    """The two float columns below a CSV file's header line, as an (n, 2) array."""
-    try:  # loadtxt given a handle, not a name, picks no decompressor from a suffix
-        with _open_text(filename, digest) as fh, warnings.catch_warnings():
-            # loadtxt warns on a file without data rows; that is an error here
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+class _Rows:
+    """One float64 array that rows are appended to, a block at a time.
+
+    It grows in place (``ndarray.resize``, a ``realloc`` that need not copy a
+    large array) through capacities ``2**k + 1``, the row counts of dyadic
+    grids, so a path's samples end up in an array of exactly their size.
+    """
+
+    def __init__(self, shape=(), capacity: int = (1 << 16) + 1):
+        self.data = np.empty((capacity, *shape))
+        self.size = 0
+
+    def extend(self, rows) -> None:
+        end = self.size + len(rows)
+        if end > self.data.shape[0]:
+            capacity = (1 << (end - 2).bit_length()) + 1
+            self.data.resize((capacity, *self.data.shape[1:]), refcheck=False)
+        self.data[self.size:end] = rows
+        self.size = end
+
+    def array(self) -> np.ndarray:
+        self.data.resize((self.size, *self.data.shape[1:]), refcheck=False)
+        return self.data
+
+
+# loadtxt numbers the rows in its messages by data row: from 0 in "could not
+# convert ... at row R" and from 1 in "the number of columns changed ... at row R"
+_ROW_IN_MESSAGE = re.compile(r"at row (\d+)")
+
+
+def _csv_blocks(fh):
+    """``(first_row, block)`` for the data rows below the header line of CSV text ``fh``.
+
+    The text is read ``_READ_BLOCK`` characters at a time, cut after its last
+    newline, and each block's lines go to ``np.loadtxt``, so rows parse as
+    ``np.loadtxt(fh, delimiter=",", skiprows=1)`` parses them, with the same
+    messages.  Each block after the first is led by a row of zeros as wide as
+    the rows before it, which ``np.loadtxt`` then checks the block's widths
+    against; a message's row is moved to the file's numbering.
+    """
+    rows, width, rest, header = 0, None, "", True
+    while True:
+        chunk = fh.read(_READ_BLOCK)
+        text = rest + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        if not cut:
+            if not chunk:
+                return
+            rest = text
+            continue
+        lines, rest = text[:cut].split("\n"), text[cut:]
+        if header:
+            del lines[0]
+            header = False
+        lead = [] if width is None else [",".join(["0"] * width)]
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on lines without data; the caller counts rows
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(lead + lines, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            offset = rows - len(lead)
+            raise ValueError(_ROW_IN_MESSAGE.sub(
+                lambda m: f"at row {int(m[1]) + offset}", str(exc), count=1)) from exc
+        block = block[len(lead):]
+        if block.shape[0]:
+            yield rows, block
+            rows += block.shape[0]
+            width = block.shape[1]
+        if not chunk:
+            return
+
+
+def _read_csv(filename, what: str, digest=None, times=None) -> np.ndarray:
+    """The two float columns below a CSV file's header line, as an (n, 2) array.
+
+    With ``times``, only the second column is kept, as an (n,) array, and
+    ``times(first_row, column)`` is given the first a block at a time.
+    """
+    width = None
+    try:  # read through a handle, a .gz name is read as the text it is
+        with _open_text(filename, digest) as fh:
+            for first, block in _csv_blocks(fh):
+                if width is None:
+                    width = block.shape[1]
+                    kept = _Rows(() if times is not None else (width,))
+                if width != 2:
+                    continue  # an error once every row has parsed
+                if times is None:
+                    kept.extend(block)
+                else:
+                    times(first, block[:, 0])
+                    kept.extend(block[:, 1])
     except (OSError, ValueError) as exc:
         raise FormatError(f"cannot parse {what} {filename}: {exc}") from exc
-    if data.shape[0] == 0:
+    if width is None:
         raise FormatError(f"{what} {filename} has no data rows")
-    if data.shape[1] != 2:
-        raise FormatError(f"{what} {filename} must have two columns, got {data.shape[1]}")
-    return data
+    if width != 2:
+        raise FormatError(f"{what} {filename} must have two columns, got {width}")
+    return kept.array()
 
 
 def _level_of(n_points: int) -> int | None:
@@ -249,21 +346,62 @@ def _level_of(n_points: int) -> int | None:
     return level if (1 << level) + 1 == n_points else None
 
 
+class _GridTimes:
+    """A path CSV's time column, checked a block at a time against ``j * step``.
+
+    ``step`` is row 1's time rounded to a power of two.  Row ``j`` fits when
+    it lies within ``step * 1e-6`` of ``j * step``; :meth:`of_level` then
+    tells whether every row fitted the grid of the level the row count gives,
+    as ``np.allclose`` of the whole column against :func:`grid_times` would.
+    """
+
+    def __init__(self):
+        self.step = None
+        self.fits = True
+        self.t0 = 0.0   # row 0, when it comes before row 1's block
+
+    def __call__(self, first: int, t: np.ndarray) -> None:
+        if self.step is None:
+            if first + t.size < 2:
+                self.t0 = t[0]
+                return
+            t1 = t[1 - first]
+            if 0.0 < t1 < 2.0:
+                self.step = 2.0 ** round(math.log2(t1))
+            else:
+                self.step, self.fits = 1.0, False
+            if first:
+                self.fits &= bool(abs(self.t0) <= self.step * 1e-6)
+        expect = np.arange(first, first + t.size, dtype=np.float64) * self.step
+        self.fits &= bool(np.all(np.abs(t - expect) <= self.step * 1e-6))
+
+    def of_level(self, grid_level: int) -> bool:
+        return self.fits and self.step == 2.0 ** (-grid_level)
+
+
 def write_path_csv(x: Path, filename) -> None:
-    _write_csv(filename, "t,value", [x.times, x.samples])
+    """Rows ``t,x(t)``; each block's times are ``np.arange(start, stop) * 2**-L``,
+    the bits of :func:`grid_times`, so no whole time column is made."""
+    step = 2.0 ** (-x.grid_level)
+    _write_csv(filename, "t,value", x.samples.size, lambda start, stop: (
+        np.arange(start, stop, dtype=np.float64) * step, x.samples[start:stop]))
 
 
 def read_path_csv(filename, label: str | None = None, digest=None) -> Path:
-    """A path CSV; the bytes read update the hashlib ``digest``, if given."""
-    data = _read_csv(filename, "path CSV", digest)
-    grid_level = _level_of(data.shape[0])
+    """A path CSV; the bytes read update the hashlib ``digest``, if given.
+
+    The values go into one array as the file is read, and the time column is
+    checked a block at a time and not kept.
+    """
+    times = _GridTimes()
+    samples = _read_csv(filename, "path CSV", digest, times)
+    grid_level = _level_of(samples.size)
     if grid_level is None:
-        raise FormatError(f"path CSV {filename} has {data.shape[0]} rows; "
+        raise FormatError(f"path CSV {filename} has {samples.size} rows; "
                           "expected 2**L + 1 for integer L")
-    if not np.allclose(data[:, 0], grid_times(grid_level), rtol=0.0,
-                       atol=2.0 ** (-grid_level) * 1e-6):
+    if not times.of_level(grid_level):
         raise FormatError(f"path CSV {filename}: time column is not the dyadic grid")
-    return Path(grid_level=grid_level, samples=data[:, 1],
+    return Path(grid_level=grid_level, samples=samples,
                 label=label if label is not None else os.path.basename(filename))
 
 
@@ -281,20 +419,187 @@ def write_path_json(x: Path, filename) -> None:
         fh.write(f'], "label": {json.dumps(x.label)}}}\n')
 
 
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")   # JSON whitespace, as json's own scanner skips it
+# No JSON number (NaN and Infinity included) holds one of these characters,
+# and every string, array, object, true, false and null does.
+_NOT_NUMBERS = '"[]{}ul'
+
+
+def _json_kind(value) -> str:
+    return {str: "a string", bool: "a boolean", list: "an array", dict: "an object",
+            type(None): "null"}.get(type(value), "a number")
+
+
+class _JsonText:
+    """JSON text read ``_READ_BLOCK`` characters at a time into a window, ``buf``.
+
+    ``pos`` indexes ``buf``; :meth:`more` drops the text before it and
+    appends the next block.  Errors carry ``json``'s message and the line,
+    column and character in the whole text, as ``json.load`` reports them.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, "", 0
+        self.start = 0        # characters before buf
+        self.lines = 0        # newlines before buf
+        self.line_start = 0   # the character after the last of them
+        if self.more() and self.buf.startswith("\ufeff"):
+            raise self.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+
+    def more(self) -> bool:
+        """Drop ``buf[:pos]`` and append the next block; false at the end of the text."""
+        chunk = self.fh.read(_READ_BLOCK)
+        if not chunk:
+            return False
+        newlines = self.buf.count("\n", 0, self.pos)
+        if newlines:
+            self.lines += newlines
+            self.line_start = self.start + self.buf.rindex("\n", 0, self.pos) + 1
+        self.start += self.pos
+        self.buf, self.pos = self.buf[self.pos:] + chunk, 0
+        return True
+
+    def error(self, msg: str, pos: int) -> ValueError:
+        newlines = self.buf.count("\n", 0, pos)
+        line_start = (self.start + self.buf.rindex("\n", 0, pos) + 1 if newlines
+                      else self.line_start)
+        at = self.start + pos
+        return ValueError(f"{msg}: line {self.lines + newlines + 1} "
+                          f"column {at - line_start + 1} (char {at})")
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, or "" at the end of the text."""
+        while True:
+            self.pos = _SPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def expect(self, chars: str, msg: str) -> str:
+        char = self.peek()
+        if not char or char not in chars:
+            raise self.error(msg, self.pos)
+        self.pos += 1
+        return char
+
+    def value(self):
+        """The value at ``pos``.
+
+        A value that ends within two characters of the window's end waits for
+        the next block: a number is taken only once a delimiter follows it,
+        and ``1.5e+`` decodes as 1.5 until its digits arrive.  Text that does
+        not decode is retried with more of it, up to the end of the file.
+        """
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more():
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            if end < len(self.buf) - 2 or not self.more():
+                self.pos = end
+                return value
+
+    def numbers(self, rows: _Rows):
+        """The array at ``pos``, into ``rows``; its first item that is not a
+        number, as ``(index, item)``, or None.
+
+        The numbers up to the last comma before the window's end, or before a
+        character no number holds, go to ``json.loads`` at once.  The item
+        after that comma is decoded on its own, and so is every item once one
+        is not a number or a run does not parse.  The array is read to its
+        end either way, so a syntax error after it is reported as
+        ``json.load`` reports it.
+        """
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return None
+        bad, runs, stop = None, True, -1   # stop: an index in the whole text
+        while True:
+            buf, pos = self.buf, self.pos
+            if runs:
+                if stop <= self.start + pos:
+                    found = [i for i in (buf.find(c, pos) for c in _NOT_NUMBERS) if i >= 0]
+                    stop = self.start + min(found, default=len(buf))
+                cut = buf.rfind(",", pos, stop - self.start)
+                if cut > _SPACE.match(buf, pos).end():
+                    try:
+                        items = json.loads(f"[{buf[pos:cut]}]")
+                    except ValueError:
+                        runs = False
+                    else:
+                        rows.extend(items)
+                        self.pos = cut + 1
+                        continue
+            item = self.value()
+            if bad is None:
+                if type(item) in (int, float):
+                    rows.extend([item])
+                else:
+                    bad, runs = (rows.size, item), False
+            if self.expect(",]", "Expecting ',' delimiter") == "]":
+                return bad
+
+    def document(self):
+        """The whole text's value; a ``samples`` array in an object is read by
+        :meth:`numbers` and stands as ``(rows, first non-number)``."""
+        if self.peek() != "{":
+            doc = self.value()
+        else:
+            doc = {}
+            self.pos += 1
+            closed = self.peek() == "}"
+            self.pos += closed
+            while not closed:
+                if self.peek() != '"':
+                    raise self.error("Expecting property name enclosed in double quotes",
+                                     self.pos)
+                key = self.value()
+                self.expect(":", "Expecting ':' delimiter")
+                if key == "samples" and self.peek() == "[":
+                    level = doc.get("grid_level")
+                    sized = type(level) is int and 0 <= level <= _MAX_LEVEL
+                    rows = _Rows() if not sized else _Rows(capacity=(1 << level) + 1)
+                    doc[key] = (rows, self.numbers(rows))
+                else:
+                    doc[key] = self.value()
+                closed = self.expect(",}", "Expecting ',' delimiter") == "}"
+        if self.peek():
+            raise self.error("Extra data", self.pos)
+        return doc
+
+
 def read_path_json(filename, digest=None) -> Path:
-    """A path JSON; the bytes read update the hashlib ``digest``, if given."""
+    """A path JSON; the bytes read update the hashlib ``digest``, if given.
+
+    The text is read a block at a time and the samples go into one array as
+    they are parsed; the document is otherwise read as ``json.load`` reads
+    it, whatever its key order, spacing or repeated keys.
+    """
     try:
         with _open_text(filename, digest) as fh:
-            doc = json.load(fh)
+            doc = _JsonText(fh).document()
         grid_level = doc["grid_level"]
-        samples = np.asarray(doc["samples"], dtype=np.float64)
+        samples = doc["samples"]
         label = str(doc.get("label", ""))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: an integer sample beyond the float range
         raise FormatError(f"cannot parse path JSON {filename}: {exc}") from exc
     if type(grid_level) is not int:
         raise FormatError(f"path JSON {filename}: grid level {grid_level!r} "
                           "is not an integer")
-    if samples.ndim != 1 or _level_of(samples.size) != grid_level:
+    if type(samples) is not tuple:
+        raise FormatError(f"path JSON {filename}: samples are {_json_kind(samples)}, "
+                          f"not an array of numbers filling grid level {grid_level}")
+    rows, bad = samples
+    if bad is not None:
+        raise FormatError(f"path JSON {filename}: sample {bad[0]} is "
+                          f"{_json_kind(bad[1])}, not a number (grid level {grid_level})")
+    samples = rows.array()
+    if _level_of(samples.size) != grid_level:
         raise FormatError(f"path JSON {filename}: {samples.size} samples do not fill "
                           f"grid level {grid_level} (need 2**grid_level + 1)")
     return Path(grid_level=grid_level, samples=samples, label=label)

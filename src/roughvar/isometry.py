@@ -300,8 +300,9 @@ class IsometryReport:
 
 
 def write_report_csv(report: IsometryReport, filename) -> None:
-    _write_csv(filename, "level,lhs,rhs,rel_err",
-               [report.levels, report.lhs_terminal, report.rhs_terminal, report.rel_err])
+    columns = (report.levels, report.lhs_terminal, report.rhs_terminal, report.rel_err)
+    _write_csv(filename, "level,lhs,rhs,rel_err", len(report.levels),
+               lambda start, stop: [c[start:stop] for c in columns])
 
 
 _REL_FLOOR = 1e-12

@@ -670,7 +670,8 @@ def _sidecar_name(csv_filename) -> str:
 
 def write_profile_csv(profile: VariationProfile, csv_filename,
                       sidecar_filename=None) -> None:
-    _write_csv(csv_filename, "t,value", [profile.times, profile.values])
+    _write_csv(csv_filename, "t,value", profile.times.size,
+               lambda start, stop: (profile.times[start:stop], profile.values[start:stop]))
     sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
     with open(sidecar, "w") as fh:
         json.dump(profile.metadata(), fh, indent=2, sort_keys=True)

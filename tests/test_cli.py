@@ -7,6 +7,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -679,6 +680,39 @@ class TestInputsReadOnce:
         assert json.loads(piped.stdout)["terminals"] == json.loads(named.stdout)["terminals"]
         inputs = json.loads((tmp_path / "p.manifest.json").read_text())["inputs"]
         assert inputs == {"/dev/stdin": _sha256_of(takagi_csv)}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_multi_block_path_from_a_pipe(self, suffix, tmp_path, capsys):
+        """A level-14 path is several read blocks; piped, it parses and hashes as the file.
+
+        CSV comes through ``/dev/stdin``; JSON is chosen by the name's
+        suffix, so it comes through a named pipe ``fifo.json``.
+        """
+        path = str(tmp_path / ("x" + suffix))
+        rc, _, err = run(capsys, "gen", "--kind", "fbm", "--H", "0.3", "--level", "14",
+                         "--seed", "4", "--out", path)
+        assert rc == 0, err
+        data = pathlib.Path(path).read_bytes()
+        argv = ["--json", "pvar", "--p", "2", "--levels", "4:14"]
+        named = _cli(argv + ["--in", path])
+        if suffix == ".csv":
+            source = "/dev/stdin"
+            piped = _cli(argv + ["--in", source, "--out", str(tmp_path / "p.json")], data)
+        else:
+            source = str(tmp_path / "fifo.json")
+            os.mkfifo(source)
+            feeder = threading.Thread(target=pathlib.Path(source).write_bytes, args=(data,))
+            feeder.start()
+            piped = _cli(argv + ["--in", source, "--out", str(tmp_path / "p.json")])
+            if feeder.is_alive():   # the CLI never opened the pipe: let the writer fail
+                os.close(os.open(source, os.O_RDONLY | os.O_NONBLOCK))
+            feeder.join()
+        assert named.returncode == 0, named.stderr
+        assert piped.returncode == 0, piped.stderr
+        assert json.loads(piped.stdout)["terminals"] == json.loads(named.stdout)["terminals"]
+        inputs = json.loads((tmp_path / "p.manifest.json").read_text())["inputs"]
+        assert inputs == {source: hashlib.sha256(data).hexdigest()}
 
     def test_every_input_kind_records_its_sha256(self, takagi_csv, tmp_path, capsys):
         path_json = str(tmp_path / "x.json")
