@@ -27,7 +27,6 @@ from .grid import (
     Path,
     dyadic_partition,
     grid_times,
-    oscillation,
     read_path_csv,
     read_path_json,
     write_path_csv,
@@ -52,7 +51,6 @@ from .pathgen import (
     takagi_path,
 )
 from .variation import (
-    ClassificationThresholds,
     LimitReport,
     PVarSource,
     VariationProfile,
@@ -99,7 +97,7 @@ __all__ = [
     "NumericalError", "BracketError", "InconclusiveError", "EvaluationError",
     "FormatError",
     # grid
-    "Path", "Partition", "grid_times", "dyadic_partition", "oscillation",
+    "Path", "Partition", "grid_times", "dyadic_partition",
     "read_path_csv", "write_path_csv", "read_path_json", "write_path_json",
     # schauder
     "SchauderCoefficients", "schauder_eval",
@@ -111,9 +109,8 @@ __all__ = [
     "counterexample_path", "smooth_perturbation",
     # variation
     "VariationProfile", "PVarSource", "accurate_cumsum", "pth_variation",
-    "scaled_qv", "classical_scaled_qv", "ClassificationThresholds",
-    "LimitReport", "limit_diagnostics", "read_profile_csv",
-    "write_profile_csv",
+    "scaled_qv", "classical_scaled_qv", "LimitReport",
+    "limit_diagnostics", "read_profile_csv", "write_profile_csv",
     # roughness
     "ProbeRecord", "RoughnessReport", "default_levels", "classify_index",
     "classification_sweep", "critical_index_search",

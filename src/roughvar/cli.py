@@ -48,19 +48,9 @@ def _load_json(filename: str, digest):
         return json.load(fh)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(obj, filename) -> None:
     with open(filename, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -88,7 +78,7 @@ def _write_manifest(args, t0: float, inputs: dict, out: str,
 
 def _emit(args, payload: dict, lines) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -321,16 +311,21 @@ def _two_sided_run(args, check) -> int:
     """Common body of isometry / chainrule / invariance.
 
     ``check(x, levels, inputs)`` returns the report; it records the digests
-    of any further input files in ``inputs``.
+    of any further input files in ``inputs``.  The per-level table goes next
+    to the report JSON, as ``--out`` with a ``.csv`` extension.
     """
+    table = os.path.splitext(args.out or "")[0] + ".csv"
+    if args.out and table == args.out:
+        raise ValidationError(f"--out {args.out} is also the per-level table's "
+                              "name; give the report JSON another name, such as "
+                              "a .json one")
     t0 = time.perf_counter()
     x, inputs, extra = _load_path(args)
     report = check(x, _resolve_levels(args, x), inputs)
     payload = {"command": args.command, **report.to_dict()}
     if args.out:
         _write_json(payload, args.out)
-        stem, _ = os.path.splitext(args.out)
-        isometry.write_report_csv(report, stem + ".csv")
+        isometry.write_report_csv(report, table)
         _write_manifest(args, t0, inputs, args.out, extra)
     lines = [f"level {n:2d}: lhs {a:.9g} rhs {b:.9g} rel_err {r:.3g}"
              for n, a, b, r in zip(report.levels, report.lhs_terminal,
@@ -581,8 +576,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         evidence = getattr(exc, "evidence", None)
         if evidence:
-            print(json.dumps({"evidence": evidence}, indent=2, sort_keys=True,
-                             default=_json_default), file=sys.stderr)
+            print(json.dumps({"evidence": evidence}, indent=2, sort_keys=True),
+                  file=sys.stderr)
         return 2
 
 

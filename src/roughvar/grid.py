@@ -1,4 +1,4 @@
-"""Dyadic grids, partitions, and oscillation.
+"""Dyadic grids, partitions, and path files.
 
 A :class:`Path` is a function on [0, 1] sampled at the dyadic grid points
 ``t_j = j * 2**-L``.  A :class:`Partition` selects a subset of those grid
@@ -15,7 +15,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "Path",
     "Partition",
     "dyadic_partition",
-    "oscillation",
     "grid_times",
     "read_path_csv",
     "read_path_json",
@@ -89,9 +88,6 @@ class Path:
     def times(self) -> np.ndarray:
         return grid_times(self.grid_level)
 
-    def relabel(self, label: str) -> "Path":
-        return replace(self, label=label)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -115,11 +111,6 @@ class Partition:
         if np.any(np.diff(idx) <= 0):
             raise ValidationError("partition indices must be strictly increasing")
         object.__setattr__(self, "indices", _readonly(idx))
-
-    @property
-    def count(self) -> int:
-        """Number of partition intervals."""
-        return self.indices.size - 1
 
     def check_grid(self, grid_level: int) -> None:
         last = int(self.indices[-1])
@@ -147,24 +138,6 @@ def dyadic_partition(n: int, grid_level: int) -> Partition:
         )
     step = 1 << (grid_level - n)
     return Partition(level=n, indices=np.arange(0, (1 << grid_level) + 1, step))
-
-
-def oscillation(x: Path, part: Partition) -> float:
-    """Largest within-block fluctuation of ``x`` along ``part``.
-
-    For each partition block the fluctuation is max - min over all grid
-    samples in the block, endpoints inclusive; the result is the maximum
-    over blocks.  Nonnegative, and at least the largest block increment.
-    """
-    part.check_grid(x.grid_level)
-    s = x.samples
-    starts = part.indices[:-1]
-    # reduceat spans [indices[j], indices[j+1]); fold the right endpoint in.
-    block_max = np.maximum.reduceat(s, starts)
-    block_min = np.minimum.reduceat(s, starts)
-    block_max = np.maximum(block_max, s[part.indices[1:]])
-    block_min = np.minimum(block_min, s[part.indices[1:]])
-    return float(np.max(block_max - block_min))
 
 
 # ---------------------------------------------------------------------------

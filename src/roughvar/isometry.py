@@ -84,13 +84,6 @@ class SmoothMap:
         approx = (self.f(u + h) - self.f(u - h)) / (2.0 * h)
         return float(np.max(np.abs(self.f1(u) - approx)))
 
-    def bounds(self, lo: float, hi: float, n: int = 256) -> dict:
-        """Sup of |f|, |f'|, |f''| sampled on [lo, hi]."""
-        u = np.linspace(lo, hi, n)
-        return {"sup_f": float(np.max(np.abs(self.f(u)))),
-                "sup_f1": float(np.max(np.abs(self.f1(u)))),
-                "sup_f2": float(np.max(np.abs(self.f2(u))))}
-
 
 def identity_map() -> SmoothMap:
     return SmoothMap(id="identity",
@@ -316,11 +309,7 @@ def holder_proxy(x: Path, levels, inc: _Increments | None = None) -> float:
     lv = _check_levels(x, levels, 2)
     inc = inc or _Increments(x, keep=False)
     mags = np.asarray([float(np.max(np.abs(inc.dx(n)))) for n in lv])
-    ok = mags > 0.0
-    if np.count_nonzero(ok) < 2:
-        return float("nan")
-    slope = np.polyfit(np.asarray(lv, dtype=np.float64)[ok], np.log2(mags[ok]), 1)[0]
-    return float(-slope)
+    return -_tail_slope(np.asarray(lv, dtype=np.float64), mags)
 
 
 def _pth_trend(x: Path, p: float, levels,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .errors import BracketError, InconclusiveError, ValidationError
 from .grid import Path
 from .variation import (
-    ClassificationThresholds,
     PVarSource,
     _check_levels,
     _Increments,
@@ -96,33 +95,29 @@ class RoughnessReport:
 
 
 def _probe(x: Path, levels: list, q: float, src: PVarSource | None,
-           thresholds: ClassificationThresholds | None,
            inc: _Increments | None = None) -> ProbeRecord:
     """Classify every level's scaled-QV terminal at q, taken in one pyramid pass."""
     if not 0.0 < q < math.inf:
         raise ValidationError(f"q must be > 0 and finite, got {q}")
     terminals = _level_terminals(x, levels, "scaled", q, src=src, inc=inc)
-    rep = limit_diagnostics(terminals, window=len(levels), levels=levels,
-                            thresholds=thresholds)
+    rep = limit_diagnostics(terminals, window=len(levels), levels=levels)
     return ProbeRecord(q=float(q), classification=rep.classification,
                        terminal_values=rep.terminal_values,
                        trend_slope=rep.trend_slope)
 
 
 def classify_index(x: Path, levels, q: float,
-                   src: PVarSource | None = None,
-                   thresholds: ClassificationThresholds | None = None) -> str:
+                   src: PVarSource | None = None) -> str:
     """Classify scaled-QV terminals at exponent q across the given levels."""
-    return _probe(x, _check_levels(x, levels, 3), q, src, thresholds).classification
+    return _probe(x, _check_levels(x, levels, 3), q, src).classification
 
 
 def classification_sweep(x: Path, levels, qs,
-                         src: PVarSource | None = None,
-                         thresholds: ClassificationThresholds | None = None) -> list:
+                         src: PVarSource | None = None) -> list:
     """Probe several exponents; records sorted by q."""
     levels = _check_levels(x, levels, 3)
     inc = _Increments(x)
-    return sorted((_probe(x, levels, q, src, thresholds, inc) for q in qs),
+    return sorted((_probe(x, levels, q, src, inc) for q in qs),
                   key=lambda rec: rec.q)
 
 
@@ -160,8 +155,7 @@ def _secant_root(a: ProbeRecord, b: ProbeRecord, lo: float, hi: float) -> float:
 
 
 def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
-                          iters: int = 12, src: PVarSource | None = None,
-                          thresholds: ClassificationThresholds | None = None
+                          iters: int = 12, src: PVarSource | None = None
                           ) -> RoughnessReport:
     """Locate the critical variation index by a secant search in 1/q.
 
@@ -203,7 +197,7 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
         return [r.to_dict() for r in sorted(seen.values(), key=lambda r: r.q)]
 
     def probe(q: float) -> ProbeRecord:
-        rec = _probe(x, levels, q, src, thresholds, inc)
+        rec = _probe(x, levels, q, src, inc)
         seen[rec.q] = rec
         return rec
 

@@ -42,7 +42,6 @@ __all__ = [
     "pth_variation",
     "scaled_qv",
     "classical_scaled_qv",
-    "ClassificationThresholds",
     "LimitReport",
     "limit_diagnostics",
     "read_profile_csv",
@@ -547,28 +546,15 @@ def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
 # Limit diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationThresholds:
-    """Decision thresholds for classifying a terminal-value sequence.
-
-    A sequence is vanishing when its tail maximum falls under ``vanish_mag``
-    or its log2 slope is under ``-slope``; diverging when the tail minimum
-    exceeds ``diverge_mag`` or the slope exceeds ``+slope``; oscillating
-    when the tail max/min ratio exceeds ``ratio`` with a non-monotone tail.
-    Calibrated on the known closed-form examples; all overridable.
-    """
-
-    vanish_mag: float = 1e-6
-    diverge_mag: float = 1e6
-    slope: float = 0.25
-    ratio: float = 100.0
-
-    def metadata(self) -> dict:
-        return {"vanish_mag": self.vanish_mag, "diverge_mag": self.diverge_mag,
-                "slope": self.slope, "ratio": self.ratio}
-
-
-DEFAULT_THRESHOLDS = ClassificationThresholds()
+# Thresholds that classify a terminal-value sequence, calibrated on the
+# closed-form examples.  A sequence is vanishing when its tail maximum falls
+# under _VANISH_MAG or its log2 slope is under -_SLOPE; diverging when the tail
+# minimum exceeds _DIVERGE_MAG or the slope exceeds +_SLOPE; oscillating when
+# the tail max/min ratio exceeds _RATIO with a non-monotone tail.
+_VANISH_MAG = 1e-6
+_DIVERGE_MAG = 1e6
+_SLOPE = 0.25
+_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -578,6 +564,7 @@ class LimitReport:
     ``limsup_est`` / ``liminf_est`` are the max / min over the tail window;
     ``trend_slope`` is the least-squares slope of log2(value) against level
     over the window (nonpositive values excluded from the fit).
+    :meth:`to_dict` also lists the fixed thresholds that decided the class.
     """
 
     levels: tuple
@@ -587,7 +574,6 @@ class LimitReport:
     liminf_est: float
     trend_slope: float
     window: int
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels),
@@ -595,7 +581,8 @@ class LimitReport:
                 "classification": self.classification,
                 "limsup_est": self.limsup_est, "liminf_est": self.liminf_est,
                 "trend_slope": self.trend_slope, "window": self.window,
-                "thresholds": self.thresholds.metadata()}
+                "thresholds": {"vanish_mag": _VANISH_MAG, "diverge_mag": _DIVERGE_MAG,
+                               "slope": _SLOPE, "ratio": _RATIO}}
 
 
 def _tail_slope(levels: np.ndarray, values: np.ndarray) -> float:
@@ -605,15 +592,13 @@ def _tail_slope(levels: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(levels[ok], np.log2(values[ok]), 1)[0])
 
 
-def limit_diagnostics(terminal_values, window: int, levels=None,
-                      thresholds: ClassificationThresholds | None = None) -> LimitReport:
+def limit_diagnostics(terminal_values, window: int, levels=None) -> LimitReport:
     """Classify the limit behaviour of per-level terminal values.
 
     ``window`` is the number of trailing levels used for the estimates (use
     the full length to catch oscillation between interleaved subsequences).
     ``levels`` defaults to 0, 1, 2, ... when not given.
     """
-    th = thresholds or DEFAULT_THRESHOLDS
     vals = np.asarray(terminal_values, dtype=np.float64)
     if vals.ndim != 1 or vals.size < 3:
         raise ValidationError(f"need at least 3 levels to diagnose, got {vals.size}")
@@ -633,9 +618,9 @@ def limit_diagnostics(terminal_values, window: int, levels=None,
     liminf = float(np.min(tail))
     slope = _tail_slope(tail_lvl, tail)
 
-    if limsup < th.vanish_mag or slope < -th.slope:
+    if limsup < _VANISH_MAG or slope < -_SLOPE:
         cls = "vanishing"
-    elif liminf > th.diverge_mag or slope > th.slope:
+    elif liminf > _DIVERGE_MAG or slope > _SLOPE:
         cls = "diverging"
     else:
         if liminf <= 0.0 < limsup:
@@ -646,9 +631,9 @@ def limit_diagnostics(terminal_values, window: int, levels=None,
             ratio = 1.0
         diffs = np.diff(tail)
         monotone = bool(np.all(diffs >= 0.0) or np.all(diffs <= 0.0))
-        if ratio > th.ratio and not monotone:
+        if ratio > _RATIO and not monotone:
             cls = "oscillating"
-        elif np.all((tail >= th.vanish_mag) & (tail <= th.diverge_mag)):
+        elif np.all((tail >= _VANISH_MAG) & (tail <= _DIVERGE_MAG)):
             cls = "finite_positive"
         else:
             cls = "inconclusive"
@@ -656,7 +641,7 @@ def limit_diagnostics(terminal_values, window: int, levels=None,
                                     for v in lvl),
                        terminal_values=tuple(float(v) for v in vals),
                        classification=cls, limsup_est=limsup, liminf_est=liminf,
-                       trend_slope=slope, window=int(window), thresholds=th)
+                       trend_slope=slope, window=int(window))
 
 
 # ---------------------------------------------------------------------------

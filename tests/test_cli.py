@@ -108,6 +108,41 @@ class TestGen:
         assert rc == 1
         assert "requires --H" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "counterexample"), "--kind counterexample requires --nmax"),
+        (("--kind", "custom_schauder", "--level", "8"),
+         "--kind custom_schauder requires --coeffs-file"),
+        (("--kind", "takagi", "--H", "0.5"), "--kind takagi requires --level"),
+        (("--kind", "smooth"), "--kind smooth requires --level"),
+    ])
+    def test_each_kind_names_its_missing_flag(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        rc, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert rc == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    # levels past 7 see the takagi truncation at coefficient level 6
+    @pytest.mark.parametrize("argv,levels,generator,path", [
+        (("--kind", "takagi", "--H", "0.5", "--level", "10", "--max-level", "6"),
+         (4, 10), {"grid_level": 10, "params": {"signs": "plus", "max_level": 6}},
+         lambda: rv.takagi_path(0.5, 10, max_level=6)),
+        (("--kind", "counterexample", "--nmax", "3"),
+         (1, 6), {"grid_level": None, "params": {"n_max": 3}},
+         lambda: rv.counterexample_path(3)),
+    ])
+    def test_inline_generator_params_reach_the_manifest(self, argv, levels, generator,
+                                                        path, tmp_path, capsys):
+        out = tmp_path / "pvar.json"
+        rc, _, err = run(capsys, "pvar", *argv, "--p", "2",
+                         "--levels", "%d:%d" % levels, "--out", str(out))
+        assert rc == 0, err
+        got = json.loads((tmp_path / "pvar.manifest.json").read_text())["generator"]
+        assert {key: got[key] for key in generator} == generator
+        expect = rv.variation._level_terminals(
+            path(), list(range(levels[0], levels[1] + 1)), "pth")
+        assert json.loads(out.read_text())["terminals"] == expect
+
     @pytest.mark.parametrize("flag", ["--amplitude", "--freq"])
     def test_explicit_zero_smooth_flag_gives_zero_path(self, flag, tmp_path, capsys):
         out = tmp_path / "zero.csv"
@@ -183,6 +218,17 @@ class TestProfileCommands:
                        "--levels", "2:10")
         assert doc["limit_report"]["window"] == 4
 
+    @pytest.mark.parametrize("window,size", [(None, 4), ("3", 3), ("full", 9)])
+    def test_window_sets_the_tail_of_the_estimates(self, window, size, capsys):
+        # random signs: the terminals are not monotone, so each tail has its
+        # own extremes
+        argv = ["pvar", "--kind", "takagi", "--H", "0.5", "--level", "12",
+                "--signs", "random", "--seed", "4", "--p", "2.5", "--levels", "2:10"]
+        doc = run_json(capsys, *argv, *(("--window", window) if window else ()))
+        rep, tail = doc["limit_report"], doc["terminals"][-size:]
+        assert rep["window"] == size
+        assert (rep["limsup_est"], rep["liminf_est"]) == (max(tail), min(tail))
+
     def test_profiles_out_writes_per_level_files(self, takagi_csv, tmp_path,
                                                  capsys):
         prof_dir = tmp_path / "profiles"
@@ -244,6 +290,13 @@ class TestProfileCommands:
             rc, _, err = run(capsys, *argv)
             assert rc == 1, argv
             assert err.startswith("error:")
+
+    def test_zero_time_in_row_one_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,value\n0,0\n0,1\n1,2\n")
+        rc, _, err = run(capsys, "pvar", "--in", str(bad), "--p", "2")
+        assert rc == 3
+        assert err == f"error: path CSV {bad}: time column is not the dyadic grid\n"
 
     def test_unreadable_input_exits_three(self, tmp_path, capsys):
         rc, _, err = run(capsys, "pvar", "--in", str(tmp_path / "nope.csv"),
@@ -369,6 +422,19 @@ class TestTwoSidedCommands:
         assert csv_lines[0] == "level,lhs,rhs,rel_err"
         assert len(csv_lines) == 1 + 5
         assert (tmp_path / "iso.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["isometry", "chainrule", "invariance"])
+    def test_report_named_like_its_table_exits_one(self, command, takagi_csv,
+                                                   tmp_path, capsys):
+        # the per-level table is --out with a .csv extension: it would
+        # overwrite a report JSON named r.csv
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "r.csv"
+        rc, _, err = run(capsys, command, "--in", takagi_csv, "--p", "2",
+                         "--levels", "6:10", "--out", str(out))
+        assert rc == 1
+        assert err.startswith(f"error: --out {out} is also the per-level table's name")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_chainrule_command(self, takagi_csv, capsys):
         doc = run_json(capsys, "chainrule", "--in", takagi_csv, "--p", "2",

@@ -25,6 +25,14 @@ def fbm14():
 # ---------------------------------------------------------------------------
 
 
+def _bounds(f, lo, hi, n=256):
+    """Sup of |f|, |f'|, |f''| sampled on [lo, hi]."""
+    u = np.linspace(lo, hi, n)
+    return {"sup_f": float(np.max(np.abs(f.f(u)))),
+            "sup_f1": float(np.max(np.abs(f.f1(u)))),
+            "sup_f2": float(np.max(np.abs(f.f2(u))))}
+
+
 class TestSmoothMapCatalog:
     @pytest.mark.parametrize("factory,lo,hi", [
         (rv.identity_map, -2.0, 2.0),
@@ -43,7 +51,7 @@ class TestSmoothMapCatalog:
         npt.assert_array_equal(f.f1(np.array([7.0, 9.0])), [0.0, 0.0])
 
     def test_bounds_report_suprema(self):
-        b = rv.sin_map().bounds(0.0, np.pi)
+        b = _bounds(rv.sin_map(), 0.0, np.pi)
         assert 0.999 <= b["sup_f"] <= 1.0
         assert 0.999 <= b["sup_f1"] <= 1.0
         assert b["sup_f2"] <= 1.0
@@ -195,6 +203,12 @@ class TestComposePath:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(EvaluationError, match=r"t=0\.0"):
                 rv.compose_path(log_map, takagi14)
+
+    def test_map_that_changes_the_sample_count_is_rejected(self, takagi14):
+        drop_last = rv.SmoothMap(id="drop_last", f=lambda u: u[:-1],
+                                 f1=np.ones_like, f2=np.zeros_like, K=1.0)
+        with pytest.raises(EvaluationError, match="drop_last changed the sample count"):
+            rv.compose_path(drop_last, takagi14)
 
 
 # ---------------------------------------------------------------------------

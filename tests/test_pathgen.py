@@ -364,6 +364,10 @@ class TestSmoothPerturbation:
         with pytest.raises(ValidationError, match="sine or poly"):
             rv.smooth_perturbation("spline", 1.0, 4)
 
+    def test_empty_poly_coefficients_rejected(self):
+        with pytest.raises(ValidationError, match="1-D coefficient list"):
+            rv.smooth_perturbation("poly", 1.0, 4, {"coeffs": []})
+
     def test_lipschitz_bound_dominates_observed_slopes(self):
         for kind, params in [("sine", {"freq": 3.0}),
                              ("poly", {"coeffs": [0.0, 2.0, -1.0]})]:

@@ -134,13 +134,6 @@ class TestCriticalIndexSearch:
         assert "oscillating" in classes
         assert isinstance(exc.value, NumericalError)
 
-    def test_tightened_ratio_threshold_also_aborts(self):
-        cx = rv.counterexample_path(5)
-        picky = rv.ClassificationThresholds(ratio=2.0)
-        with pytest.raises(InconclusiveError):
-            rv.critical_index_search(cx, levels=[5, 6, 9, 10, 14, 15],
-                                     iters=6, thresholds=picky)
-
     def test_validation_of_search_arguments(self, takagi14):
         with pytest.raises(ValidationError, match="p_min < p_max"):
             rv.critical_index_search(takagi14, p_range=(4.0, 1.2))

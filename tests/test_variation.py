@@ -461,11 +461,6 @@ class TestLimitDiagnostics:
         npt.assert_allclose(a.trend_slope, -1.0, atol=1e-12)
         npt.assert_allclose(b.trend_slope, -0.5, atol=1e-12)
 
-    def test_threshold_overrides(self):
-        loose = rv.ClassificationThresholds(slope=3.0)
-        rep = rv.limit_diagnostics([4.0, 2.0, 1.0, 0.5], window=4, thresholds=loose)
-        assert rep.classification == "finite_positive"
-
     def test_needs_three_levels(self):
         with pytest.raises(ValidationError, match="at least 3"):
             rv.limit_diagnostics([1.0, 2.0], window=2)
@@ -478,7 +473,8 @@ class TestLimitDiagnostics:
         rep = rv.limit_diagnostics([1.0, 1.0, 1.0], window=3)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["classification"] == "finite_positive"
-        assert doc["thresholds"]["ratio"] == 100.0
+        assert doc["thresholds"] == {"vanish_mag": 1e-6, "diverge_mag": 1e6,
+                                     "slope": 0.25, "ratio": 100.0}
 
 
 # ---------------------------------------------------------------------------
