@@ -59,6 +59,29 @@ def _manifest_name(out: str) -> str:
     return (stem if ext in (".csv", ".json") else out) + ".manifest.json"
 
 
+def _check_names(args, *writes, report: bool = True) -> None:
+    """Exit 1, before any write, if two files a command reads or writes share a name.
+
+    ``writes`` are ``(role, name)`` pairs, after ``--out`` and before its
+    manifest when ``report``.  Each name is compared by ``os.path.realpath``
+    with every file an input flag names and every earlier write.
+    """
+    reads = [("--in", name) for name in getattr(args, "infiles", None) or ()]
+    reads += [(flag, getattr(args, dest, None)) for flag, dest in (
+        ("--in", "infile"), ("--coeffs-file", "coeffs_file"),
+        ("--map-file", "map_file"), ("--perturb-in", "perturb_in"))]
+    if report and args.out:
+        writes = (("--out", args.out), *writes, ("the manifest", _manifest_name(args.out)))
+    seen = {}
+    for i, (role, name) in enumerate([*reads, *writes]):
+        key = name and os.path.realpath(name)
+        if key in seen and i >= len(reads):
+            raise ValidationError(f"{' '.join(seen[key])} is also {role}'s name; a "
+                                  "command reads and writes each file under its own name")
+        if key:
+            seen.setdefault(key, (role, name))
+
+
 def _write_manifest(args, t0: float, inputs: dict, out: str,
                     extra: dict | None = None, exact_name: bool = False) -> None:
     config = {key: val for key, val in vars(args).items()
@@ -114,16 +137,13 @@ def _resolve_window(args, n_levels: int) -> int:
     if raw == "full":
         return n_levels
     try:
-        window = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ValidationError(f"bad window {raw!r}; expected an integer or 'full'") from exc
-    return window
 
 
 def _resolve_source(args) -> variation.PVarSource | None:
-    mode = getattr(args, "src", None) or "finest"
-    if mode == "finest":
-        return None
+    mode = getattr(args, "src", None)
     if mode == "self":
         return variation.PVarSource.self_level()
     if mode == "analytic":
@@ -131,7 +151,7 @@ def _resolve_source(args) -> variation.PVarSource | None:
             raise ValidationError("--src analytic requires --analytic-c C "
                                   "(weights from the linear proxy C*t)")
         return variation.PVarSource.linear(args.analytic_c)
-    raise ValidationError(f"unknown source mode {mode!r}")
+    return None  # --src finest, the default
 
 
 def _smooth_params(args) -> dict:
@@ -211,6 +231,7 @@ def _load_path(args) -> tuple:
 def _cmd_gen(args) -> int:
     t0 = time.perf_counter()
     spec = _generator_spec(args)
+    _check_names(args)
     inputs = {}
     x = _generate(spec, inputs)
     write = grid.write_path_json if args.out.endswith(".json") else grid.write_path_csv
@@ -241,10 +262,12 @@ def _profile_run(args, kind: str) -> int:
     levels = _resolve_levels(args, x)
 
     out_dir, write = getattr(args, "profiles_out", None), None
+    csv = lambda n: os.path.join(out_dir, f"{label}_level{n:02d}.csv")
+    _check_names(args, *(("a --profiles-out file", name) for n in levels if out_dir
+                         for name in (csv(n), variation._sidecar_name(csv(n)))))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        write = lambda prof: variation.write_profile_csv(
-            prof, os.path.join(out_dir, f"{label}_level{prof.level:02d}.csv"))
+        write = lambda prof: variation.write_profile_csv(prof, csv(prof.level))
     per_level = variation._level_metadata(x, levels, kind, p, gamma, src, write)
     terminals = [meta["terminal"] for meta in per_level]
     report = None
@@ -274,6 +297,7 @@ def _profile_run(args, kind: str) -> int:
 
 def _cmd_roughness(args) -> int:
     t0 = time.perf_counter()
+    _check_names(args, ("--per-q-out", args.per_q_out))
     x, inputs, extra = _load_path(args)
     levels = _resolve_levels(args, x)
     report = roughness.critical_index_search(
@@ -315,10 +339,7 @@ def _two_sided_run(args, check) -> int:
     to the report JSON, as ``--out`` with a ``.csv`` extension.
     """
     table = os.path.splitext(args.out or "")[0] + ".csv"
-    if args.out and table == args.out:
-        raise ValidationError(f"--out {args.out} is also the per-level table's "
-                              "name; give the report JSON another name, such as "
-                              "a .json one")
+    _check_names(args, ("the per-level table", args.out and table))
     t0 = time.perf_counter()
     x, inputs, extra = _load_path(args)
     report = check(x, _resolve_levels(args, x), inputs)
@@ -362,6 +383,11 @@ def _cmd_invariance(args) -> int:
 def _cmd_counterexample(args) -> int:
     t0 = time.perf_counter()
     n_max = args.nmax
+    if n_max < 3:
+        raise ValidationError(f"--nmax must be at least 3, got {n_max}")
+    files = ("path.csv", "coefficients.json", "report.json", "manifest.json")
+    files = [os.path.join(args.out, name) for name in files] if args.out else []
+    _check_names(args, *(("--out", name) for name in files), report=False)
     coeffs = schauder.counterexample_coefficients(n_max)
     level = args.level if args.level is not None else coeffs.max_level
     x = schauder.schauder_eval(coeffs, level)
@@ -386,12 +412,10 @@ def _cmd_counterexample(args) -> int:
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        grid.write_path_csv(x, os.path.join(args.out, "path.csv"))
-        schauder.write_coefficients_json(coeffs,
-                                         os.path.join(args.out, "coefficients.json"))
-        _write_json(payload, os.path.join(args.out, "report.json"))
-        _write_manifest(args, t0, {}, os.path.join(args.out, "manifest.json"),
-                        exact_name=True)
+        grid.write_path_csv(x, files[0])
+        schauder.write_coefficients_json(coeffs, files[1])
+        _write_json(payload, files[2])
+        _write_manifest(args, t0, {}, files[3], exact_name=True)
     lines = [f"level {n:2d}: quadratic variation {v:.9g}"
              for n, v in zip(inter_levels, inter_vals)]
     lines.append("interleaved classification: "
@@ -402,6 +426,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_report(args) -> int:
     t0 = time.perf_counter()
+    _check_names(args)
     inputs = {}
     entries = []
     lines = []

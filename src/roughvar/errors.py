@@ -23,7 +23,7 @@ class ResolutionError(ValidationError):
 
 
 class SourceError(ValidationError):
-    """A variation source is inconsistent with the requested partition."""
+    """An analytic source gives no value per partition point, is nonzero at 0, or falls."""
 
 
 class NumericalError(RoughvarError):

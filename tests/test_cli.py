@@ -574,6 +574,16 @@ class TestCounterexampleCommand:
         assert x.grid_level == 10
 
 
+    @pytest.mark.parametrize("nmax", ["-1", "0", "1", "2"])
+    def test_fewer_than_three_bursts_exit_one(self, nmax, tmp_path, capsys):
+        # two bursts gave "need at least 3 levels to diagnose, got 2"
+        rc, _, err = run(capsys, "counterexample", "--nmax", nmax,
+                         "--out", str(tmp_path / "cx"))
+        assert rc == 1
+        assert err == f"error: --nmax must be at least 3, got {nmax}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReportCommand:
     def test_bundles_and_headlines(self, takagi_csv, tmp_path, capsys):
         sqv_out = tmp_path / "sqv.json"
@@ -606,6 +616,65 @@ class TestReportCommand:
         rc, _, err = run(capsys, "report", "--in", str(bad))
         assert rc == 3
         assert err.startswith("error:") and "not a JSON object" in err
+
+
+def _tree(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestNoFileWrittenTwice:
+    """A command whose files share a name exits 1 before it writes any of them."""
+
+    @pytest.fixture()
+    def work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        u = np.linspace(-2.0, 2.0, 41)
+        np.savetxt("m.csv", np.column_stack([u, np.sin(u)]), delimiter=",",
+                   header="u,f", comments="")
+        schauder.write_coefficients_json(schauder.takagi_coefficients(0.5, 6), "c.json")
+        os.symlink("p.csv", "q.csv")
+        for argv in (["gen", "--kind", "takagi", "--H", "0.5", "--level", "12",
+                      "--out", "p.csv"],
+                     ["pvar", "--in", "p.csv", "--p", "2", "--out", "a.json"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, clash", [
+        (("pvar", "--in", "p.csv", "--p", "2", "--out", "p.csv"),
+         "--in p.csv is also --out's name"),
+        (("sqv", "--in", "q.csv", "--p", "2", "--out", "./p.csv"),
+         "--in q.csv is also --out's name"),
+        (("invariance", "--in", "p.csv", "--p", "2", "--out", "p.json"),
+         "--in p.csv is also the per-level table's name"),
+        (("chainrule", "--in", "p.csv", "--p", "2", "--map-file", "m.csv",
+          "--out", "m.json"), "--map-file m.csv is also the per-level table's name"),
+        (("roughness", "--in", "p.csv", "--levels", "6:10", "--out", "r.json",
+          "--per-q-out", "r.manifest.json"),
+         "--per-q-out r.manifest.json is also the manifest's name"),
+        (("roughness", "--in", "p.csv", "--levels", "6:10", "--out", "r.json",
+          "--per-q-out", "r.json"), "--out r.json is also --per-q-out's name"),
+        (("report", "--in", "a.json", "--out", "a.json"),
+         "--in a.json is also --out's name"),
+        (("gen", "--kind", "custom_schauder", "--coeffs-file", "c.json",
+          "--level", "6", "--out", "c.json"), "--coeffs-file c.json is also --out's name"),
+        (("pvar", "--in", "p.csv", "--p", "2", "--levels", "2:6", "--profiles-out", "d",
+          "--out", "d/pvar_level04.csv"),
+         "--out d/pvar_level04.csv is also a --profiles-out file's name"),
+    ])
+    def test_clash_exits_one_and_writes_nothing(self, argv, clash, work, capsys):
+        before = _tree(work)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert err.startswith(f"error: {clash}; ")
+        assert _tree(work) == before
+
+    def test_distinct_names_still_write(self, work, capsys):
+        rc, _, err = run(capsys, "chainrule", "--in", "q.csv", "--p", "2",
+                         "--map-file", "m.csv", "--levels", "6:10", "--out", "cr.json")
+        assert rc == 0, err
+        assert {"cr.json", "cr.csv", "cr.manifest.json"} <= set(_tree(work))
 
 
 class TestZeroLevelTakagi:

@@ -105,15 +105,14 @@ class TestAccurateCumsum:
         assert abs(rv.accurate_cumsum(terms)[-1] - want) <= 2e-15 * want
 
     def test_flat_run_after_a_block_edge_keeps_finest_weights_unclamped(self):
-        # a finest profile that dipped by one ulp where a flat stretch starts
-        # at a block edge gave that block a negative weight, clamped to 0
+        # accurate_cumsum once dipped by one ulp where a flat stretch starts
+        # at a block edge
         inc = np.random.default_rng(0).standard_normal(1 << 13) * 2.0 ** -6.5
         inc[4096:4096 + 64] = 0.0
         x = rv.Path(grid_level=13, samples=np.concatenate([[0.0], np.cumsum(inc)]))
         part = rv.dyadic_partition(13, 13)
         finest = rv.pth_variation(x, part, 2.5)
         assert np.all(np.diff(finest.values) >= 0.0)
-        assert rv.scaled_qv(x, part, 2.5, rv.PVarSource.finest(finest)).clamped == 0
         assert rv.scaled_qv(x, part, 2.5).clamped == 0
 
     @settings(max_examples=60, deadline=None)
@@ -231,30 +230,18 @@ class TestPVarSource:
         assert prof.clamped > 0
         assert np.all(prof.terms >= 0.0)
 
-    def test_finest_profile_coarser_than_partition_is_an_error(self):
-        x = rv.takagi_path(0.5, 8)
-        coarse = rv.pth_variation(x, rv.dyadic_partition(4, 8), 3.0)
-        src = rv.PVarSource.finest(coarse)
-        with pytest.raises(SourceError, match="coarser"):
-            rv.scaled_qv(x, rv.dyadic_partition(6, 8), 3.0, src)
-
-    def test_subgrid_profile_interpolates_to_exact_nodes(self):
-        """A finest profile on a sub-partition still indexes shared nodes exactly."""
-        x = rv.takagi_path(0.5, 10)
-        sub = rv.pth_variation(x, rv.dyadic_partition(8, 10), 3.0)
-        full = rv.pth_variation(x, rv.dyadic_partition(10, 10), 3.0)
-        part = rv.dyadic_partition(6, 10)
-        w_sub, _ = rv.PVarSource.finest(sub).block_weights(x, part, 3.0, None)
-        want = np.diff(sub.values[:: 1 << 2])
-        npt.assert_allclose(w_sub, want, rtol=1e-12)
-        assert full.times.size == x.samples.size  # full profile uses direct indexing
-
-    def test_materialized_builds_grid_level_proxy(self):
-        x = rv.takagi_path(0.5, 8)
-        src = rv.PVarSource().materialized(x, 2.5)
-        assert src.finest_profile is not None
-        assert src.finest_profile.level == 8
-        assert src.finest_profile.p == 2.5
+    def test_materialized_is_the_same_source(self):
+        # the benchmark's oracle check scales QV with PVarSource().materialized
+        x = rv.fbm_path(0.4, 10, seed=3)
+        src = rv.PVarSource()
+        assert src.materialized(x, 2.5) is src
+        interior = np.sort(np.random.default_rng(4).choice(
+            np.arange(1, 1 << 10), size=37, replace=False))
+        indices = np.concatenate([[0], interior, [1 << 10]])
+        for part in (rv.dyadic_partition(7, 10), rv.Partition(level=0, indices=indices)):
+            for p in (1.5, 2.5):
+                got = rv.scaled_qv(x, part, p, src.materialized(x, p))
+                assert got.terms.tobytes() == rv.scaled_qv(x, part, p).terms.tobytes()
 
 
 class TestScaledQV:
@@ -268,19 +255,8 @@ class TestScaledQV:
             want = naive_scaled_qv(samples, indices, p, weights)
             npt.assert_allclose(prof.values, want, rtol=1e-13, atol=1e-300)
 
-    def test_matches_naive_reference_with_finest_weights(self):
-        for level, samples, indices, p in random_cases(40, seed=30):
-            x = rv.Path(grid_level=level, samples=samples)
-            part = rv.Partition(level=0, indices=indices)
-            finest = rv.pth_variation(x, rv.dyadic_partition(level, level), p)
-            prof = rv.scaled_qv(x, part, p, rv.PVarSource.finest(finest))
-            weights = [finest.values[b] - finest.values[a]
-                       for a, b in zip(indices, indices[1:])]
-            want = naive_scaled_qv(samples, indices, p, weights)
-            npt.assert_allclose(prof.values, want, rtol=1e-13, atol=1e-300)
-
     def test_default_source_weights_are_block_sums(self):
-        """Without an explicit profile, a block's weight is its grid-level sum."""
+        """A block's default weight is the sum of its grid-level ``|dx|**p``."""
         for level, samples, indices, p in random_cases(40, seed=31):
             x = rv.Path(grid_level=level, samples=samples)
             part = rv.Partition(level=0, indices=indices)
@@ -532,15 +508,6 @@ class TestDyadicPyramid:
                 else:
                     assert meta[key] == value, key
 
-    def test_explicit_finest_profile_uses_its_own_values(self, fbm16):
-        coarse = rv.pth_variation(fbm16, rv.dyadic_partition(14, 16), 2.5)
-        src = rv.PVarSource.finest(coarse)
-        got = _level_terminals(fbm16, [8, 10, 14], "scaled", 2.5, src=src)
-        want = [_profile(fbm16, n, "scaled", 2.5, src=src).terminal for n in (8, 10, 14)]
-        npt.assert_allclose(got, want, rtol=1e-13)
-        with pytest.raises(SourceError, match="coarser"):
-            _level_terminals(fbm16, [15], "scaled", 2.5, src=src)
-
     def test_degenerate_block_conventions(self):
         x = rv.takagi_path(0.5, 5)
         dead = rv.PVarSource.analytic(lambda t: np.zeros_like(np.asarray(t)))
@@ -602,8 +569,7 @@ def _reference_dyadic_levels(x, levels, kind, p=2.0, gamma=None, src=None):
     wanted = sorted({int(n) for n in levels}, reverse=True)
     p, gamma, src = variation._resolve(kind, p, gamma, src)
     w = None
-    if (kind == "scaled" and gamma != 0.0 and src.mode == "finest_level"
-            and src.finest_profile is None):
+    if kind == "scaled" and gamma != 0.0 and src.mode == "finest_level":
         w, w_level = np.power(np.abs(np.diff(x.samples)), p), L
     out = []
     for n in wanted:
@@ -643,7 +609,6 @@ _PYRAMID_CASES = [
     ("scaled", 2.0, None, None),
     ("scaled", 3.0, None, "analytic"),
     ("scaled", 1.5, None, "self_level"),
-    ("scaled", 2.5, None, "profile"),
     ("classical_scaled", 2.0, -0.3, None),
     ("classical_scaled", 2.0, 0.0, None),
 ]
@@ -670,9 +635,6 @@ class TestPyramidBitsMatchReference:
             src = rv.PVarSource.linear(0.7)
         elif src == "self_level":
             src = rv.PVarSource.self_level()
-        elif src == "profile":
-            src = rv.PVarSource.finest(
-                rv.pth_variation(path, rv.dyadic_partition(L, L), p))
         level_sets = [[0], [L], [L - 3, 1, L // 2, L, 1, L - 3], [0, 2, L - 1],
                       list(range(max(L - 12, 0), L + 1))]
         for levels in level_sets:
