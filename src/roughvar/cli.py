@@ -59,12 +59,14 @@ def _manifest_name(out: str) -> str:
     return (stem if ext in (".csv", ".json") else out) + ".manifest.json"
 
 
-def _check_names(args, *writes, report: bool = True) -> None:
+def _check_names(args, *writes, dirs=(), report: bool = True) -> None:
     """Exit 1, before any write, if two files a command reads or writes share a name.
 
     ``writes`` are ``(role, name)`` pairs, after ``--out`` and before its
-    manifest when ``report``.  Each name is compared by ``os.path.realpath``
-    with every file an input flag names and every earlier write.
+    manifest when ``report``; none may be an existing directory.  ``dirs``
+    are directories the command makes.  Each name is compared by
+    ``os.path.realpath`` with every file an input flag names and every
+    earlier write.
     """
     reads = [("--in", name) for name in getattr(args, "infiles", None) or ()]
     reads += [(flag, getattr(args, dest, None)) for flag, dest in (
@@ -73,13 +75,22 @@ def _check_names(args, *writes, report: bool = True) -> None:
     if report and args.out:
         writes = (("--out", args.out), *writes, ("the manifest", _manifest_name(args.out)))
     seen = {}
-    for i, (role, name) in enumerate([*reads, *writes]):
+    for i, (role, name) in enumerate([*reads, *dirs, *writes]):
         key = name and os.path.realpath(name)
         if key in seen and i >= len(reads):
             raise ValidationError(f"{' '.join(seen[key])} is also {role}'s name; a "
                                   "command reads and writes each file under its own name")
+        if key and i >= len(reads) + len(dirs) and os.path.isdir(key):
+            raise ValidationError(f"{role} {name} is a directory; it must name a file")
         if key:
             seen.setdefault(key, (role, name))
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set so far, in MiB (``getrusage``'s ``ru_maxrss``)."""
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1024), 3)
 
 
 def _write_manifest(args, t0: float, inputs: dict, out: str,
@@ -92,6 +103,7 @@ def _write_manifest(args, t0: float, inputs: dict, out: str,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "roughvar": __version__},
         "timings": {"total_s": round(time.perf_counter() - t0, 6)},
+        "peak_rss_mib": _peak_rss_mib(),
         "inputs": inputs,
     }
     if extra:
@@ -189,9 +201,11 @@ def _generator_spec(args) -> pathgen.GeneratorSpec:
         params.update(_smooth_params(args))
     elif kind == "custom_schauder":
         params["coeffs_file"] = args.coeffs_file
-    return pathgen.GeneratorSpec(kind=kind, grid_level=level,
+    spec = pathgen.GeneratorSpec(kind=kind, grid_level=level,
                                  H=getattr(args, "H", None),
                                  seed=getattr(args, "seed", None), params=params)
+    args.seed = spec.seed  # the manifest's config records the seed drawn with
+    return spec
 
 
 def _generate(spec: pathgen.GeneratorSpec, inputs: dict) -> grid.Path:
@@ -264,7 +278,8 @@ def _profile_run(args, kind: str) -> int:
     out_dir, write = getattr(args, "profiles_out", None), None
     csv = lambda n: os.path.join(out_dir, f"{label}_level{n:02d}.csv")
     _check_names(args, *(("a --profiles-out file", name) for n in levels if out_dir
-                         for name in (csv(n), variation._sidecar_name(csv(n)))))
+                         for name in (csv(n), variation._sidecar_name(csv(n)))),
+                 dirs=[("--profiles-out", out_dir)] if out_dir else ())
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write = lambda prof: variation.write_profile_csv(prof, csv(prof.level))

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import warnings
@@ -48,6 +49,19 @@ def _check_max_level(level: int, what: str = "grid_level") -> None:
     if not 0 <= level <= _MAX_LEVEL:
         raise ValidationError(f"{what} must be in [0, {_MAX_LEVEL}] "
                               f"(memory guard), got {level}")
+
+
+def _check_seed(seed, what: str = "seed") -> int:
+    """``seed`` as an int >= 0, a missing one 0, so that a draw depends on it alone."""
+    if seed is None:
+        return 0
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def grid_times(grid_level: int) -> np.ndarray:

@@ -25,10 +25,8 @@ from .variation import (
     LimitReport,
     PVarSource,
     _check_levels,
-    _dyadic_levels,
     _Increments,
     _level_terminals,
-    _level_total,
     _tail_slope,
     default_levels,
     limit_diagnostics,
@@ -346,20 +344,18 @@ def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
                       inc: _Increments, src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
 
-    The left side is the ``kind`` pass of :func:`_dyadic_levels` over f(x)
+    The left side is the ``kind`` terminals of :func:`_level_terminals` over f(x)
     with its default source; the right side is the left-endpoint Stieltjes
     sum of ``|f1(x)|**p`` against the terms of the same pass over x
-    (weights from ``src``), reduced like every other level terminal.
+    (weights from ``src``), the factor applied a block at a time and the
+    products reduced like every other level terminal.
     """
-    fx = compose_path(f, x)
-    lhs, rhs = {}, {}
-    for (n, lhs_terms, *_), (_, x_terms, *_) in zip(
-            _dyadic_levels(fx, levels, kind, p),
-            _dyadic_levels(x, levels, kind, p, src=src, inc=inc)):
-        g = np.abs(f.f1(x.samples[:-1:1 << (x.grid_level - n)])) ** p
-        lhs[n] = _level_total(lhs_terms)
-        rhs[n] = _level_total(g * x_terms)
-    return [lhs[n] for n in levels], [rhs[n] for n in levels]
+    def g(n, lo, hi):
+        stride = 1 << (x.grid_level - n)
+        return np.abs(f.f1(x.samples[lo * stride:hi * stride:stride])) ** p
+
+    return (_level_terminals(compose_path(f, x), levels, kind, p),
+            _level_terminals(x, levels, kind, p, src=src, inc=inc, scale=g))
 
 
 def _two_sided(kind: str, x: Path, p: float, levels, sides,

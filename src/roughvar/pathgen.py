@@ -1,10 +1,10 @@
 """Test-path generators: fractional Brownian motion, smooth perturbations,
 and convenience wrappers over the Schauder constructions.
 
-All generators are pure functions of their parameters and seed; no global
-RNG state is touched.  The seed-to-path map uses numpy's default generator
-(PCG64) and is recorded in run metadata, but is not promised bit-stable
-across numpy versions or other implementations.
+All generators are pure functions of their parameters and seed (0 when
+none is given); no global RNG state is touched.  The seed-to-path map uses
+numpy's default generator (PCG64) and is recorded in run metadata, but is
+not promised bit-stable across numpy versions or other implementations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Path, _check_max_level, grid_times
+from .grid import Path, _check_max_level, _check_seed, grid_times
 from .schauder import (
     _midpoint_path,
     _takagi_rows,
@@ -275,14 +275,14 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     return m.reshape(-1).view(np.float64)[:N]
 
 
-def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> Path:
+def fbm_path(H: float, grid_level: int, seed: int | None, label: str | None = None) -> Path:
     """Fractional Brownian motion on [0, 1] sampled at 2**grid_level + 1 points.
 
     Increments are exact-in-distribution via circulant embedding of the
     stationary fGN covariance, scaled by ``2**(-grid_level * H)`` so that
     ``Var(B(t) - B(s)) = |t - s|**(2H)`` on the grid.  Deterministic given
-    the seed.  A circulant embedding with a negative eigenvalue raises
-    :class:`NumericalError`.  The samples are summed in the buffer that
+    the seed (0 when None).  A circulant embedding with a negative
+    eigenvalue raises :class:`NumericalError`.  The samples are summed in the buffer that
     held the increments, which then shrinks to them: no second path-sized
     array is made, unless a tracer or profiler keeps the buffer from
     shrinking, when the samples are copied out of it.
@@ -290,6 +290,7 @@ def fbm_path(H: float, grid_level: int, seed: int, label: str | None = None) -> 
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
     _check_max_level(grid_level)
+    seed = _check_seed(seed)
     N = 1 << grid_level
     increments = _fgn_circulant(H, N, np.random.default_rng(seed))
     increments *= 2.0 ** (-grid_level * H)
@@ -381,7 +382,12 @@ def counterexample_path(n_max: int, grid_level: int | None = None) -> Path:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative description of a generated path (for manifests and CLI)."""
+    """Declarative description of a generated path (for manifests and CLI).
+
+    ``seed`` is checked (named as the CLI's ``--seed``) and, for a generator
+    that draws (fBM, random-sign Takagi), a missing one becomes 0, the seed
+    the path is drawn with.
+    """
 
     kind: str
     grid_level: int
@@ -399,6 +405,10 @@ class GeneratorSpec:
         if self.kind in ("fbm", "takagi"):
             if self.H is None or not 0.0 < self.H < 1.0:
                 raise ValidationError(f"kind {self.kind!r} requires H in (0, 1), got {self.H}")
+        draws = self.kind == "fbm" or (self.kind == "takagi"
+                                       and self.params.get("signs") == "random")
+        if draws or self.seed is not None:
+            object.__setattr__(self, "seed", _check_seed(self.seed, "--seed"))
 
     def metadata(self) -> dict:
         return {"kind": self.kind, "grid_level": self.grid_level, "H": self.H,
@@ -413,7 +423,7 @@ def generate(spec: GeneratorSpec, digest=None) -> Path:
     the hashlib ``digest``, if given.
     """
     if spec.kind == "fbm":
-        return fbm_path(spec.H, spec.grid_level, spec.seed if spec.seed is not None else 0)
+        return fbm_path(spec.H, spec.grid_level, spec.seed)
     if spec.kind == "takagi":
         return takagi_path(spec.H, spec.grid_level,
                            signs=spec.params.get("signs", "plus"), seed=spec.seed,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResolutionError, ValidationError
-from .grid import Path, _check_max_level, _open_text
+from .grid import Path, _check_max_level, _check_seed, _open_text
 
 _BLOCK = 1 << 16  # midpoints written per block of the recursion
 
@@ -139,6 +139,7 @@ def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:
 
     The arguments are checked at once; each row is made when the iterator
     reaches it, so a consumer that takes them one at a time holds one row.
+    Random signs with no seed are drawn with seed 0.
     """
     if not 0.0 < H < 1.0:
         raise ValidationError(f"H must lie in (0, 1), got {H}")
@@ -147,6 +148,7 @@ def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:
         raise ValidationError(
             f"unknown sign source {signs!r}; expected plus, minus, alternating, or random"
         )
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def rows():

@@ -12,12 +12,15 @@ Three accumulation kernels share one profile type:
 Each profile stores the cumulative values (the distribution function of the
 level-n atomic variation measure) together with the raw per-block terms, so
 downstream consumers (Stieltjes integration, diagnostics) can reuse the
-exact accumulation.  Callers that need only per-level terminals along the
+exact accumulation.  Callers that need only per-level summaries along the
 dyadic levels (the critical-index search, the identity checks, the CLI)
 use :func:`_dyadic_levels`, one pass down the dyadic pyramid that builds
-no profile; passes over one path share its increments through
-:class:`_Increments`.  Both take their exponents from :func:`_resolve` and
-their terms from :func:`_terms`, the one definition of each functional.
+no profile and holds no level's terms whole: each level is reduced a block
+of ``_PASS_BLOCK`` terms at a time to its sum (bitwise numpy's pairwise sum
+of the whole level), its largest term and its divergence flag.  Passes over
+one path share its increments through :class:`_Increments`.  Both take
+their exponents from :func:`_resolve` and their terms from :func:`_terms`,
+the one definition of each functional.
 :func:`limit_diagnostics` classifies a terminal-value sequence across
 levels as vanishing / finite_positive / diverging / oscillating /
 inconclusive.
@@ -128,28 +131,29 @@ class VariationProfile:
 
     @property
     def atom_risk(self) -> float:
-        return _atom_risk(self.terms, self.terminal)
+        return _atom_risk(np.max(self.terms) if self.terms.size else None,
+                          self.terminal)
 
     def metadata(self) -> dict:
         return _metadata(self.level, self.kind, self.p, self.gamma, self.src_mode,
-                         self.terms, self.terminal, self.clamped, self.divergent)
+                         self.atom_risk, self.terminal, self.clamped, self.divergent)
 
 
-def _metadata(level, kind, p, gamma, src_mode, terms, terminal, clamped,
+def _metadata(level, kind, p, gamma, src_mode, atom_risk, terminal, clamped,
               divergent) -> dict:
     """The metadata dict of one level's variation, profile or not."""
     return {"level": level, "p": p, "gamma": gamma, "kind": kind,
             "terminal": terminal, "source_mode": src_mode, "clamped": clamped,
-            "divergent": divergent, "atom_risk": _atom_risk(terms, terminal)}
+            "divergent": divergent, "atom_risk": atom_risk}
 
 
-def _atom_risk(terms: np.ndarray, total: float) -> float:
-    """Largest single-block share of ``total`` (1 when it is infinite)."""
-    if terms.size == 0 or total == 0.0:
+def _atom_risk(peak, total: float) -> float:
+    """Largest term ``peak``'s share of ``total`` (0 with no terms, 1 when infinite)."""
+    if peak is None or total == 0.0:
         return 0.0
     if not np.isfinite(total):
         return 1.0
-    return float(np.max(terms) / total)
+    return float(peak / total)
 
 
 def _pth_terms(dx: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
@@ -374,12 +378,11 @@ def _check_levels(x: Path, levels, at_least: int) -> list:
 class _Increments:
     """The per-level increments of pyramid passes over one path.
 
-    ``dx(n, out)`` is level n's increments, a strided difference of the
-    samples.  With ``keep`` each level's array is taken once, made
-    read-only and shared by every later pass (a search probing many
-    exponents); without it each call writes them into the front of
-    ``out``, the pass's scratch array, or into a fresh array when ``out``
-    is None.
+    ``dx(n, lo, hi)`` is level n's increments ``lo:hi`` (all of them by
+    default), a strided difference of the samples.  With ``keep`` each
+    level's array is taken whole once, made read-only and shared by every
+    later pass (a search probing many exponents), which gets slices of it;
+    without it each call makes a fresh array of just the slice asked for.
     """
 
     def __init__(self, x: Path, keep: bool = True):
@@ -387,16 +390,57 @@ class _Increments:
         self.keep = keep
         self._kept = {}
 
-    def dx(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    def dx(self, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         s, stride = self.x.samples, 1 << (self.x.grid_level - n)
+        hi = 1 << n if hi is None else hi
         if not self.keep:
-            return np.subtract(s[stride::stride], s[:-1:stride],
-                               out=None if out is None else out[:1 << n])
+            return np.subtract(s[(lo + 1) * stride:hi * stride + 1:stride],
+                               s[lo * stride:hi * stride:stride])
         if n not in self._kept:
             arr = np.subtract(s[stride::stride], s[:-1:stride])
             arr.setflags(write=False)
             self._kept[n] = arr
-        return self._kept[n]
+        return self._kept[n][lo:hi]
+
+    def out(self, dx: np.ndarray) -> np.ndarray:
+        """Where a block's terms go: over ``dx`` itself unless it is kept."""
+        return np.empty_like(dx) if self.keep else dx
+
+
+class _Level:
+    """One level of a pyramid pass, fed its terms in order a block at a time.
+
+    Each block, ``min(_PASS_BLOCK, 2**n)`` terms, keeps its ``np.sum``, its
+    max and its divergence flag.
+    :meth:`done` sets ``total``, the block sums added up by a balanced
+    pairwise tree, which for these aligned power-of-two blocks is
+    :func:`_level_total` of the whole level bit for bit, and ``peak``, the
+    largest term.  ``scale(n, lo, hi)``, when given, multiplies terms
+    ``lo:hi`` first; with ``gather``, ``terms`` holds the whole level's
+    terms (for a profile), else None.
+    """
+
+    def __init__(self, n: int, scale: Callable | None = None, gather: bool = False):
+        self.n, self.scale, self.divergent = n, scale, False
+        self.sums, self.peaks = [], []
+        self.terms = np.empty(1 << n) if gather else None
+
+    def add(self, lo: int, terms: np.ndarray, divergent: bool) -> None:
+        hi = lo + terms.size
+        if self.scale is not None:
+            np.multiply(self.scale(self.n, lo, hi), terms, out=terms)
+        if self.terms is not None:
+            self.terms[lo:hi] = terms
+        self.sums.append(np.sum(terms))
+        self.peaks.append(np.max(terms))
+        self.divergent = self.divergent or divergent
+
+    def done(self, clamped: int) -> "_Level":
+        sums = self.sums
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
+        self.total, self.peak, self.clamped = float(sums[0]), np.max(self.peaks), clamped
+        return self
 
 
 def _halve(w: np.ndarray, n: int) -> None:
@@ -411,75 +455,85 @@ def _halve(w: np.ndarray, n: int) -> None:
 
 
 def _finest_sweep(x: Path, p: float, gamma: float, top: int, inc: _Increments,
-                  buf: np.ndarray) -> tuple:
+                  lv: _Level | None) -> tuple:
     """Finest-level weights from one blocked sweep over the samples.
 
     Each block of ``_PASS_BLOCK`` grid increments is differenced, made
     ``|dx|**p`` and halved pairwise (``w[0::2] + w[1::2]``) as far as the
-    block allows, down to level ``top - 1``, so every weight is an
-    exact-order block sum.  When the sweep passes level ``top``, that
-    level's scaled terms are taken on the way into ``buf``.  Returns
-    ``(w, level, divergent)``: the stored weights, their level, and the top
-    level's divergence flag (None when its terms were not taken).
+    block allows, down to level ``top``, so every weight is an exact-order
+    block sum.  Given ``lv``, the :class:`_Level` of level ``top``, the
+    sweep feeds it that level's scaled terms on the way, block by block, and
+    stores only the weights one level below.  Returns ``(w, level)``: the
+    stored weights and their level.
     """
     L, s = x.grid_level, x.samples
     size = min(_PASS_BLOCK, 1 << L)
-    halvings = min(L - top + 1, size.bit_length() - 1)
+    halvings = min(L - top + (lv is not None), size.bit_length() - 1)
     w = np.empty(1 << (L - halvings))
-    dx = inc.dx(top, buf) if top >= L - halvings else None
-    divergent = None if dx is None else False
     for lo in range(0, 1 << L, size):
         a = np.subtract(s[lo + 1:lo + size + 1], s[lo:lo + size])
         np.abs(a, out=a)
         np.power(a, p, out=a)
         for level in range(L, L - halvings - 1, -1):
-            if level == top:
-                j = slice(lo >> (L - top), (lo + size) >> (L - top))
-                divergent |= _scaled_terms(a, dx[j], gamma, buf[j])
+            if lv is not None and level == top:
+                j = lo >> (L - top)
+                dx = inc.dx(top, j, j + a.size)
+                out = inc.out(dx)
+                lv.add(j, out, _scaled_terms(a, dx, gamma, out))
             if level > L - halvings:
                 a = a[0::2] + a[1::2]
         w[lo >> halvings:(lo + size) >> halvings] = a
-    return w, L - halvings, divergent
+    return w, L - halvings
 
 
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None,
-                   inc: _Increments | None = None):
-    """Yield ``(n, terms, clamped, divergent)`` per distinct level, finest first.
+                   inc: _Increments | None = None, scale: Callable | None = None,
+                   gather: bool = False):
+    """Yield a :class:`_Level` per distinct level, finest first.
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
     level's dyadic partition, but no partition, time grid, cumulative array
-    or profile is built.  One scratch array of ``2**top`` doubles (``top``
-    the finest wanted level) serves the whole pass: each level's increments
-    are written into its front, unless ``inc`` keeps them across passes,
-    and its terms overwrite them there, so the yielded terms are valid
-    until the next level is taken.  With the default finest-level source
-    the weights come from :func:`_finest_sweep`, which also takes the top
-    level's terms, and each coarser level's weights are pairwise sums of
-    the level below, halved in place over the weights' own front half
-    (:func:`_halve`), so every weight is an exact-order block sum.  Other
-    sources supply weights through :meth:`PVarSource.block_weights`.
+    or profile is built, and no level's terms are held whole: each level is
+    taken ``_PASS_BLOCK`` increments at a time (from ``inc`` when it keeps
+    them), made terms and fed to the level's :class:`_Level` (with ``scale``
+    and ``gather`` as there).  With the default finest-level source the
+    weights come from :func:`_finest_sweep`, which also takes the top
+    level's terms when its blocks are the pass's (the top level is the grid
+    level, or the grid has one block), and each coarser level's weights are
+    pairwise sums of the level below, halved in place over the weights' own
+    front half (:func:`_halve`), so every weight is an exact-order block sum.  Other
+    sources supply a level's weights whole through
+    :meth:`PVarSource.block_weights`, sliced per block.
     """
     L = x.grid_level
     wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
     p, gamma, src = _resolve(kind, p, gamma, src)
     inc = inc or _Increments(x, keep=False)
-    buf = np.empty(1 << wanted[0])
     w = None
     if kind == "scaled" and gamma != 0.0 and src.mode == "finest_level":
-        w, w_level, divergent = _finest_sweep(x, p, gamma, wanted[0], inc, buf)
-        if divergent is not None:
-            yield wanted.pop(0), buf, 0, divergent
+        top = wanted[0]
+        # the sweep's slices of level top are the pass's blocks only then
+        lv = _Level(top, scale, gather) if top == L or 1 << L <= _PASS_BLOCK else None
+        w, w_level = _finest_sweep(x, p, gamma, top, inc, lv)
+        if lv is not None:
+            yield lv.done(0)
+            wanted.pop(0)
     for n in wanted:
-        dx = inc.dx(n, buf)
         while w is not None and w_level > n:
             w_level -= 1
             _halve(w, w_level)
-        yield (n, *_terms(
-            kind, dx, buf[:1 << n], p, gamma,
-            lambda: (w[:1 << n], 0) if w is not None else src.block_weights(
-                x, dyadic_partition(n, L), p, dx),
-            lambda: np.float64(2.0 ** -n)))
+        weights, clamped = w, 0
+        if w is None and kind == "scaled" and gamma != 0.0:
+            weights, clamped = src.block_weights(x, dyadic_partition(n, L), p, inc.dx(n))
+        lv = _Level(n, scale, gather)
+        for lo in range(0, 1 << n, _PASS_BLOCK):
+            dx = inc.dx(n, lo, min(lo + _PASS_BLOCK, 1 << n))
+            terms, _, divergent = _terms(kind, dx, inc.out(dx), p, gamma,
+                                         lambda: (weights[lo:lo + dx.size], 0),
+                                         lambda: np.float64(2.0 ** -n))
+            lv.add(lo, terms, divergent)
+        yield lv.done(clamped)
 
 
 def _level_total(terms: np.ndarray) -> float:
@@ -489,10 +543,13 @@ def _level_total(terms: np.ndarray) -> float:
 
 def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
                      gamma: float | None = None, src: PVarSource | None = None,
-                     inc: _Increments | None = None) -> list:
-    """Terminal of each level in ``levels`` (in that order), one pyramid pass."""
-    got = {n: _level_total(terms)
-           for n, terms, _, _ in _dyadic_levels(x, levels, kind, p, gamma, src, inc)}
+                     inc: _Increments | None = None, scale: Callable | None = None) -> list:
+    """Terminal of each level in ``levels`` (in that order), one pyramid pass.
+
+    ``scale`` multiplies the terms first, as in :class:`_Level`.
+    """
+    got = {lv.n: lv.total
+           for lv in _dyadic_levels(x, levels, kind, p, gamma, src, inc, scale)}
     return [got[int(n)] for n in levels]
 
 
@@ -502,17 +559,18 @@ def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
     """:meth:`VariationProfile.metadata` of each level, from one pyramid pass.
 
     Profiles are built only for ``write``, which gets each distinct level's
-    profile made from a copy of the same terms (the pass reuses its
-    scratch array), so it ends on the same terminal.
+    profile made from the terms the pass gathers for it, so it ends on the
+    same terminal.
     """
     p, gamma, src = _resolve(kind, p, gamma, src)
+    mode = src.mode if src else None
     got = {}
-    for n, terms, clamped, divergent in _dyadic_levels(x, levels, kind, p, gamma, src):
-        got[n] = _metadata(n, kind, p, gamma, src.mode if src else None, terms,
-                           _level_total(terms), clamped, divergent)
+    for lv in _dyadic_levels(x, levels, kind, p, gamma, src, gather=write is not None):
+        got[lv.n] = _metadata(lv.n, kind, p, gamma, mode, _atom_risk(lv.peak, lv.total),
+                              lv.total, lv.clamped, lv.divergent)
         if write:
-            write(_from_terms(kind, p, gamma, src, n, grid_times(n), terms.copy(),
-                              clamped, divergent))
+            write(_from_terms(kind, p, gamma, src, lv.n, grid_times(lv.n), lv.terms,
+                              lv.clamped, lv.divergent))
     return [got[int(n)] for n in levels]
 
 

@@ -162,6 +162,43 @@ class TestGen:
         assert rc == 1
         assert err.startswith("error: bad --coeffs '1,x'")
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--kind", "fbm", "--H", "0.5", "--level", "4", "--out", "p.csv"),
+        ("pvar", "--kind", "takagi", "--signs", "random", "--H", "0.5", "--level", "6",
+         "--p", "2", "--out", "p.json"),
+        ("roughness", "--kind", "fbm", "--H", "0.5", "--level", "8", "--out", "p.json"),
+    ])
+    def test_negative_seed_exits_one_naming_the_flag(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run(capsys, *argv, "--seed", "-1")
+        assert rc == 1
+        assert err.startswith("error: --seed must be a non-negative integer")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "takagi", "--H", "0.5", "--level", "6", "--signs", "random"),
+        ("--kind", "fbm", "--H", "0.5", "--level", "6"),
+    ])
+    def test_seedless_draw_is_reproducible_and_recorded_as_seed_zero(
+            self, argv, tmp_path, capsys):
+        names = [str(tmp_path / f"{i}.csv") for i in range(3)]
+        for name, seed in zip(names, ([], [], ["--seed", "0"])):
+            rc, _, err = run(capsys, "gen", *argv, *seed, "--out", name)
+            assert rc == 0, err
+        data = [pathlib.Path(name).read_bytes() for name in names]
+        assert data[0] == data[1] == data[2]
+        manifest = json.loads((tmp_path / "0.manifest.json").read_text())
+        assert manifest["config"]["seed"] == manifest["generator"]["seed"] == 0
+
+    def test_manifest_records_the_peak_resident_set(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5", "--level", "8",
+                         "--out", str(tmp_path / "p.csv"))
+        assert rc == 0, err
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mib"], float)
+        assert manifest["peak_rss_mib"] > 0.0
+
     def test_unwritable_output_location(self, capsys):
         rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5",
                          "--level", "6", "--out", "/nonexistent/dir/p.csv")
@@ -670,6 +707,30 @@ class TestNoFileWrittenTwice:
         assert err.startswith(f"error: {clash}; ")
         assert _tree(work) == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (("pvar", "--in", "p.csv", "--p", "2", "--levels", "2:4", "--profiles-out", "out",
+          "--out", "out"), "--profiles-out out is also --out's name"),
+        (("pvar", "--in", "p.csv", "--p", "2", "--levels", "2:4", "--profiles-out", "D",
+          "--out", "D"), "--profiles-out D is also --out's name"),
+        (("pvar", "--in", "p.csv", "--p", "2", "--levels", "2:4", "--profiles-out", "d",
+          "--out", "D"), "--out D is a directory"),
+        (("roughness", "--in", "p.csv", "--levels", "6:10", "--per-q-out", "q2.csv",
+          "--out", "D"), "--out D is a directory"),
+        (("roughness", "--in", "p.csv", "--levels", "6:10", "--per-q-out", "D",
+          "--out", "r.json"), "--per-q-out D is a directory"),
+        (("chainrule", "--in", "p.csv", "--p", "2", "--out", "D.json"),
+         "the per-level table D.csv is a directory"),
+    ])
+    def test_output_named_by_a_directory_exits_one_and_writes_nothing(
+            self, argv, message, work, capsys):
+        (work / "D").mkdir()
+        (work / "D.csv").mkdir()
+        before = sorted(work.rglob("*"))
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+        assert sorted(work.rglob("*")) == before
+
     def test_distinct_names_still_write(self, work, capsys):
         rc, _, err = run(capsys, "chainrule", "--in", "q.csv", "--p", "2",
                          "--map-file", "m.csv", "--levels", "6:10", "--out", "cr.json")
@@ -763,20 +824,22 @@ def _vmhwm_mib(argv=None):
 class TestResidentPeak:
     """Level-20 fBM jobs' resident high-water mark above an import-only interpreter.
 
-    A pass holds the 8 MiB path, one scratch array of its finest level and
-    half as many weights; generating the path holds a 16 MiB buffer.
+    A pass holds the 8 MiB path, the weights of the level below its finest
+    and a few blocks of 2**16 terms; generating the path holds a 16 MiB
+    buffer, which sets the peak.
     """
 
     FBM20 = ("--kind", "fbm", "--H", "0.4", "--level", "20", "--seed", "5")
 
     def test_scaled_qv_to_the_grid_level(self, tmp_path):
-        # 24.5 MiB measured, 40.5 with a fresh array for every step of the pass
+        # 21.4 MiB measured, 24.2 with a scratch array of the grid level and
+        # 40.5 with a fresh array for every step of the pass
         peak = _vmhwm_mib(["sqv", *self.FBM20, "--p", "2.5", "--levels", "6:20",
                            "--out", str(tmp_path / "sqv.json")])
         assert peak - _vmhwm_mib() <= 32.0
 
     def test_roughness_search(self, tmp_path):
-        # 22.5 MiB measured, 38.6 with the kept grid-level |dx| and fresh arrays
+        # 21.3 MiB measured, 38.6 with the kept grid-level |dx| and fresh arrays
         peak = _vmhwm_mib(["roughness", *self.FBM20,
                            "--out", str(tmp_path / "roughness.json")])
         assert peak - _vmhwm_mib() <= 30.0

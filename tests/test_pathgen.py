@@ -498,3 +498,30 @@ class TestGeneratorSpec:
         meta = spec.metadata()
         assert meta["kind"] == "takagi"
         assert meta["generator_version"] == rv.pathgen.GENERATOR_VERSION == "3"
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("make", [
+        lambda seed: rv.fbm_path(0.5, 4, seed=seed),
+        lambda seed: rv.takagi_path(0.5, 4, signs="random", seed=seed),
+        lambda seed: rv.GeneratorSpec(kind="fbm", grid_level=4, H=0.5, seed=seed),
+    ])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_is_a_validation_error(self, make, seed):
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            make(seed)
+
+    def test_missing_seed_draws_with_seed_zero(self):
+        for make in (lambda seed: rv.fbm_path(0.5, 6, seed=seed),
+                     lambda seed: rv.takagi_path(0.5, 6, signs="random", seed=seed)):
+            a, b = make(None), make(0)
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert a.label == b.label and "seed=0" in a.label
+
+    @pytest.mark.parametrize("kind, params, seed", [
+        ("fbm", {}, 0), ("takagi", {"signs": "random"}, 0),
+        ("takagi", {"signs": "plus"}, None), ("smooth", {}, None),
+    ])
+    def test_spec_records_the_seed_drawn_with(self, kind, params, seed):
+        spec = rv.GeneratorSpec(kind=kind, grid_level=6, H=0.5, params=params)
+        assert spec.seed == spec.metadata()["seed"] == seed

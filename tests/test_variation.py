@@ -7,6 +7,7 @@ closed forms, and against an extended-precision accumulation oracle.
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -640,13 +641,18 @@ class TestPyramidBitsMatchReference:
         for levels in level_sets:
             want = _reference_dyadic_levels(path, levels, kind, p, gamma, src)
             kept = variation._Increments(path)
-            for inc in (None, kept, kept):
-                got = [(n, t.copy(), c, d) for n, t, c, d in
-                       variation._dyadic_levels(path, levels, kind, p, gamma, src, inc)]
-                assert [g[0] for g in got] == [w[0] for w in want]
-                for (n, t, c, d), (_, rt, rc, rd) in zip(got, want):
-                    assert t.tobytes() == rt.tobytes(), (levels, n)
-                    assert (c, d) == (rc, rd), (levels, n)
+            for inc, gather in ((None, True), (kept, True), (kept, False), (None, False)):
+                got = list(variation._dyadic_levels(path, levels, kind, p, gamma, src,
+                                                    inc, gather=gather))
+                assert [g.n for g in got] == [w[0] for w in want]
+                for lv, (n, rt, rc, rd) in zip(got, want):
+                    if gather:
+                        assert lv.terms.tobytes() == rt.tobytes(), (levels, n)
+                    else:
+                        assert lv.terms is None
+                    assert lv.total == variation._level_total(rt), (levels, n)
+                    assert lv.peak == np.max(rt), (levels, n)
+                    assert (lv.clamped, lv.divergent) == (rc, rd), (levels, n)
             profiles = []
             _level_metadata(path, levels, kind, p, gamma, src, write=profiles.append)
             for prof, (n, rt, _, _) in zip(profiles, want):
@@ -656,6 +662,95 @@ class TestPyramidBitsMatchReference:
         [(_, terms, _, divergent)] = _reference_dyadic_levels(
             _edge_path(), [3], "scaled", 1.5)
         assert divergent and np.isinf(terms[2]) and terms[4] == 0.0
+
+
+def _deep_edge_path(L=20):
+    """A level-L path whose scaled terms at levels 17-L hold both degenerate kinds.
+
+    Its first 2**10 steps are 1e-300 (``|dx|**p`` underflows to 0 at p < 2,
+    so those blocks have zero weight and nonzero increments: infinite
+    terms), the rest of the first 2**17 steps are flat (zero weight and
+    zero increment: 0 * inf, which counts 0, over whole blocks of the
+    pass), and fBM follows.
+    """
+    s = np.zeros((1 << L) + 1)
+    s[:1025] = np.arange(1025) * 1e-300
+    s[1025:1 << 17] = s[1024]
+    s[1 << 17:] = s[1024] + rv.fbm_path(0.4, L, seed=2).samples[:(1 << L) + 1 - (1 << 17)]
+    return rv.Path(grid_level=L, samples=s)
+
+
+class TestBlockedReductionAtDeepLevels:
+    """Each level's record against its terms taken whole, at levels 17-20.
+
+    A level of 2**n terms is reduced 2**16 at a time; its total must be
+    ``np.sum`` of the whole level bitwise, so a numpy that sums in another
+    pairwise order fails here, as does any change to a term.
+    """
+
+    @pytest.fixture(scope="class", params=["fbm", "takagi", "edge"])
+    def path(self, request):
+        if request.param == "fbm":
+            return rv.fbm_path(0.4, 20, seed=11)
+        if request.param == "takagi":
+            return rv.takagi_path(0.5, 20, signs="random", seed=4)
+        return _deep_edge_path()
+
+    @pytest.mark.parametrize("kind, p, gamma, src", _PYRAMID_CASES)
+    def test_total_and_atom_risk_are_those_of_the_whole_level(self, path, kind, p,
+                                                              gamma, src):
+        if src == "analytic":
+            src = rv.PVarSource.linear(0.7)
+        elif src == "self_level":
+            src = rv.PVarSource.self_level()
+        # the grid level on top (its terms come from the weight sweep) and below
+        for levels in ([17, 18, 19, 20], [19, 17]):
+            want = _reference_dyadic_levels(path, levels, kind, p, gamma, src)
+            got = list(variation._dyadic_levels(path, levels, kind, p, gamma, src))
+            assert [lv.n for lv in got] == [w[0] for w in want]
+            for lv, (n, terms, clamped, divergent) in zip(got, want):
+                total = variation._level_total(terms)
+                assert lv.total == total, (
+                    f"level {n}: blocked total {lv.total!r} != np.sum {total!r}; "
+                    "has numpy's pairwise summation order changed?")
+                assert (variation._atom_risk(lv.peak, lv.total)
+                        == variation._atom_risk(np.max(terms), total)), n
+                assert (lv.clamped, lv.divergent) == (clamped, divergent), n
+
+    def test_edge_path_has_both_degenerate_blocks_at_level_17(self):
+        [(_, terms, _, divergent)] = _reference_dyadic_levels(
+            _deep_edge_path(), [17], "scaled", 1.5)
+        assert divergent and np.isinf(terms[:128]).all()
+        assert not terms[128:1 << 14].any() and terms[1 << 14:].all()
+
+
+class TestPassMemory:
+    """Traced allocations of a pass to the grid level, in units of the path's bytes.
+
+    No level's terms are held whole: a finest-level scaled-QV pass holds the
+    weights of the level below the grid (0.5) and a few blocks (0.70
+    measured; 1.63 with a scratch array of the grid level), other passes a
+    few blocks (0.125; 1.0).
+    """
+
+    @pytest.fixture(scope="class")
+    def fbm20(self):
+        return rv.fbm_path(0.4, 20, seed=1)
+
+    @pytest.mark.parametrize("kind, p, gamma, bound", [
+        ("scaled", 2.5, None, 0.8),
+        ("pth", 2.5, None, 0.25),
+        ("classical_scaled", 2.0, -0.3, 0.25),
+    ])
+    def test_traced_peak_of_a_full_grid_pass(self, fbm20, kind, p, gamma, bound):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _level_terminals(fbm20, range(6, 21), kind, p, gamma)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * fbm20.samples.nbytes, peak / fbm20.samples.nbytes
 
 
 # ---------------------------------------------------------------------------
