@@ -25,7 +25,6 @@ from .variation import (
     LimitReport,
     PVarSource,
     _check_levels,
-    _Increments,
     _level_terminals,
     _tail_slope,
     default_levels,
@@ -299,29 +298,27 @@ def write_report_csv(report: IsometryReport, filename) -> None:
 _REL_FLOOR = 1e-12
 
 
-def holder_proxy(x: Path, levels, inc: _Increments | None = None) -> float:
-    """Exponent estimate from the decay of max increments across levels.
-
-    ``inc`` holds increments of ``x`` already taken by a pyramid pass.
-    """
+def holder_proxy(x: Path, levels) -> float:
+    """Exponent estimate from the decay of max increments across levels."""
     lv = _check_levels(x, levels, 2)
-    inc = inc or _Increments(x, keep=False)
-    mags = np.asarray([float(np.max(np.abs(inc.dx(n)))) for n in lv])
-    return -_tail_slope(np.asarray(lv, dtype=np.float64), mags)
+    s, mags = x.samples, []
+    for n in lv:
+        r = 1 << (x.grid_level - n)
+        mags.append(float(np.max(np.abs(np.subtract(s[r::r], s[:-1:r])))))
+    return -_tail_slope(np.asarray(lv, dtype=np.float64), np.asarray(mags))
 
 
-def _pth_trend(x: Path, p: float, levels,
-               inc: _Increments | None = None) -> LimitReport | None:
+def _pth_trend(x: Path, p: float, levels) -> LimitReport | None:
     """The path's p-th variation terminals, classified over the whole window."""
     if len(levels) < 3:
         return None
-    return limit_diagnostics(_level_terminals(x, levels, "pth", p, inc=inc),
+    return limit_diagnostics(_level_terminals(x, levels, "pth", p),
                              window=len(levels), levels=levels)
 
 
-def _index_warning(x: Path, p: float, levels, inc: _Increments) -> list:
+def _index_warning(x: Path, p: float, levels) -> list:
     """Warn when the path's p-th variation is visibly not levelling off."""
-    rep = _pth_trend(x, p, levels, inc)
+    rep = _pth_trend(x, p, levels)
     if rep is not None and abs(rep.trend_slope) > 0.5:
         return [f"p-th variation terminals trend with log2 slope "
                 f"{rep.trend_slope:+.2f}; the path's critical index appears "
@@ -329,9 +326,9 @@ def _index_warning(x: Path, p: float, levels, inc: _Increments) -> list:
     return []
 
 
-def _map_warnings(x: Path, f: SmoothMap, p: float, levels, inc: _Increments) -> list:
+def _map_warnings(x: Path, f: SmoothMap, p: float, levels) -> list:
     """The index warning, plus one when the path leaves the map's table."""
-    warnings = _index_warning(x, p, levels, inc)
+    warnings = _index_warning(x, p, levels)
     lo, hi = float(np.min(x.samples)), float(np.max(x.samples))
     if f.table_range is not None and not f.table_range[0] <= lo <= hi <= f.table_range[1]:
         warnings.append(f"path samples span [{lo:.6g}, {hi:.6g}], outside map "
@@ -341,35 +338,36 @@ def _map_warnings(x: Path, f: SmoothMap, p: float, levels, inc: _Increments) -> 
 
 
 def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
-                      inc: _Increments, src: PVarSource | None = None) -> tuple:
+                      src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
 
     The left side is the ``kind`` terminals of :func:`_level_terminals` over f(x)
     with its default source; the right side is the left-endpoint Stieltjes
     sum of ``|f1(x)|**p`` against the terms of the same pass over x
-    (weights from ``src``), the factor applied a block at a time and the
-    products reduced like every other level terminal.
+    (weights from ``src``), the factor applied to each piece of terms the
+    pass takes and the products reduced like every other level terminal.
     """
     def g(n, lo, hi):
         stride = 1 << (x.grid_level - n)
         return np.abs(f.f1(x.samples[lo * stride:hi * stride:stride])) ** p
 
     return (_level_terminals(compose_path(f, x), levels, kind, p),
-            _level_terminals(x, levels, kind, p, src=src, inc=inc, scale=g))
+            _level_terminals(x, levels, kind, p, src=src, scale=g))
 
 
 def _two_sided(kind: str, x: Path, p: float, levels, sides,
                **fields) -> IsometryReport:
     """Compare two per-level sequences and judge the error trend.
 
-    ``levels`` defaults to :func:`default_levels`; ``sides(levels, inc)``
-    returns ``(lhs, rhs, warnings)``, taking the increments of ``x`` from
-    ``inc``, which the Holder proxy reads too.  ``fields`` fill the
-    report's remaining fields (source mode, map id, notes).
+    ``levels`` defaults to :func:`default_levels`; ``sides(levels)``
+    returns ``(lhs, rhs, warnings)``, each side the level terminals of one
+    pyramid pass (one sweep over the path's samples, a tile of 2**16 grid
+    increments at a time).  ``alpha_proxy`` is :func:`holder_proxy` of
+    ``x`` over the same levels.  ``fields`` fill the report's remaining
+    fields (source mode, map id, notes).
     """
     lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
-    inc = _Increments(x)
-    lhs, rhs, warnings = sides(lv, inc)
+    lhs, rhs, warnings = sides(lv)
     absd = np.abs(np.subtract(lhs, rhs))
     rel = absd / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR)
     slope = _tail_slope(np.asarray(lv, dtype=np.float64), rel)
@@ -378,7 +376,7 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
                           abs_err=tuple(absd), rel_err=tuple(rel),
                           err_trend_slope=slope,
                           success=bool(np.max(rel) <= _REL_FLOOR or slope < 0.0),
-                          alpha_proxy=holder_proxy(x, lv, inc),
+                          alpha_proxy=holder_proxy(x, lv),
                           warnings=tuple(warnings), **fields)
 
 
@@ -395,9 +393,9 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     """
     src_x = src or PVarSource()
 
-    def sides(lv, inc):
-        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", inc, src_x)
-        warnings = _map_warnings(x, f, p, lv, inc)
+    def sides(lv):
+        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", src_x)
+        warnings = _map_warnings(x, f, p, lv)
         if float(np.min(np.abs(f.f1(x.samples)))) == 0.0:
             warnings.append(f"map {f.id} has vanishing derivative on the path's "
                             "range; degenerate blocks contribute zero")
@@ -409,8 +407,8 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
 
 def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryReport:
     """Compare the p-th variation of f(x) against sum |f'(x)|^p * d[x]^(p)."""
-    return _two_sided("chain_rule", x, p, levels, lambda lv, inc: (
-        *_integrated_sides(x, f, p, lv, "pth", inc), _map_warnings(x, f, p, lv, inc)),
+    return _two_sided("chain_rule", x, p, levels, lambda lv: (
+        *_integrated_sides(x, f, p, lv, "pth"), _map_warnings(x, f, p, lv)),
         map_id=f.id)
 
 
@@ -430,7 +428,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
               label=f"{x.label}+{A.label}" if x.label and A.label else "perturbed")
     src_x = src or PVarSource()
 
-    def sides(lv, inc):
+    def sides(lv):
         rep = _pth_trend(A, p, lv)
         warnings = []
         if rep is not None and rep.classification != "vanishing":
@@ -438,7 +436,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
                             f"{rep.classification}, not vanishing; invariance "
                             "hypothesis violated")
         return (_level_terminals(xa, lv, "scaled", p),
-                _level_terminals(x, lv, "scaled", p, src=src_x, inc=inc), warnings)
+                _level_terminals(x, lv, "scaled", p, src=src_x), warnings)
 
     return _two_sided("invariance", x, p, levels, sides, src_mode=src_x.mode,
                       map_id=A.label or "perturbation")

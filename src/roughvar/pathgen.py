@@ -20,6 +20,7 @@ from .schauder import (
     _midpoint_path,
     _takagi_rows,
     counterexample_coefficients,
+    read_coefficients_json,
     schauder_eval,
 )
 
@@ -434,8 +435,6 @@ def generate(spec: GeneratorSpec, digest=None) -> Path:
         return smooth_perturbation(spec.params.get("shape", "sine"),
                                    float(spec.params.get("amplitude", 1.0)),
                                    spec.grid_level, spec.params)
-    if spec.kind == "custom_schauder":
-        from .schauder import read_coefficients_json
-        coeffs = read_coefficients_json(spec.params["coeffs_file"], digest)
-        return schauder_eval(coeffs, spec.grid_level)
-    raise ValidationError(f"unknown generator kind {spec.kind!r}")
+    # custom_schauder: GeneratorSpec admits no other kind
+    coeffs = read_coefficients_json(spec.params["coeffs_file"], digest)
+    return schauder_eval(coeffs, spec.grid_level)

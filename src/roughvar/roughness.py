@@ -20,7 +20,6 @@ from .grid import Path
 from .variation import (
     PVarSource,
     _check_levels,
-    _Increments,
     _level_terminals,
     default_levels,
     limit_diagnostics,
@@ -94,12 +93,11 @@ class RoughnessReport:
                 "src_mode": self.src_mode, "iters": self.iters}
 
 
-def _probe(x: Path, levels: list, q: float, src: PVarSource | None,
-           inc: _Increments | None = None) -> ProbeRecord:
+def _probe(x: Path, levels: list, q: float, src: PVarSource | None) -> ProbeRecord:
     """Classify every level's scaled-QV terminal at q, taken in one pyramid pass."""
     if not 0.0 < q < math.inf:
         raise ValidationError(f"q must be > 0 and finite, got {q}")
-    terminals = _level_terminals(x, levels, "scaled", q, src=src, inc=inc)
+    terminals = _level_terminals(x, levels, "scaled", q, src=src)
     rep = limit_diagnostics(terminals, window=len(levels), levels=levels)
     return ProbeRecord(q=float(q), classification=rep.classification,
                        terminal_values=rep.terminal_values,
@@ -116,8 +114,7 @@ def classification_sweep(x: Path, levels, qs,
                          src: PVarSource | None = None) -> list:
     """Probe several exponents; records sorted by q."""
     levels = _check_levels(x, levels, 3)
-    inc = _Increments(x)
-    return sorted((_probe(x, levels, q, src, inc) for q in qs),
+    return sorted((_probe(x, levels, q, src) for q in qs),
                   key=lambda rec: rec.q)
 
 
@@ -178,8 +175,7 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     falls on one side moves the bracket, and the next root is the zero of
     the secant through that pair.  At most ``iters`` probes follow the
     endpoints (the last one probes r itself); when they run out
-    ``p_bar_est`` is the root of the final bracket.  The q-independent
-    increments are taken once for all probes.
+    ``p_bar_est`` is the root of the final bracket.
     """
     p_min, p_max = float(p_range[0]), float(p_range[1])
     if not p_min < p_max:
@@ -190,14 +186,13 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
         raise ValidationError(f"iters must be >= 1, got {iters}")
     levels = _check_levels(x, default_levels(x) if levels is None else levels, 3)
     src = src or PVarSource()
-    inc = _Increments(x)
     seen: dict[float, ProbeRecord] = {}
 
     def evidence() -> list:
         return [r.to_dict() for r in sorted(seen.values(), key=lambda r: r.q)]
 
     def probe(q: float) -> ProbeRecord:
-        rec = _probe(x, levels, q, src, inc)
+        rec = _probe(x, levels, q, src)
         seen[rec.q] = rec
         return rec
 

@@ -14,13 +14,13 @@ level-n atomic variation measure) together with the raw per-block terms, so
 downstream consumers (Stieltjes integration, diagnostics) can reuse the
 exact accumulation.  Callers that need only per-level summaries along the
 dyadic levels (the critical-index search, the identity checks, the CLI)
-use :func:`_dyadic_levels`, one pass down the dyadic pyramid that builds
-no profile and holds no level's terms whole: each level is reduced a block
-of ``_PASS_BLOCK`` terms at a time to its sum (bitwise numpy's pairwise sum
-of the whole level), its largest term and its divergence flag.  Passes over
-one path share its increments through :class:`_Increments`.  Both take
-their exponents from :func:`_resolve` and their terms from :func:`_terms`,
-the one definition of each functional.
+use :func:`_dyadic_levels`, one sweep over the samples a tile of
+``_PASS_BLOCK`` grid increments at a time, which builds no profile and
+holds no level's terms whole: each level is fed its increments, weights
+and terms tile by tile and reduced to its sum (bitwise numpy's pairwise
+sum of the whole level), its largest term and its divergence flag.  Both
+take their exponents from :func:`_resolve` and their terms from
+:func:`_terms`, the one definition of each functional.
 :func:`limit_diagnostics` classifies a terminal-value sequence across
 levels as vanishing / finite_positive / diverging / oscillating /
 inconclusive.
@@ -52,7 +52,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-_PASS_BLOCK = 1 << 16  # values per block of a pyramid pass's sweeps and scaled terms
+_PASS_BLOCK = 1 << 16  # grid increments per tile of a pyramid pass
+_LEAF = 1 << 7  # numpy's pairwise-sum leaf: the shortest piece of a level a tile feeds
 
 
 def accurate_cumsum(terms: np.ndarray) -> np.ndarray:
@@ -187,51 +188,35 @@ def _resolve(kind: str, p: float = 2.0, gamma: float | None = None,
     return p, (p - 2.0) / p, src or PVarSource()
 
 
-def _terms(kind: str, dx: np.ndarray, out: np.ndarray, p: float,
-           gamma: float | None, weights: Callable, dt: Callable) -> tuple:
-    """``(terms, clamped, divergent)`` of ``kind`` on the increments ``dx``.
+def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
+           w: np.ndarray | None, dt) -> tuple:
+    """``(terms, divergent)`` of ``kind`` on the increments ``dx``.
 
     The one definition of each functional, for ``(p, gamma)`` from
     :func:`_resolve`: ``pth`` is ``|dx|**p``, ``classical_scaled`` is
-    ``dt()**gamma * dx**2`` and ``scaled`` is ``w**gamma * dx**2`` with
-    ``(w, clamped) = weights()``, called for scaled terms only (before
-    ``out`` is written), under the degenerate-block conventions of
-    :func:`scaled_qv`.  The terms are written into ``out``, which may be
-    ``dx`` itself, and returned.
+    ``dt**gamma * dx**2`` and ``scaled`` is ``w**gamma * dx**2`` (``w`` is
+    read for scaled terms at gamma != 0 only).  Scaled terms follow the
+    degenerate-block conventions of :func:`scaled_qv`: a zero weight with a
+    zero increment (0 * inf, NaN) gives 0, and a zero weight with a nonzero
+    increment at gamma < 0 gives +inf, which ``divergent`` flags.  They are
+    a new array; the other terms are written over ``dx``.  Callers run it
+    under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     if kind == "pth":
-        return _pth_terms(dx, p, out), 0, False
+        return _pth_terms(dx, p, dx), False
     if gamma == 0.0:
         # the weight exponent vanishes: plain quadratic variation, any source
-        return np.multiply(dx, dx, out=out), 0, False
+        return np.multiply(dx, dx, out=dx), False
     if kind == "classical_scaled":
-        scale = dt() ** gamma
-        out = np.multiply(dx, dx, out=out)
+        scale = dt ** gamma
+        out = np.multiply(dx, dx, out=dx)
         out *= scale
-        return out, 0, False
-    w, clamped = weights()
-    return out, clamped, _scaled_terms(w, dx, gamma, out)
-
-
-def _scaled_terms(w: np.ndarray, dx: np.ndarray, gamma: float,
-                  out: np.ndarray) -> bool:
-    """``w**gamma * dx * dx`` into ``out`` (which may be ``dx``); whether one is inf.
-
-    A block of ``_PASS_BLOCK`` terms at a time: a zero weight with a zero
-    increment (0 * inf, NaN) gives 0, and a zero weight with a nonzero
-    increment at gamma < 0 gives +inf.
-    """
-    divergent = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, dx.size, _PASS_BLOCK):
-            hi = lo + _PASS_BLOCK
-            t = w[lo:hi] ** gamma
-            t *= dx[lo:hi]
-            t *= dx[lo:hi]
-            t[np.isnan(t)] = 0.0
-            divergent = divergent or bool(np.isinf(t).any())
-            out[lo:hi] = t
-    return divergent
+        return out, False
+    t = w ** gamma
+    t *= dx
+    t *= dx
+    t[np.isnan(t)] = 0.0
+    return t, bool(np.isinf(t).any())
 
 
 def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
@@ -241,9 +226,13 @@ def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
     p, gamma, src = _resolve(kind, p, gamma, src)
     times = part.times(x.grid_level)  # checks that part ends on the grid
     dx = np.diff(x.samples[part.indices])
-    return _from_terms(kind, p, gamma, src, part.level, times, *_terms(
-        kind, dx, dx, p, gamma, lambda: src.block_weights(x, part, p, dx),
-        lambda: np.diff(times)))
+    w, clamped = None, 0
+    if kind == "scaled" and gamma != 0.0:
+        w, clamped = src.block_weights(x, part, p, dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms, divergent = _terms(kind, dx, p, gamma, w,
+                                  np.diff(times) if kind == "classical_scaled" else None)
+    return _from_terms(kind, p, gamma, src, part.level, times, terms, clamped, divergent)
 
 
 def _from_terms(kind: str, p: float, gamma, src, level: int, times: np.ndarray,
@@ -319,21 +308,53 @@ class PVarSource:
             part.check_grid(x.grid_level)
             fine = np.diff(x.samples)
             return np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1]), 0
-        t = part.times(x.grid_level)
-        vals = np.asarray(self.analytic_fn(t), dtype=np.float64)
+        weights = _Analytic(self.analytic_fn)
+        w = weights(part.times(x.grid_level))
+        return w, weights.check()
+
+
+class _Analytic:
+    """Weight increments of an analytic source, over a level's times in pieces.
+
+    Each call, on the next piece's times ``t`` (pieces in order, each
+    starting where the last ended), returns ``diff(analytic_fn(t))`` with
+    negative increments clipped up to zero; every value must be finite.
+    :meth:`check` then checks all the pieces as one: the function vanishes
+    at t = 0 (within 1e-12 of its last value, at least 1) and falls by no
+    more than 1e-9 of its largest increment (at least 1).  It returns the
+    count of clipped increments.
+    """
+
+    def __init__(self, fn: Callable):
+        self.fn, self.first, self.last = fn, None, None
+        self.clamped, self.top, self.bottom = 0, 0.0, 0.0
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self.fn(t), dtype=np.float64)
         if vals.shape != t.shape:
             raise SourceError("analytic_fn must return one value per partition point")
-        scale = max(abs(float(vals[-1])), 1.0)
-        if abs(float(vals[0])) > 1e-12 * scale:
-            raise SourceError(f"analytic_fn must vanish at t=0, got {vals[0]}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SourceError(f"analytic_fn must be finite, got {vals[i]} at t={t[i]}")
+        if self.first is None:
+            self.first = vals[0]
+        self.last = vals[-1]
         w = np.diff(vals)
+        self.top = max(self.top, float(w.max(initial=0.0)))
         neg = int(np.count_nonzero(w < 0.0))
         if neg:
-            tol = 1e-9 * max(abs(float(w.max(initial=0.0))), 1.0)
-            if float(w.min()) < -tol:
-                raise SourceError("analytic_fn must be nondecreasing")
+            self.clamped += neg
+            self.bottom = min(self.bottom, float(w.min()))
             w = np.maximum(w, 0.0)
-        return w, neg
+        return w
+
+    def check(self) -> int:
+        if abs(float(self.first)) > 1e-12 * max(abs(float(self.last)), 1.0):
+            raise SourceError(f"analytic_fn must vanish at t=0, got {self.first}")
+        if self.bottom < -1e-9 * max(self.top, 1.0):
+            raise SourceError("analytic_fn must be nondecreasing")
+        return self.clamped
 
 
 def scaled_qv(x: Path, part: Partition, p: float,
@@ -375,49 +396,16 @@ def _check_levels(x: Path, levels, at_least: int) -> list:
     return lv
 
 
-class _Increments:
-    """The per-level increments of pyramid passes over one path.
-
-    ``dx(n, lo, hi)`` is level n's increments ``lo:hi`` (all of them by
-    default), a strided difference of the samples.  With ``keep`` each
-    level's array is taken whole once, made read-only and shared by every
-    later pass (a search probing many exponents), which gets slices of it;
-    without it each call makes a fresh array of just the slice asked for.
-    """
-
-    def __init__(self, x: Path, keep: bool = True):
-        self.x = x
-        self.keep = keep
-        self._kept = {}
-
-    def dx(self, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        s, stride = self.x.samples, 1 << (self.x.grid_level - n)
-        hi = 1 << n if hi is None else hi
-        if not self.keep:
-            return np.subtract(s[(lo + 1) * stride:hi * stride + 1:stride],
-                               s[lo * stride:hi * stride:stride])
-        if n not in self._kept:
-            arr = np.subtract(s[stride::stride], s[:-1:stride])
-            arr.setflags(write=False)
-            self._kept[n] = arr
-        return self._kept[n][lo:hi]
-
-    def out(self, dx: np.ndarray) -> np.ndarray:
-        """Where a block's terms go: over ``dx`` itself unless it is kept."""
-        return np.empty_like(dx) if self.keep else dx
-
-
 class _Level:
-    """One level of a pyramid pass, fed its terms in order a block at a time.
+    """One level of a pyramid pass, fed its terms in order a piece at a time.
 
-    Each block, ``min(_PASS_BLOCK, 2**n)`` terms, keeps its ``np.sum``, its
-    max and its divergence flag.
-    :meth:`done` sets ``total``, the block sums added up by a balanced
-    pairwise tree, which for these aligned power-of-two blocks is
-    :func:`_level_total` of the whole level bit for bit, and ``peak``, the
-    largest term.  ``scale(n, lo, hi)``, when given, multiplies terms
-    ``lo:hi`` first; with ``gather``, ``terms`` holds the whole level's
-    terms (for a profile), else None.
+    Each piece keeps its ``np.sum``, its max and its divergence flag.
+    :meth:`done` sets ``total``, the piece sums added up by a balanced
+    pairwise tree, which for aligned power-of-two pieces of at least
+    ``_LEAF`` terms (or one piece) is :func:`_level_total` of the whole
+    level bit for bit, and ``peak``, the largest term.  ``scale(n, lo, hi)``,
+    when given, multiplies terms ``lo:hi`` first; with ``gather``, ``terms``
+    holds the whole level's terms (for a profile), else None.
     """
 
     def __init__(self, n: int, scale: Callable | None = None, gather: bool = False):
@@ -431,8 +419,8 @@ class _Level:
             np.multiply(self.scale(self.n, lo, hi), terms, out=terms)
         if self.terms is not None:
             self.terms[lo:hi] = terms
-        self.sums.append(np.sum(terms))
-        self.peaks.append(np.max(terms))
+        self.sums.append(terms.sum())
+        self.peaks.append(terms.max())
         self.divergent = self.divergent or divergent
 
     def done(self, clamped: int) -> "_Level":
@@ -443,97 +431,73 @@ class _Level:
         return self
 
 
-def _halve(w: np.ndarray, n: int) -> None:
-    """Pairwise sums ``w[2k] + w[2k+1]`` of level n+1 weights into ``w[:2**n]``.
-
-    Front to back a block at a time, so each block's pairs are read before
-    any output lands on them.
-    """
-    for lo in range(0, 1 << n, _PASS_BLOCK):
-        hi = min(lo + _PASS_BLOCK, 1 << n)
-        np.add(w[2 * lo:2 * hi:2], w[2 * lo + 1:2 * hi:2], out=w[lo:hi])
-
-
-def _finest_sweep(x: Path, p: float, gamma: float, top: int, inc: _Increments,
-                  lv: _Level | None) -> tuple:
-    """Finest-level weights from one blocked sweep over the samples.
-
-    Each block of ``_PASS_BLOCK`` grid increments is differenced, made
-    ``|dx|**p`` and halved pairwise (``w[0::2] + w[1::2]``) as far as the
-    block allows, down to level ``top``, so every weight is an exact-order
-    block sum.  Given ``lv``, the :class:`_Level` of level ``top``, the
-    sweep feeds it that level's scaled terms on the way, block by block, and
-    stores only the weights one level below.  Returns ``(w, level)``: the
-    stored weights and their level.
-    """
-    L, s = x.grid_level, x.samples
-    size = min(_PASS_BLOCK, 1 << L)
-    halvings = min(L - top + (lv is not None), size.bit_length() - 1)
-    w = np.empty(1 << (L - halvings))
-    for lo in range(0, 1 << L, size):
-        a = np.subtract(s[lo + 1:lo + size + 1], s[lo:lo + size])
-        np.abs(a, out=a)
-        np.power(a, p, out=a)
-        for level in range(L, L - halvings - 1, -1):
-            if lv is not None and level == top:
-                j = lo >> (L - top)
-                dx = inc.dx(top, j, j + a.size)
-                out = inc.out(dx)
-                lv.add(j, out, _scaled_terms(a, dx, gamma, out))
-            if level > L - halvings:
-                a = a[0::2] + a[1::2]
-        w[lo >> halvings:(lo + size) >> halvings] = a
-    return w, L - halvings
-
-
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None,
-                   inc: _Increments | None = None, scale: Callable | None = None,
-                   gather: bool = False):
-    """Yield a :class:`_Level` per distinct level, finest first.
+                   scale: Callable | None = None, gather: bool = False) -> list:
+    """A finished :class:`_Level` per distinct level, finest first.
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
     level's dyadic partition, but no partition, time grid, cumulative array
-    or profile is built, and no level's terms are held whole: each level is
-    taken ``_PASS_BLOCK`` increments at a time (from ``inc`` when it keeps
-    them), made terms and fed to the level's :class:`_Level` (with ``scale``
-    and ``gather`` as there).  With the default finest-level source the
-    weights come from :func:`_finest_sweep`, which also takes the top
-    level's terms when its blocks are the pass's (the top level is the grid
-    level, or the grid has one block), and each coarser level's weights are
-    pairwise sums of the level below, halved in place over the weights' own
-    front half (:func:`_halve`), so every weight is an exact-order block sum.  Other
-    sources supply a level's weights whole through
-    :meth:`PVarSource.block_weights`, sliced per block.
+    or profile is built, and no level's terms are held whole.  One sweep
+    takes the samples a tile of ``_PASS_BLOCK`` grid increments at a time;
+    every level with at least ``_LEAF`` terms per tile (every level, when
+    one tile is the grid) takes that tile's strided increments, weights and
+    terms, and feeds the terms to its :class:`_Level` (with ``scale`` and
+    ``gather`` as there).  Weights: finest-level ones are the tile's
+    ``|dx|**p`` halved pairwise (``w[0::2] + w[1::2]``) down the levels, so
+    each is an exact-order block sum; self-level ones are the level's own
+    ``|dx|**p``; analytic ones are :class:`_Analytic` on the tile's times,
+    checked over each whole level before the pass returns.  The coarser
+    levels, at most ``2**(L-9)`` terms each, are taken whole after the
+    sweep, from the finest-level weights it stores at level L-9.
     """
-    L = x.grid_level
-    wanted = sorted(set(_check_levels(x, levels, 1)), reverse=True)
+    L, s = x.grid_level, x.samples
     p, gamma, src = _resolve(kind, p, gamma, src)
-    inc = inc or _Increments(x, keep=False)
-    w = None
-    if kind == "scaled" and gamma != 0.0 and src.mode == "finest_level":
-        top = wanted[0]
-        # the sweep's slices of level top are the pass's blocks only then
-        lv = _Level(top, scale, gather) if top == L or 1 << L <= _PASS_BLOCK else None
-        w, w_level = _finest_sweep(x, p, gamma, top, inc, lv)
-        if lv is not None:
-            yield lv.done(0)
-            wanted.pop(0)
-    for n in wanted:
-        while w is not None and w_level > n:
-            w_level -= 1
-            _halve(w, w_level)
-        weights, clamped = w, 0
-        if w is None and kind == "scaled" and gamma != 0.0:
-            weights, clamped = src.block_weights(x, dyadic_partition(n, L), p, inc.dx(n))
-        lv = _Level(n, scale, gather)
-        for lo in range(0, 1 << n, _PASS_BLOCK):
-            dx = inc.dx(n, lo, min(lo + _PASS_BLOCK, 1 << n))
-            terms, _, divergent = _terms(kind, dx, inc.out(dx), p, gamma,
-                                         lambda: (weights[lo:lo + dx.size], 0),
-                                         lambda: np.float64(2.0 ** -n))
-            lv.add(lo, terms, divergent)
-        yield lv.done(clamped)
+    mode = src.mode if kind == "scaled" and gamma != 0.0 else None
+    finest = mode == "finest_level"
+    lvs = [_Level(n, scale, gather)
+           for n in sorted(set(_check_levels(x, levels, 1)), reverse=True)]
+    analytic = {lv.n: _Analytic(src.analytic_fn) for lv in lvs} if mode == "analytic" else {}
+    size = min(_PASS_BLOCK, 1 << L)
+    # the coarsest level with _LEAF terms a tile (L-9), or 0 when one tile is the grid
+    cut = 0 if size == 1 << L else L - (size // _LEAF).bit_length() + 1
+    tiled = {lv.n: lv for lv in lvs if lv.n >= cut}
+    bottom = max(cut, lvs[-1].n)
+    stored = np.empty(1 << cut) if finest and lvs[-1].n < cut else None
+
+    def feed(lv: _Level, lo: int, hi: int, w: np.ndarray | None,
+             dx: np.ndarray | None = None) -> None:
+        """Level ``lv``'s terms over grid increments ``lo:hi`` (``dx`` its increments)."""
+        n, r = lv.n, 1 << (L - lv.n)
+        j, k = lo // r, hi // r
+        if mode == "analytic":
+            w = analytic[n](np.arange(j, k + 1, dtype=np.float64) * 2.0 ** -n)
+        if dx is None:
+            dx = np.subtract(s[lo + r:hi + 1:r], s[lo:hi:r])
+        if mode == "self_level":
+            w = np.abs(dx) ** p
+        lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, 1 << L, size):
+            d = w = None
+            if finest:
+                d = np.subtract(s[lo + 1:lo + size + 1], s[lo:lo + size])
+                w = np.abs(d)
+                np.power(w, p, out=w)
+            for n in range(L, bottom - 1, -1):
+                if finest and n < L:
+                    w = w[0::2] + w[1::2]
+                if n in tiled:
+                    feed(tiled[n], lo, lo + size, w, d if n == L else None)
+            if stored is not None:
+                stored[lo >> (L - cut):(lo + size) >> (L - cut)] = w
+        level = cut
+        for lv in (lv for lv in lvs if lv.n < cut):
+            while stored is not None and level > lv.n:
+                stored, level = stored[0::2] + stored[1::2], level - 1
+            feed(lv, 0, 1 << L, stored)
+    return [lv.done(analytic[lv.n].check() if analytic else 0) for lv in lvs]
 
 
 def _level_total(terms: np.ndarray) -> float:
@@ -543,13 +507,13 @@ def _level_total(terms: np.ndarray) -> float:
 
 def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
                      gamma: float | None = None, src: PVarSource | None = None,
-                     inc: _Increments | None = None, scale: Callable | None = None) -> list:
+                     scale: Callable | None = None) -> list:
     """Terminal of each level in ``levels`` (in that order), one pyramid pass.
 
     ``scale`` multiplies the terms first, as in :class:`_Level`.
     """
     got = {lv.n: lv.total
-           for lv in _dyadic_levels(x, levels, kind, p, gamma, src, inc, scale)}
+           for lv in _dyadic_levels(x, levels, kind, p, gamma, src, scale)}
     return [got[int(n)] for n in levels]
 
 

@@ -394,6 +394,17 @@ class TestExponentsAndUsage:
         assert rc == 1
         assert err == "error: gamma must be finite, got -inf\n" and out == ""
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_analytic_constant_exits_one(self, c, capsys):
+        # C*t is NaN at t = 0 for each of these; NaN weights once gave
+        # terminals of 0 and a "vanishing" verdict
+        rc, out, err = run(capsys, "sqv", "--kind", "fbm", "--H", "0.4",
+                           "--level", "12", "--seed", "1", "--p", "3",
+                           "--src", "analytic", "--analytic-c", c)
+        assert rc == 1
+        assert err == "error: analytic_fn must be finite, got nan at t=0.0\n"
+        assert out == ""
+
     def test_usage_error_exits_one(self, capsys):
         # argparse takes "-1:4" for an option; 2 is the numerical-failure code
         with pytest.raises(SystemExit) as exc:
@@ -824,22 +835,23 @@ def _vmhwm_mib(argv=None):
 class TestResidentPeak:
     """Level-20 fBM jobs' resident high-water mark above an import-only interpreter.
 
-    A pass holds the 8 MiB path, the weights of the level below its finest
-    and a few blocks of 2**16 terms; generating the path holds a 16 MiB
-    buffer, which sets the peak.
+    A pass holds the 8 MiB path, a few arrays of one tile of 2**16 grid
+    increments and 16 KiB of finest-level weights; generating the path
+    holds a 16 MiB buffer, which sets the peak.
     """
 
     FBM20 = ("--kind", "fbm", "--H", "0.4", "--level", "20", "--seed", "5")
 
     def test_scaled_qv_to_the_grid_level(self, tmp_path):
-        # 21.4 MiB measured, 24.2 with a scratch array of the grid level and
-        # 40.5 with a fresh array for every step of the pass
+        # 21.6 MiB measured, the generator's; 24.2 with a scratch array of the
+        # grid level and 40.5 with a fresh array for every step of the pass
         peak = _vmhwm_mib(["sqv", *self.FBM20, "--p", "2.5", "--levels", "6:20",
                            "--out", str(tmp_path / "sqv.json")])
         assert peak - _vmhwm_mib() <= 32.0
 
     def test_roughness_search(self, tmp_path):
-        # 21.3 MiB measured, 38.6 with the kept grid-level |dx| and fresh arrays
+        # 22.2 MiB measured, the generator's; 38.6 with the kept grid-level |dx|
+        # and fresh arrays
         peak = _vmhwm_mib(["roughness", *self.FBM20,
                            "--out", str(tmp_path / "roughness.json")])
         assert peak - _vmhwm_mib() <= 30.0
