@@ -20,8 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .grid import Path, _write_csv
+from .grid import Path, _check_finite, _write_csv
 from .variation import (
+    _PASS_BLOCK,
     LimitReport,
     PVarSource,
     _check_levels,
@@ -239,16 +240,25 @@ def builtin_map(spec: str) -> SmoothMap:
         ) from None
 
 
+def _image(f: SmoothMap, x: Path) -> Callable:
+    """``values(lo, hi)``: f of samples ``lo:hi`` of ``x``, each checked finite."""
+    def values(lo: int, hi: int) -> np.ndarray:
+        u = x.samples[lo:hi]
+        out = np.asarray(f.f(u), dtype=np.float64)
+        if out.shape != u.shape:
+            raise EvaluationError(f"map {f.id} changed the sample count")
+        ok = np.isfinite(out)
+        if not ok.all():
+            t_bad = np.float64(lo + int(np.argmin(ok))) * 2.0 ** (-x.grid_level)
+            raise EvaluationError(f"map {f.id} produced a non-finite value at t={t_bad}")
+        return out
+
+    return values
+
+
 def compose_path(f: SmoothMap, x: Path) -> Path:
     """Pointwise image f(x(t_j)) on the same grid."""
-    samples = np.asarray(f.f(x.samples), dtype=np.float64)
-    if samples.shape != x.samples.shape:
-        raise EvaluationError(f"map {f.id} changed the sample count")
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        t_bad = x.times[bad][0]
-        raise EvaluationError(f"map {f.id} produced a non-finite value at t={t_bad}")
-    return Path(grid_level=x.grid_level, samples=samples,
+    return Path(grid_level=x.grid_level, samples=_image(f, x)(0, x.samples.size),
                 label=f"{f.id}({x.label})" if x.label else f.id)
 
 
@@ -299,12 +309,21 @@ _REL_FLOOR = 1e-12
 
 
 def holder_proxy(x: Path, levels) -> float:
-    """Exponent estimate from the decay of max increments across levels."""
+    """Exponent estimate from the decay of max increments across levels.
+
+    Each level's largest |increment| is taken a tile of ``_PASS_BLOCK`` grid
+    increments (or of one increment, when that is longer) at a time.
+    """
     lv = _check_levels(x, levels, 2)
-    s, mags = x.samples, []
+    s, top, mags = x.samples, 1 << x.grid_level, []
     for n in lv:
         r = 1 << (x.grid_level - n)
-        mags.append(float(np.max(np.abs(np.subtract(s[r::r], s[:-1:r])))))
+        size = min(max(r, _PASS_BLOCK), top)
+        peak = 0.0
+        for lo in range(0, top, size):
+            dx = np.subtract(s[lo + r:lo + size + 1:r], s[lo:lo + size:r])
+            peak = max(peak, float(np.max(np.abs(dx, out=dx))))
+        mags.append(peak)
     return -_tail_slope(np.asarray(lv, dtype=np.float64), np.asarray(mags))
 
 
@@ -341,17 +360,18 @@ def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
                       src: PVarSource | None = None) -> tuple:
     """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
 
-    The left side is the ``kind`` terminals of :func:`_level_terminals` over f(x)
-    with its default source; the right side is the left-endpoint Stieltjes
-    sum of ``|f1(x)|**p`` against the terms of the same pass over x
-    (weights from ``src``), the factor applied to each piece of terms the
-    pass takes and the products reduced like every other level terminal.
+    The left side is the ``kind`` terminals of :func:`_level_terminals` over
+    f(x), mapped a tile at a time, with its default source; the right side
+    is the left-endpoint Stieltjes sum of ``|f1(x)|**p`` against the terms
+    of the same pass over x (weights from ``src``), the factor applied to
+    each piece of terms the pass takes and the products reduced like every
+    other level terminal.
     """
     def g(n, lo, hi):
         stride = 1 << (x.grid_level - n)
         return np.abs(f.f1(x.samples[lo * stride:hi * stride:stride])) ** p
 
-    return (_level_terminals(compose_path(f, x), levels, kind, p),
+    return (_level_terminals(x, levels, kind, p, values=_image(f, x)),
             _level_terminals(x, levels, kind, p, src=src, scale=g))
 
 
@@ -364,10 +384,17 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
     pyramid pass (one sweep over the path's samples, a tile of 2**16 grid
     increments at a time).  ``alpha_proxy`` is :func:`holder_proxy` of
     ``x`` over the same levels.  ``fields`` fill the report's remaining
-    fields (source mode, map id, notes).
+    fields (source mode, map id, notes).  A side's terminal that is not
+    finite (the map, the path or a term overflowed) has no error to compare
+    and raises :class:`EvaluationError`.
     """
     lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
     lhs, rhs, warnings = sides(lv)
+    for side, terminals in (("lhs", lhs), ("rhs", rhs)):
+        for n, value in zip(lv, terminals):
+            if not np.isfinite(value):
+                raise EvaluationError(f"{kind} {side} terminal at level {n} is {value}, "
+                                      "not finite")
     absd = np.abs(np.subtract(lhs, rhs))
     rel = absd / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR)
     slope = _tail_slope(np.asarray(lv, dtype=np.float64), rel)
@@ -396,7 +423,9 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     def sides(lv):
         lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", src_x)
         warnings = _map_warnings(x, f, p, lv)
-        if float(np.min(np.abs(f.f1(x.samples)))) == 0.0:
+        s = x.samples
+        if np.min([np.min(np.abs(f.f1(s[lo:lo + _PASS_BLOCK])))
+                   for lo in range(0, s.size, _PASS_BLOCK)]) == 0.0:
             warnings.append(f"map {f.id} has vanishing derivative on the path's "
                             "range; degenerate blocks contribute zero")
         return lhs, rhs, warnings
@@ -417,16 +446,20 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
     """Scaled QV of x + A versus x; smooth A should not move it.
 
     Each side uses its own finest-level proxy (or the given source for the
-    base path).  A perturbation whose p-th variation does not vanish across
-    levels violates the hypothesis; that raises a warning, not an error.
+    base path); x + A is taken a tile at a time.  A perturbation whose p-th
+    variation does not vanish across levels violates the hypothesis; that
+    raises a warning, not an error.
     """
     if A.grid_level != x.grid_level:
         raise ValidationError(
             f"perturbation grid level {A.grid_level} != path level {x.grid_level}"
         )
-    xa = Path(grid_level=x.grid_level, samples=x.samples + A.samples,
-              label=f"{x.label}+{A.label}" if x.label and A.label else "perturbed")
     src_x = src or PVarSource()
+
+    def perturbed(lo: int, hi: int) -> np.ndarray:
+        out = np.add(x.samples[lo:hi], A.samples[lo:hi])
+        _check_finite(out, x.grid_level, lo)
+        return out
 
     def sides(lv):
         rep = _pth_trend(A, p, lv)
@@ -435,7 +468,7 @@ def invariance_check(x: Path, A: Path, p: float, levels=None,
             warnings.append(f"perturbation's p-th variation classifies "
                             f"{rep.classification}, not vanishing; invariance "
                             "hypothesis violated")
-        return (_level_terminals(xa, lv, "scaled", p),
+        return (_level_terminals(x, lv, "scaled", p, values=perturbed),
                 _level_terminals(x, lv, "scaled", p, src=src_x), warnings)
 
     return _two_sided("invariance", x, p, levels, sides, src_mode=src_x.mode,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Path, _check_max_level, _check_seed, grid_times
+from .grid import Path, _check_max_level, _check_seed
 from .schauder import (
     _midpoint_path,
     _takagi_rows,
@@ -37,6 +37,7 @@ __all__ = [
 GENERATOR_VERSION = "3"
 _LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
 _FFT_BLOCK = 1 << 15  # complex values per block of the four-step FFT's passes
+_SMOOTH_BLOCK = 1 << 16  # samples per block of a smooth perturbation
 # Lags k >= _SERIES_LAG take the covariance from the first _SERIES_TERMS terms
 # of its series in 1/k**2; the first term left out is below 2**-60 of the
 # leading one there.
@@ -335,23 +336,43 @@ def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
     ``kind='sine'`` gives ``amplitude * sin(2*pi*freq*t)`` (``freq`` from
     params, default 1); ``kind='poly'`` evaluates the polynomial with
     coefficients ``params['coeffs']`` (constant term first) times
-    ``amplitude``.
+    ``amplitude``.  Amplitude, frequency and coefficients must be finite.
+    The samples are written a block at a time, with no time grid.
     """
     params = dict(params or {})
     _check_max_level(grid_level)
-    t = grid_times(grid_level)
     if kind == "sine":
         freq = float(params.get("freq", 1.0))
-        samples = amplitude * np.sin(2.0 * np.pi * freq * t)
+        shape = {"freq": freq}
         label = f"sine(amp={amplitude}, freq={freq})"
     elif kind == "poly":
         coeffs = np.asarray(params.get("coeffs", [0.0, 1.0]), dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("poly perturbation needs a 1-D coefficient list")
-        samples = amplitude * np.polynomial.polynomial.polyval(t, coeffs)
+        shape = {"coeffs": coeffs.tolist()}
         label = f"poly(amp={amplitude}, coeffs={coeffs.tolist()})"
     else:
         raise ValidationError(f"unknown perturbation kind {kind!r}; expected sine or poly")
+    for name, value in {"amplitude": amplitude, **shape}.items():
+        if not np.isfinite(value).all():
+            raise ValidationError(f"perturbation {name} must be finite, got {value}")
+    n, step = (1 << grid_level) + 1, 2.0 ** (-grid_level)
+    samples = np.empty(n)
+    for lo in range(0, n, _SMOOTH_BLOCK):
+        t = np.arange(lo, min(lo + _SMOOTH_BLOCK, n), dtype=np.float64)
+        t *= step  # the grid_times bits
+        out = samples[lo:lo + t.size]
+        if kind == "sine":
+            np.multiply(t, 2.0 * np.pi * freq, out=out)
+            np.sin(out, out=out)
+        else:
+            # Horner's rule in the order np.polynomial.polynomial.polyval
+            # takes it, whose first value is coeffs[-1] + 0 * t
+            out.fill(coeffs[-1] + 0.0)
+            for c in coeffs[-2::-1]:
+                out *= t
+                out += c
+        out *= amplitude
     return Path(grid_level=grid_level, samples=samples, label=label)
 
 

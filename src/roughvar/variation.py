@@ -433,7 +433,8 @@ class _Level:
 
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None,
-                   scale: Callable | None = None, gather: bool = False) -> list:
+                   scale: Callable | None = None, gather: bool = False,
+                   values: Callable | None = None) -> list:
     """A finished :class:`_Level` per distinct level, finest first.
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
@@ -449,9 +450,14 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     ``|dx|**p``; analytic ones are :class:`_Analytic` on the tile's times,
     checked over each whole level before the pass returns.  The coarser
     levels, at most ``2**(L-9)`` terms each, are taken whole after the
-    sweep, from the finest-level weights it stores at level L-9.
+    sweep, from every ``2**9``-th sample and the finest-level weights at
+    level L-9, both kept from the tiles.  ``values(lo, hi)``, when given,
+    stands for samples ``lo:hi`` of ``x``: the pass then runs over that image
+    of the path, which it asks for once per tile, in order, and never holds
+    whole.
     """
-    L, s = x.grid_level, x.samples
+    L = x.grid_level
+    read = values or (lambda lo, hi: x.samples[lo:hi])
     p, gamma, src = _resolve(kind, p, gamma, src)
     mode = src.mode if kind == "scaled" and gamma != 0.0 else None
     finest = mode == "finest_level"
@@ -463,40 +469,48 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     cut = 0 if size == 1 << L else L - (size // _LEAF).bit_length() + 1
     tiled = {lv.n: lv for lv in lvs if lv.n >= cut}
     bottom = max(cut, lvs[-1].n)
-    stored = np.empty(1 << cut) if finest and lvs[-1].n < cut else None
+    step = 1 << (L - cut)
+    kept = np.empty((1 << cut) + 1) if lvs[-1].n < cut else None
+    stored = np.empty(1 << cut) if finest and kept is not None else None
 
-    def feed(lv: _Level, lo: int, hi: int, w: np.ndarray | None,
+    def feed(lv: _Level, j: int, t: np.ndarray, r: int, w: np.ndarray | None,
              dx: np.ndarray | None = None) -> None:
-        """Level ``lv``'s terms over grid increments ``lo:hi`` (``dx`` its increments)."""
-        n, r = lv.n, 1 << (L - lv.n)
-        j, k = lo // r, hi // r
+        """Level ``lv``'s terms from ``j`` on, over samples ``t`` (``dx`` its increments).
+
+        The level's grid points are every ``r``-th of ``t``.
+        """
+        n, k = lv.n, j + (t.size - 1) // r
         if mode == "analytic":
             w = analytic[n](np.arange(j, k + 1, dtype=np.float64) * 2.0 ** -n)
         if dx is None:
-            dx = np.subtract(s[lo + r:hi + 1:r], s[lo:hi:r])
+            dx = np.subtract(t[r::r], t[:-1:r])
         if mode == "self_level":
             w = np.abs(dx) ** p
         lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, 1 << L, size):
+            t = read(lo, lo + size + 1)
             d = w = None
             if finest:
-                d = np.subtract(s[lo + 1:lo + size + 1], s[lo:lo + size])
+                d = np.subtract(t[1:], t[:-1])
                 w = np.abs(d)
                 np.power(w, p, out=w)
             for n in range(L, bottom - 1, -1):
                 if finest and n < L:
                     w = w[0::2] + w[1::2]
                 if n in tiled:
-                    feed(tiled[n], lo, lo + size, w, d if n == L else None)
+                    r = 1 << (L - n)
+                    feed(tiled[n], lo // r, t, r, w, d if n == L else None)
+            if kept is not None:
+                kept[lo // step:(lo + size) // step + 1] = t[::step]
             if stored is not None:
-                stored[lo >> (L - cut):(lo + size) >> (L - cut)] = w
+                stored[lo // step:(lo + size) // step] = w
         level = cut
         for lv in (lv for lv in lvs if lv.n < cut):
             while stored is not None and level > lv.n:
                 stored, level = stored[0::2] + stored[1::2], level - 1
-            feed(lv, 0, 1 << L, stored)
+            feed(lv, 0, kept, 1 << (cut - lv.n), stored)
     return [lv.done(analytic[lv.n].check() if analytic else 0) for lv in lvs]
 
 
@@ -507,13 +521,15 @@ def _level_total(terms: np.ndarray) -> float:
 
 def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
                      gamma: float | None = None, src: PVarSource | None = None,
-                     scale: Callable | None = None) -> list:
+                     scale: Callable | None = None,
+                     values: Callable | None = None) -> list:
     """Terminal of each level in ``levels`` (in that order), one pyramid pass.
 
-    ``scale`` multiplies the terms first, as in :class:`_Level`.
+    ``scale`` multiplies the terms first, as in :class:`_Level`; ``values``
+    is an image of ``x`` to run the pass over, as in :func:`_dyadic_levels`.
     """
-    got = {lv.n: lv.total
-           for lv in _dyadic_levels(x, levels, kind, p, gamma, src, scale)}
+    got = {lv.n: lv.total for lv in _dyadic_levels(x, levels, kind, p, gamma, src,
+                                                    scale, values=values)}
     return [got[int(n)] for n in levels]
 
 

@@ -552,6 +552,29 @@ class TestTwoSidedCommands:
         assert rc == 1
         assert err.startswith("error: bad --coeffs '1,x'")
 
+    @pytest.mark.parametrize("argv, side", [
+        (["invariance", "--kind", "takagi", "--H", "0.5", "--level", "12", "--p", "2",
+          "--amplitude", "1e308"], "invariance lhs"),
+        (["isometry", "--kind", "fbm", "--H", "0.4", "--level", "12", "--seed", "1",
+          "--p", "2", "--map", "affine:1e308,0"], "isometry lhs"),
+    ])
+    def test_side_that_overflows_exits_two(self, argv, side):
+        proc = _cli(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {side} terminal at level 6 is inf, not finite" in proc.stderr.decode()
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("flag, value", [("--freq", "inf"), ("--amplitude", "nan"),
+                                             ("--coeffs", "1,inf")])
+    def test_nonfinite_perturbation_exits_one_before_evaluating(self, flag, value):
+        proc = _cli(["invariance", "--kind", "takagi", "--H", "0.5", "--level", "8",
+                     "--p", "2", *(["--smooth-kind", "poly"] if flag == "--coeffs" else []),
+                     f"{flag}={value}"])
+        assert proc.returncode == 1
+        name = {"--freq": "freq", "--amplitude": "amplitude", "--coeffs": "coeffs"}[flag]
+        assert proc.stderr.decode().startswith(f"error: perturbation {name} must be finite")
+        assert "Warning" not in proc.stderr.decode()
+
     def test_verdict_without_an_error_trend_prints_as_json(self, takagi_csv, capsys):
         doc = run_json(capsys, "chainrule", "--in", takagi_csv, "--p", "2",
                        "--map", "sin", "--levels", "0:1")
@@ -855,6 +878,14 @@ class TestResidentPeak:
         peak = _vmhwm_mib(["roughness", *self.FBM20,
                            "--out", str(tmp_path / "roughness.json")])
         assert peak - _vmhwm_mib() <= 30.0
+
+    def test_profiles_out(self, tmp_path):
+        # 44.3 MiB measured: every gathered level's terms (16 MiB) and the
+        # path; 56.4 when each profile CSV was written 2**16 rows at a time
+        peak = _vmhwm_mib(["pvar", *self.FBM20, "--p", "2.5", "--levels", "6:20",
+                           "--profiles-out", str(tmp_path / "prof"),
+                           "--out", str(tmp_path / "pvar.json")])
+        assert peak - _vmhwm_mib() <= 50.0
 
 
 def _sha256_of(name):

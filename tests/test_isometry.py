@@ -1,11 +1,14 @@
 """Smooth-map catalog, Stieltjes sums, and two-sided comparison tests."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import roughvar as rv
 from roughvar.errors import EvaluationError, ValidationError
+from roughvar.variation import _level_terminals
 
 LEVELS = range(6, 13)
 
@@ -317,17 +320,19 @@ class TestIsometryCheck:
         smooth = rv.smooth_perturbation("sine", 1.0, 12, {"freq": 1.0})
         assert abs(rv.holder_proxy(smooth, range(4, 11)) - 1.0) < 0.2
 
-    def test_alpha_proxy_is_the_strided_max_increment_fit(self):
-        # the reports read each level's max |dx| from the pyramid pass's
-        # increments; the proxy equals the fit over fresh strided diffs
-        x = rv.fbm_path(0.4, 14, seed=2)
-        lv = list(range(6, 13))
-        mags = [np.max(np.abs(np.diff(x.samples[::2 ** (14 - n)]))) for n in lv]
+    @pytest.mark.parametrize("level", [14, 18])
+    def test_alpha_proxy_is_the_strided_max_increment_fit(self, level):
+        # the proxy takes each level's max |dx| a tile of 2**16 grid
+        # increments at a time (at level 18: four tiles, or one increment
+        # each at level 1); it equals the fit over whole-level strided diffs
+        x = rv.fbm_path(0.4, level, seed=2)
+        lv = list(range(1 if level > 16 else 6, level - 1))
+        mags = [np.max(np.abs(np.diff(x.samples[::2 ** (level - n)]))) for n in lv]
         direct = -np.polyfit(np.asarray(lv, dtype=np.float64), np.log2(mags), 1)[0]
         assert rv.holder_proxy(x, lv) == float(direct)
         for rep in (rv.isometry_check(x, rv.sin_map(), 2.5, lv),
                     rv.chain_rule_check(x, rv.sin_map(), 2.5, lv),
-                    rv.invariance_check(x, rv.smooth_perturbation("sine", 0.5, 14),
+                    rv.invariance_check(x, rv.smooth_perturbation("sine", 0.5, level),
                                         2.5, lv)):
             assert rep.alpha_proxy == float(direct)
 
@@ -385,6 +390,144 @@ class TestInvarianceCheck:
         small = rv.smooth_perturbation("sine", 0.5, 10, {"freq": 1.0})
         with pytest.raises(ValidationError, match="grid level"):
             rv.invariance_check(takagi14, small, 2.0, LEVELS)
+
+
+def _tanh_table():
+    u = np.linspace(-4.0, 4.0, 161)
+    return rv.tabulated_map("tanh", u, np.tanh(u))
+
+
+MAPS = [rv.identity_map(), rv.affine_map(2.0, 1.0), rv.square_plus_one_map(),
+        rv.sin_map(), rv.exp_clamped_map(), _tanh_table()]
+
+
+class TestTiledLeftSide:
+    """The left side of each check reads f(x), or x + A, a tile at a time.
+
+    A level-18 path is four tiles of 2**16 grid increments, and levels 0-8
+    are taken from every 2**9-th sample after the sweep; the terminals are
+    bitwise those of a pass over the whole image.
+    """
+
+    LV = list(range(0, 19))
+
+    @pytest.fixture(scope="class")
+    def fbm18(self):
+        return rv.fbm_path(0.4, 18, seed=4)
+
+    @pytest.mark.parametrize("f", MAPS, ids=lambda f: f.id)
+    def test_terminals_are_those_of_the_composed_path(self, fbm18, f):
+        fx = rv.compose_path(f, fbm18)
+        iso = rv.isometry_check(fbm18, f, 2.5, self.LV)
+        assert iso.lhs_terminal == tuple(_level_terminals(fx, self.LV, "scaled", 2.5))
+        chain = rv.chain_rule_check(fbm18, f, 2.5, self.LV)
+        assert chain.lhs_terminal == tuple(_level_terminals(fx, self.LV, "pth", 2.5))
+
+    @pytest.mark.parametrize("kind, params", [("sine", {"freq": 3.0}),
+                                              ("poly", {"coeffs": [0.0, 1.0, -0.5]})])
+    def test_perturbed_terminals_are_those_of_the_sum(self, fbm18, kind, params):
+        A = rv.smooth_perturbation(kind, 0.3, 18, params)
+        xa = rv.Path(grid_level=18, samples=fbm18.samples + A.samples)
+        rep = rv.invariance_check(fbm18, A, 2.5, self.LV)
+        assert rep.lhs_terminal == tuple(_level_terminals(xa, self.LV, "scaled", 2.5))
+
+    @pytest.mark.parametrize("j", [5, 1 << 16, (1 << 16) + 3, 1 << 18])
+    def test_first_nonfinite_image_value_is_reported_as_compose_path_reports_it(self, j):
+        t = rv.Path(grid_level=18, samples=rv.grid_times(18), label="t")
+        edge = float(t.samples[j])
+        blowup = rv.SmoothMap(id="blowup", f=lambda u: np.where(u >= edge, np.inf, u),
+                              f1=np.ones_like, f2=np.zeros_like, K=1.0)
+        with pytest.raises(EvaluationError) as whole:
+            rv.compose_path(blowup, t)
+        assert str(whole.value) == f"map blowup produced a non-finite value at t={edge}"
+        for check in (rv.isometry_check, rv.chain_rule_check):
+            with pytest.raises(EvaluationError) as tiled:
+                check(t, blowup, 2.0, [4, 8])
+            assert str(tiled.value) == str(whole.value)
+
+    @pytest.mark.parametrize("j", [7, (1 << 16) + 1])
+    def test_overflowing_sum_is_reported_as_a_path_of_it_would_be(self, j):
+        big = np.full((1 << 18) + 1, 1e308)
+        A = big.copy()
+        A[:j] = 0.0
+        x = rv.Path(grid_level=18, samples=big)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError) as whole:
+                rv.Path(grid_level=18, samples=big + A)
+            with pytest.raises(ValidationError) as tiled:
+                rv.invariance_check(x, rv.Path(grid_level=18, samples=A), 2.0, [4, 8])
+        assert str(tiled.value) == str(whole.value)
+        assert f"index {j} " in str(whole.value)
+
+
+class TestNonFiniteSides:
+    """A side whose terminal overflows has no error to compare: exit 2, not NaN."""
+
+    def test_perturbation_that_overflows_the_left_side(self):
+        x = rv.takagi_path(0.5, 12)
+        A = rv.smooth_perturbation("sine", 1e308, 12)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError,
+                               match="invariance lhs terminal at level 6 is inf"):
+                rv.invariance_check(x, A, 2.0)
+
+    def test_map_that_overflows_both_sides(self):
+        x = rv.fbm_path(0.4, 12, seed=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError,
+                               match="isometry lhs terminal at level 6 is inf"):
+                rv.isometry_check(x, rv.affine_map(1e308, 0.0), 2.0)
+
+    def test_right_side_alone(self):
+        # f1 overflows the right side's |f'(x)|**p while f(x) stays finite
+        x = rv.takagi_path(0.5, 10)
+        steep = rv.SmoothMap(id="steep", f=np.sin, f1=lambda u: np.full_like(u, 1e200),
+                             f2=np.zeros_like, K=1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError,
+                               match="chain_rule rhs terminal at level 4 is inf"):
+                rv.chain_rule_check(x, steep, 2.0, [4, 6, 8])
+
+
+class TestTwoSidedMemory:
+    """Traced allocations of a check on a level-20 path, in units of its bytes.
+
+    The checks hold tile-sized arrays only: f(x), x + A, the derivative's
+    minimum and each level's largest increment are all taken a tile at a
+    time.  Measured 0.14-0.38; a check that makes f(x), x + A or a strided
+    difference of the whole path holds at least 0.5.
+    """
+
+    @pytest.fixture(scope="class")
+    def fbm20(self):
+        return rv.fbm_path(0.4, 20, seed=1)
+
+    @pytest.fixture(scope="class")
+    def sine20(self):
+        return rv.smooth_perturbation("sine", 0.5, 20)
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("check", [
+        lambda x, A: rv.isometry_check(x, rv.sin_map(), 2.5),
+        lambda x, A: rv.isometry_check(x, _tanh_table(), 2.5),
+        lambda x, A: rv.chain_rule_check(x, rv.square_plus_one_map(), 2.5),
+        lambda x, A: rv.invariance_check(x, A, 2.5),
+    ], ids=["isometry-sin", "isometry-table", "chain_rule", "invariance"])
+    def test_checks_hold_no_path_sized_array(self, fbm20, sine20, check):
+        peak = self._peak(lambda: check(fbm20, sine20))
+        assert peak < 0.5 * fbm20.samples.nbytes, peak / fbm20.samples.nbytes
+
+    def test_holder_proxy_takes_increments_a_tile_at_a_time(self, fbm20):
+        peak = self._peak(lambda: rv.holder_proxy(fbm20, range(6, 19)))
+        assert peak < 0.1 * fbm20.samples.nbytes, peak / fbm20.samples.nbytes
 
 
 class TestReportOutput:

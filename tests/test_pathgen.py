@@ -368,6 +368,45 @@ class TestSmoothPerturbation:
         with pytest.raises(ValidationError, match="1-D coefficient list"):
             rv.smooth_perturbation("poly", 1.0, 4, {"coeffs": []})
 
+    @pytest.mark.parametrize("kind, amplitude, params", [
+        ("sine", 0.5, {"freq": 1.0}), ("sine", -3.7, {"freq": 2.5}),
+        ("poly", 0.3, {"coeffs": [0.0, 1.0, -0.5]}), ("poly", 2.0, {"coeffs": [-0.0]}),
+        ("poly", 1.5, {"coeffs": [0.25, -1.0, 3.0, -0.0]}),
+    ])
+    def test_blocks_are_the_whole_grid_bits(self, kind, amplitude, params):
+        # level 17 is two blocks and one sample; the values are those of the
+        # whole time grid through np.sin or np.polynomial's polyval
+        t = rv.grid_times(17)
+        if kind == "sine":
+            want = amplitude * np.sin(2.0 * np.pi * params["freq"] * t)
+        else:
+            want = amplitude * np.polynomial.polynomial.polyval(t, params["coeffs"])
+        got = rv.smooth_perturbation(kind, amplitude, 17, params).samples
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind, amplitude, params, name", [
+        ("sine", np.inf, {"freq": 1.0}, "amplitude"),
+        ("sine", np.nan, {"freq": 1.0}, "amplitude"),
+        ("sine", 1.0, {"freq": np.inf}, "freq"),
+        ("sine", 1.0, {"freq": -np.inf}, "freq"),
+        ("poly", 1.0, {"coeffs": [1.0, np.nan]}, "coeffs"),
+    ])
+    def test_nonfinite_parameters_rejected_before_evaluation(self, kind, amplitude,
+                                                             params, name):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match=f"perturbation {name} must be finite"):
+                rv.smooth_perturbation(kind, amplitude, 8, params)
+
+    def test_written_a_block_at_a_time(self):
+        # no time grid and no path-sized temporary: the samples and blocks
+        tracemalloc.start()
+        try:
+            rv.smooth_perturbation("poly", 0.5, 20, {"coeffs": [1.0, 2.0, 3.0]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * ((1 << 20) + 1), peak
+
     def test_lipschitz_bound_dominates_observed_slopes(self):
         for kind, params in [("sine", {"freq": 3.0}),
                              ("poly", {"coeffs": [0.0, 2.0, -1.0]})]:
