@@ -19,10 +19,17 @@ import re
 import sys
 import time
 
-import numpy as np
+# One BLAS thread per job: numpy's OpenBLAS otherwise starts a worker per
+# extra CPU at import, and they spin although no job makes a sizeable BLAS
+# call.  Set only before numpy loads, and never over the user's own choice.
+if "numpy" not in sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__, grid, isometry, pathgen, roughness, schauder, variation
-from .errors import FormatError, NumericalError, ValidationError
+import numpy as np  # noqa: E402
+
+from . import __version__, grid, isometry, pathgen, roughness, schauder, variation  # noqa: E402
+from .errors import FormatError, NumericalError, ValidationError  # noqa: E402
 
 __all__ = ["main", "build_parser"]
 
@@ -87,7 +94,18 @@ def _check_names(args, *writes, dirs=(), report: bool = True) -> None:
 
 
 def _peak_rss_mib() -> float:
-    """This process's peak resident set so far, in MiB (``getrusage``'s ``ru_maxrss``)."""
+    """This process's peak resident set so far, in MiB.
+
+    Linux's ``VmHWM`` where ``/proc`` has it, since ``ru_maxrss`` survives
+    exec: a job started by a larger process would report that process's peak.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 3)
+    except OSError:
+        pass
     import resource
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1024), 3)
@@ -102,7 +120,8 @@ def _write_manifest(args, t0: float, inputs: dict, out: str,
         "config": config,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "roughvar": __version__},
-        "timings": {"total_s": round(time.perf_counter() - t0, 6)},
+        "timings": {"total_s": round(time.perf_counter() - t0, 6),
+                    "cpu_s": round(sum(os.times()[:2]), 6)},  # user + system
         "peak_rss_mib": _peak_rss_mib(),
         "inputs": inputs,
     }

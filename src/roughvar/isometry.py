@@ -386,10 +386,12 @@ def _two_sided(kind: str, x: Path, p: float, levels, sides,
     ``x`` over the same levels.  ``fields`` fill the report's remaining
     fields (source mode, map id, notes).  A side's terminal that is not
     finite (the map, the path or a term overflowed) has no error to compare
-    and raises :class:`EvaluationError`.
+    and raises :class:`EvaluationError`; an overflow inside the passes is
+    left to that check, with no numpy warning before it.
     """
     lv = _check_levels(x, default_levels(x) if levels is None else levels, 2)
-    lhs, rhs, warnings = sides(lv)
+    with np.errstate(over="ignore"):
+        lhs, rhs, warnings = sides(lv)
     for side, terminals in (("lhs", lhs), ("rhs", rhs)):
         for n, value in zip(lv, terminals):
             if not np.isfinite(value):

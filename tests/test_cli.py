@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -564,6 +565,19 @@ class TestTwoSidedCommands:
         assert f"error: {side} terminal at level 6 is inf, not finite" in proc.stderr.decode()
         assert proc.stdout == b""
 
+    @pytest.mark.parametrize("argv", [
+        ["invariance", "--kind", "takagi", "--H", "0.5", "--level", "12", "--p", "2",
+         "--amplitude", "1e300"],
+        ["isometry", "--kind", "takagi", "--H", "0.5", "--level", "12", "--p", "2",
+         "--map", "affine:1e308,0"],
+    ])
+    def test_side_that_overflows_prints_only_its_error(self, argv):
+        # two numpy overflow warnings came before the error
+        proc = _cli(argv)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (f"error: {argv[0]} lhs terminal at level 6 is inf, "
+                                        "not finite\n")
+
     @pytest.mark.parametrize("flag, value", [("--freq", "inf"), ("--amplitude", "nan"),
                                              ("--coeffs", "1,inf")])
     def test_nonfinite_perturbation_exits_one_before_evaluating(self, flag, value):
@@ -886,6 +900,41 @@ class TestResidentPeak:
                            "--profiles-out", str(tmp_path / "prof"),
                            "--out", str(tmp_path / "pvar.json")])
         assert peak - _vmhwm_mib() <= 50.0
+
+
+class TestManifestOfAFreshJob:
+    """What a ``python -m roughvar`` job's manifest records of its own process."""
+
+    ARGV = ("pvar", "--kind", "fbm", "--H", "0.4", "--level", "10", "--seed", "1",
+            "--p", "2.5")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_peak_is_the_jobs_own_not_its_parents(self, tmp_path):
+        # ru_maxrss survives exec: a job that peaks at about 34 MiB recorded
+        # 318 MiB when its parent held 300
+        ballast = bytearray(b"\1") * (200 << 20)
+        proc = _cli([*self.ARGV, "--out", str(tmp_path / "p.json")])
+        assert proc.returncode == 0, proc.stderr
+        with open("/proc/self/status") as fh:
+            parent = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+        del ballast
+        assert parent >= 200.0
+        assert json.loads((tmp_path / "p.manifest.json").read_text())["peak_rss_mib"] \
+            <= parent / 2
+
+    @pytest.mark.skipif(any(var in os.environ for var in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")),
+        reason="BLAS threads chosen by the environment")
+    def test_cpu_time_is_at_most_the_wall_time(self, tmp_path):
+        # an idle BLAS worker spinning at import added about 0.13 s of CPU
+        t0 = time.monotonic()
+        proc = _cli([*self.ARGV, "--out", str(tmp_path / "p.json")])
+        wall = time.monotonic() - t0
+        assert proc.returncode == 0, proc.stderr
+        timings = json.loads((tmp_path / "p.manifest.json").read_text())["timings"]
+        assert 0.0 < timings["cpu_s"] <= wall
+        assert 0.0 <= timings["total_s"] <= wall
 
 
 def _sha256_of(name):

@@ -534,7 +534,7 @@ def _vmhwm_mib(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import roughvar as rv\n{code}\n"
+        [sys.executable, "-c", f"import roughvar as rv\nfrom roughvar import *\n{code}\n"
          "print(open('/proc/self/status').read())"],
         capture_output=True, text=True, env=env, check=True)
     line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("VmHWM:"))
