@@ -37,9 +37,9 @@ print(f"adding the path to itself: success={rep.success}, warnings:")
 for w in rep.warnings:
     print(f"  {w}")
 
-# Tabulated maps come in as cubic splines with a measured trust constant.
+# Tabulated maps come in as cubic splines that extrapolate past their table.
 grid = np.linspace(-2.0, 2.0, 201)
 table = rv.tabulated_map("spline_sin", grid, np.sin(grid))
 rep = rv.isometry_check(x, table, 2.0, levels)
 print(f"\nspline-tabulated sin: rel err @12 {rep.rel_err[-1]:.3e}, "
-      f"lower trust={table.lower_trust}, K={table.K:.3g}")
+      f"table range={table.table_range}")

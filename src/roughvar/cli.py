@@ -175,6 +175,9 @@ def _resolve_window(args, n_levels: int) -> int:
 
 def _resolve_source(args) -> variation.PVarSource | None:
     mode = getattr(args, "src", None)
+    if mode != "analytic" and getattr(args, "analytic_c", None) is not None:
+        raise ValidationError(f"--analytic-c is read only with --src analytic, "
+                              f"not --src {mode or 'finest'}")
     if mode == "self":
         return variation.PVarSource.self_level()
     if mode == "analytic":
@@ -332,11 +335,11 @@ def _profile_run(args, kind: str) -> int:
 def _cmd_roughness(args) -> int:
     t0 = time.perf_counter()
     _check_names(args, ("--per-q-out", args.per_q_out))
+    src = _resolve_source(args)
     x, inputs, extra = _load_path(args)
     levels = _resolve_levels(args, x)
     report = roughness.critical_index_search(
-        x, levels=levels, p_range=(args.p_min, args.p_max), iters=args.iters,
-        src=_resolve_source(args))
+        x, levels=levels, p_range=(args.p_min, args.p_max), iters=args.iters, src=src)
     payload = {"command": "roughness", **report.to_dict()}
     if args.per_q_out:
         header = "q,classification," + ",".join(f"level_{n}" for n in levels)
@@ -393,8 +396,9 @@ def _two_sided_run(args, check) -> int:
 
 
 def _cmd_isometry(args) -> int:
+    src = _resolve_source(args)
     return _two_sided_run(args, lambda x, levels, inputs: isometry.isometry_check(
-        x, _map_from_args(args, inputs), args.p, levels, src=_resolve_source(args)))
+        x, _map_from_args(args, inputs), args.p, levels, src=src))
 
 
 def _cmd_chainrule(args) -> int:
@@ -410,8 +414,9 @@ def _perturbation(args, x: grid.Path, inputs: dict) -> grid.Path:
 
 
 def _cmd_invariance(args) -> int:
+    src = _resolve_source(args)
     return _two_sided_run(args, lambda x, levels, inputs: isometry.invariance_check(
-        x, _perturbation(args, x, inputs), args.p, levels, src=_resolve_source(args)))
+        x, _perturbation(args, x, inputs), args.p, levels, src=src))
 
 
 def _cmd_counterexample(args) -> int:

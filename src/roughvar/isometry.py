@@ -7,14 +7,14 @@ refinement.  The checks here compute both sides level by level and judge
 success on the error trend, not per-level equality: the per-level profiles
 are pre-limit objects.
 
-A small catalog of :class:`SmoothMap` evaluators (value plus two
-derivatives, finite-difference checked) covers the standard test maps;
-arbitrary maps enter via cubic-spline tabulation, flagged lower-trust.
+A small catalog of :class:`SmoothMap` evaluators (value and first
+derivative) covers the standard test maps; arbitrary maps enter via
+cubic-spline tabulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ from .variation import (
     LimitReport,
     PVarSource,
     _check_levels,
+    _dyadic_levels,
     _level_terminals,
     _tail_slope,
     default_levels,
@@ -50,8 +51,6 @@ __all__ = [
     "write_report_csv",
 ]
 
-_FD_H = 1e-5
-
 _CONTINUITY_NOTE = ("finest-level variation proxy is a step function; "
                     "continuity of the limit variation is a modeling "
                     "assumption, not a checked hypothesis")
@@ -59,72 +58,54 @@ _CONTINUITY_NOTE = ("finest-level variation proxy is a step function; "
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A C^2 map with evaluators for the value and first two derivatives.
+    """A C^2 map with evaluators for its value and first derivative.
 
-    ``K`` bounds the central-difference residual: ``|f1(u) - (f(u+h) -
-    f(u-h)) / (2h)| <= K * h**2`` on any grid inside the map's trusted
-    range.  Tabulated maps are flagged ``lower_trust`` and carry their
-    grid's end points as ``table_range``; past them they extrapolate.
+    The checks evaluate only ``f`` and ``f1``; the C^2 hypothesis is assumed.
+    Tabulated maps carry their grid's end points as ``table_range``; past
+    them they extrapolate.
     """
 
     id: str
     f: Callable[[np.ndarray], np.ndarray]
     f1: Callable[[np.ndarray], np.ndarray]
-    f2: Callable[[np.ndarray], np.ndarray]
-    K: float
-    lower_trust: bool = False
     table_range: tuple | None = None
-
-    def fd_residual(self, lo: float, hi: float, h: float = _FD_H,
-                    n: int = 101) -> float:
-        """Max |f1 - central difference of f| over a sample grid."""
-        u = np.linspace(lo, hi, n)
-        approx = (self.f(u + h) - self.f(u - h)) / (2.0 * h)
-        return float(np.max(np.abs(self.f1(u) - approx)))
 
 
 def identity_map() -> SmoothMap:
     return SmoothMap(id="identity",
                      f=lambda u: np.asarray(u, dtype=np.float64).copy(),
-                     f1=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
-                     f2=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                     K=1.0)
+                     f1=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)))
 
 
 def affine_map(a: float, b: float) -> SmoothMap:
     a, b = float(a), float(b)
     return SmoothMap(id=f"affine({a:g},{b:g})",
                      f=lambda u: a * np.asarray(u, dtype=np.float64) + b,
-                     f1=lambda u: np.full_like(np.asarray(u, dtype=np.float64), a),
-                     f2=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                     K=1.0)
+                     f1=lambda u: np.full_like(np.asarray(u, dtype=np.float64), a))
 
 
 def square_plus_one_map() -> SmoothMap:
     return SmoothMap(id="square_plus_one",
                      f=lambda u: np.asarray(u, dtype=np.float64) ** 2 + 1.0,
-                     f1=lambda u: 2.0 * np.asarray(u, dtype=np.float64),
-                     f2=lambda u: np.full_like(np.asarray(u, dtype=np.float64), 2.0),
-                     K=2.0)
+                     f1=lambda u: 2.0 * np.asarray(u, dtype=np.float64))
 
 
 def sin_map() -> SmoothMap:
-    return SmoothMap(id="sin", f=np.sin, f1=np.cos,
-                     f2=lambda u: -np.sin(u), K=1.0)
+    return SmoothMap(id="sin", f=np.sin, f1=np.cos)
 
 
 def exp_clamped_map(cap: float = 20.0) -> SmoothMap:
-    """exp(u) capped at exp(cap); derivatives zero past the cap."""
+    """exp(u) capped at exp(cap); derivative zero past the cap."""
     cap = float(cap)
 
     def f(u):
         return np.exp(np.minimum(np.asarray(u, dtype=np.float64), cap))
 
-    def deriv(u):
+    def f1(u):
         u = np.asarray(u, dtype=np.float64)
         return np.where(u < cap, np.exp(np.minimum(u, cap)), 0.0)
 
-    return SmoothMap(id=f"exp_clamped({cap:g})", f=f, f1=deriv, f2=deriv, K=16.0)
+    return SmoothMap(id=f"exp_clamped({cap:g})", f=f, f1=f1)
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -167,14 +148,12 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def tabulated_map(name: str, grid: np.ndarray, values: np.ndarray) -> SmoothMap:
-    """Not-a-knot cubic-spline map from (grid, values) samples; lower-trust.
+    """Not-a-knot cubic-spline map from (grid, values) samples.
 
     The grid must be strictly increasing, every entry finite, and the
     spline's coefficients must not overflow.  Outside the grid the end
     pieces extrapolate; ``table_range`` records the grid's end points so
-    that the checks can warn when a path leaves them.  The finite-difference
-    constant is measured on the tabulation grid and padded by 4x, since
-    spline derivatives are only approximations of the underlying map's.
+    that the checks can warn when a path leaves them.
     """
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -207,15 +186,7 @@ def tabulated_map(name: str, grid: np.ndarray, values: np.ndarray) -> SmoothMap:
         h, i = piece(u)
         return (3.0 * c3[i] * h + 2.0 * c2[i]) * h + c1[i]
 
-    def f2(u):
-        h, i = piece(u)
-        return 6.0 * c3[i] * h + 2.0 * c2[i]
-
-    lo, hi = float(grid[0]), float(grid[-1])
-    spline = SmoothMap(id=name, f=f, f1=f1, f2=f2, K=1.0, lower_trust=True,
-                       table_range=(lo, hi))
-    measured = spline.fd_residual(lo + _FD_H, hi - _FD_H)
-    return replace(spline, K=max(4.0 * measured / _FD_H ** 2, 1.0))
+    return SmoothMap(id=name, f=f, f1=f1, table_range=(float(grid[0]), float(grid[-1])))
 
 
 _BUILTINS = {"identity": identity_map, "square_plus_one": square_plus_one_map,
@@ -311,20 +282,13 @@ _REL_FLOOR = 1e-12
 def holder_proxy(x: Path, levels) -> float:
     """Exponent estimate from the decay of max increments across levels.
 
-    Each level's largest |increment| is taken a tile of ``_PASS_BLOCK`` grid
-    increments (or of one increment, when that is longer) at a time.
+    Each level's largest |increment| is the ``peak`` of its p = 1 terms
+    ``|dx|`` in one pyramid pass of :func:`_dyadic_levels`.
     """
     lv = _check_levels(x, levels, 2)
-    s, top, mags = x.samples, 1 << x.grid_level, []
-    for n in lv:
-        r = 1 << (x.grid_level - n)
-        size = min(max(r, _PASS_BLOCK), top)
-        peak = 0.0
-        for lo in range(0, top, size):
-            dx = np.subtract(s[lo + r:lo + size + 1:r], s[lo:lo + size:r])
-            peak = max(peak, float(np.max(np.abs(dx, out=dx))))
-        mags.append(peak)
-    return -_tail_slope(np.asarray(lv, dtype=np.float64), np.asarray(mags))
+    peaks = {level.n: level.peak for level in _dyadic_levels(x, lv, "pth", 1.0)}
+    return -_tail_slope(np.asarray(lv, dtype=np.float64),
+                        np.asarray([peaks[n] for n in lv]))
 
 
 def _pth_trend(x: Path, p: float, levels) -> LimitReport | None:

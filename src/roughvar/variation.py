@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormatError, ResolutionError, SourceError, ValidationError
-from .grid import Partition, Path, _read_csv, _write_csv, dyadic_partition, grid_times
+from .grid import Partition, Path, _read_csv, _write_csv, grid_times
 
 __all__ = [
     "accurate_cumsum",

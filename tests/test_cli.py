@@ -406,6 +406,23 @@ class TestExponentsAndUsage:
         assert err == "error: analytic_fn must be finite, got nan at t=0.0\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command,flags", [("sqv", ["--p", "3"]), ("roughness", []),
+                                               ("isometry", ["--p", "2"]),
+                                               ("invariance", ["--p", "2"])])
+    @pytest.mark.parametrize("src", [[], ["--src", "finest"], ["--src", "self"]])
+    def test_analytic_constant_without_analytic_source_exits_one(
+            self, command, flags, src, tmp_path, capsys):
+        # a constant that the chosen source would not read is an error, not
+        # ignored, and is found before the input is read (a missing file exits 3)
+        rc, out, err = run(capsys, command, "--in", str(tmp_path / "missing.csv"),
+                           "--levels", "4:8", *flags, *src,
+                           "--analytic-c", "5", "--out", str(tmp_path / "r.json"))
+        assert rc == 1 and out == ""
+        mode = src[1] if src else "finest"
+        assert err == ("error: --analytic-c is read only with --src analytic, "
+                       f"not --src {mode}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_usage_error_exits_one(self, capsys):
         # argparse takes "-1:4" for an option; 2 is the numerical-failure code
         with pytest.raises(SystemExit) as exc:

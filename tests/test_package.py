@@ -1,5 +1,6 @@
-"""The package namespace, resolved on first use, and the CLI's one-BLAS-thread default."""
+"""The package namespace, resolved on first use, unused imports, and the CLI's BLAS threads."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -47,6 +48,41 @@ def test_star_import_and_dir_give_every_public_name():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         rv.no_such_name  # noqa: B018
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports at top level and never reads (``__all__`` counts)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= {item.value for item in ast.walk(node.value)
+                     if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in read)
+
+
+PACKAGE = pathlib.Path(rv.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_every_module_level_import_is_used(module):
+    assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_the_unused_import_check_sees_aliases_and_all():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from .grid import Path, grid_times as gt\n__all__ = ['Path']\n"
+              "def f(u: np.ndarray) -> None:\n    return os.sep\n")
+    assert _unused_imports(source) == ["line 4: gt"]
 
 
 def test_import_loads_no_numpy_and_leaves_the_environment_alone():
