@@ -305,7 +305,7 @@ def _profile_run(args, kind: str) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write = lambda prof: variation.write_profile_csv(prof, csv(prof.level))
-    per_level = variation._level_metadata(x, levels, kind, p, gamma, src, write)
+    per_level = variation._level_metadata(x, levels, kind, p, gamma, src, write, label)
     terminals = [meta["terminal"] for meta in per_level]
     report = None
     if len(levels) >= 3:

@@ -312,8 +312,10 @@ def _index_warning(x: Path, p: float, levels) -> list:
 def _map_warnings(x: Path, f: SmoothMap, p: float, levels) -> list:
     """The index warning, plus one when the path leaves the map's table."""
     warnings = _index_warning(x, p, levels)
+    if f.table_range is None:
+        return warnings
     lo, hi = float(np.min(x.samples)), float(np.max(x.samples))
-    if f.table_range is not None and not f.table_range[0] <= lo <= hi <= f.table_range[1]:
+    if not f.table_range[0] <= lo <= hi <= f.table_range[1]:
         warnings.append(f"path samples span [{lo:.6g}, {hi:.6g}], outside map "
                         f"{f.id}'s table [{f.table_range[0]:.6g}, "
                         f"{f.table_range[1]:.6g}]; the spline extrapolates there")

@@ -94,10 +94,15 @@ class RoughnessReport:
 
 
 def _probe(x: Path, levels: list, q: float, src: PVarSource | None) -> ProbeRecord:
-    """Classify every level's scaled-QV terminal at q, taken in one pyramid pass."""
+    """Classify every level's scaled-QV terminal at q, taken in one pyramid pass.
+
+    A level that overflowed (an infinite terminal that is not ``divergent``)
+    raises :class:`EvaluationError` naming q and the level.
+    """
     if not 0.0 < q < math.inf:
         raise ValidationError(f"q must be > 0 and finite, got {q}")
-    terminals = _level_terminals(x, levels, "scaled", q, src=src)
+    terminals = _level_terminals(x, levels, "scaled", q, src=src,
+                                 name=f"probe at q={q:g}")
     rep = limit_diagnostics(terminals, window=len(levels), levels=levels)
     return ProbeRecord(q=float(q), classification=rep.classification,
                        terminal_values=rep.terminal_values,

@@ -35,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, ResolutionError, SourceError, ValidationError
+from .errors import (EvaluationError, FormatError, ResolutionError, SourceError,
+                     ValidationError)
 from .grid import Partition, Path, _read_csv, _write_csv, grid_times
 
 __all__ = [
@@ -198,9 +199,10 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
     read for scaled terms at gamma != 0 only).  Scaled terms follow the
     degenerate-block conventions of :func:`scaled_qv`: a zero weight with a
     zero increment (0 * inf, NaN) gives 0, and a zero weight with a nonzero
-    increment at gamma < 0 gives +inf, which ``divergent`` flags.  They are
-    a new array; the other terms are written over ``dx``.  Callers run it
-    under ``np.errstate(divide="ignore", invalid="ignore")``.
+    increment at gamma < 0 gives +inf, which ``divergent`` flags (an
+    infinite term with a nonzero weight overflowed; it is not flagged).
+    They are a new array; the other terms are written over ``dx``.  Callers
+    run it under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     if kind == "pth":
         return _pth_terms(dx, p, dx), False
@@ -216,7 +218,8 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
     t *= dx
     t *= dx
     t[np.isnan(t)] = 0.0
-    return t, bool(np.isinf(t).any())
+    inf = np.isinf(t)
+    return t, bool(inf.any()) and bool((inf & (w == 0.0)).any())
 
 
 def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
@@ -434,7 +437,7 @@ class _Level:
 def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    gamma: float | None = None, src: PVarSource | None = None,
                    scale: Callable | None = None, gather: bool = False,
-                   values: Callable | None = None) -> list:
+                   values: Callable | None = None, name: str | None = None) -> list:
     """A finished :class:`_Level` per distinct level, finest first.
 
     The terms are :func:`_terms` of ``kind``, as in the profile of the
@@ -454,7 +457,9 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     level L-9, both kept from the tiles.  ``values(lo, hi)``, when given,
     stands for samples ``lo:hi`` of ``x``: the pass then runs over that image
     of the path, which it asks for once per tile, in order, and never holds
-    whole.
+    whole.  Overflows are not warned of: with ``name``, the lowest level
+    whose terminal is not finite although the level is not ``divergent``
+    raises :class:`EvaluationError` naming it.
     """
     L = x.grid_level
     read = values or (lambda lo, hi: x.samples[lo:hi])
@@ -488,7 +493,7 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
             w = np.abs(dx) ** p
         lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, 1 << L, size):
             t = read(lo, lo + size + 1)
             d = w = None
@@ -511,7 +516,13 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
             while stored is not None and level > lv.n:
                 stored, level = stored[0::2] + stored[1::2], level - 1
             feed(lv, 0, kept, 1 << (cut - lv.n), stored)
-    return [lv.done(analytic[lv.n].check() if analytic else 0) for lv in lvs]
+        lvs = [lv.done(analytic[lv.n].check() if analytic else 0) for lv in lvs]
+    if name:
+        for lv in reversed(lvs):  # the lowest level first
+            if not (lv.divergent or math.isfinite(lv.total)):
+                raise EvaluationError(f"{name} terminal at level {lv.n} is {lv.total}, "
+                                      "not finite")
+    return lvs
 
 
 def _level_total(terms: np.ndarray) -> float:
@@ -522,30 +533,33 @@ def _level_total(terms: np.ndarray) -> float:
 def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
                      gamma: float | None = None, src: PVarSource | None = None,
                      scale: Callable | None = None,
-                     values: Callable | None = None) -> list:
+                     values: Callable | None = None, name: str | None = None) -> list:
     """Terminal of each level in ``levels`` (in that order), one pyramid pass.
 
     ``scale`` multiplies the terms first, as in :class:`_Level`; ``values``
-    is an image of ``x`` to run the pass over, as in :func:`_dyadic_levels`.
+    is an image of ``x`` to run the pass over, and ``name`` names an
+    overflow, as in :func:`_dyadic_levels`.
     """
     got = {lv.n: lv.total for lv in _dyadic_levels(x, levels, kind, p, gamma, src,
-                                                    scale, values=values)}
+                                                    scale, values=values, name=name)}
     return [got[int(n)] for n in levels]
 
 
 def _level_metadata(x: Path, levels, kind: str, p: float = 2.0,
                     gamma: float | None = None, src: PVarSource | None = None,
-                    write: Callable | None = None) -> list:
+                    write: Callable | None = None, name: str | None = None) -> list:
     """:meth:`VariationProfile.metadata` of each level, from one pyramid pass.
 
     Profiles are built only for ``write``, which gets each distinct level's
     profile made from the terms the pass gathers for it, so it ends on the
-    same terminal.
+    same terminal.  A level that overflowed raises :class:`EvaluationError`
+    naming ``name`` (default ``kind``); a ``divergent`` one keeps its inf.
     """
     p, gamma, src = _resolve(kind, p, gamma, src)
     mode = src.mode if src else None
     got = {}
-    for lv in _dyadic_levels(x, levels, kind, p, gamma, src, gather=write is not None):
+    for lv in _dyadic_levels(x, levels, kind, p, gamma, src, gather=write is not None,
+                             name=name or kind):
         got[lv.n] = _metadata(lv.n, kind, p, gamma, mode, _atom_risk(lv.peak, lv.total),
                               lv.total, lv.clamped, lv.divergent)
         if write:
@@ -597,11 +611,26 @@ class LimitReport:
                                "slope": _SLOPE, "ratio": _RATIO}}
 
 
+def _centred(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean, taken about ``v[0]``: a constant ``v`` gives exact zeros."""
+    return v - (v[0] + math.fsum(v - v[0]) / v.size)
+
+
 def _tail_slope(levels: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of ``log2(values)`` against ``levels``.
+
+    Nonpositive and non-finite values are left out.  The closed form
+    ``sum(dx * dy) / sum(dx * dx)`` over the centred levels and logs, each
+    sum a ``math.fsum`` of elementwise products, so no BLAS or LAPACK call:
+    a flat sequence gives exactly 0.  NaN when fewer than 2 points, or fewer
+    than 2 distinct levels, are left.
+    """
     ok = (values > 0.0) & np.isfinite(values)
     if np.count_nonzero(ok) < 2:
         return float("nan")
-    return float(np.polyfit(levels[ok], np.log2(values[ok]), 1)[0])
+    dx, dy = _centred(levels[ok]), _centred(np.log2(values[ok]))
+    sxx = math.fsum(dx * dx)
+    return math.fsum(dx * dy) / sxx if sxx else float("nan")
 
 
 def limit_diagnostics(terminal_values, window: int, levels=None) -> LimitReport:

@@ -1047,3 +1047,68 @@ class TestInputsReadOnce:
         assert [e["sha256"] for e in doc["reports"]] == [_sha256_of(n) for n in reports]
         assert json.loads((tmp_path / "all.manifest.json").read_text())["inputs"] == \
             {n: _sha256_of(n) for n in reports}
+
+
+class TestOneSidedOverflow:
+    """A one-sided command whose terms overflow exits 2 instead of reporting inf.
+
+    They printed numpy's overflow warning, every terminal as ``inf`` and
+    "classification: diverging (slope +nan)", and exited 0; ``roughness``
+    exited 2 with a bracket error.
+    """
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        name = str(tmp_path_factory.mktemp("overflow") / "big.csv")
+        proc = _cli(["gen", "--kind", "smooth", "--level", "10", "--amplitude", "1e300",
+                     "--out", name])
+        assert proc.returncode == 0, proc.stderr
+        return name
+
+    @pytest.mark.parametrize("argv, name", [
+        (["pvar", "--p", "2"], "pvar"),
+        (["sqv", "--p", "2.5"], "sqv"),
+        (["classical", "--gamma", "0.5"], "classical"),
+        (["roughness"], "probe at q=4"),
+    ])
+    def test_exits_two_with_only_its_error(self, big_csv, argv, name):
+        proc = _cli([*argv, "--in", big_csv, "--levels", "2:6"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: {name} terminal at level 2 is inf, not finite\n"
+
+    def test_divergent_scaled_level_keeps_its_inf(self, tmp_path, capsys):
+        # 1e-300 steps: |dx|**1.5 underflows to a zero weight beside a nonzero
+        # increment, an infinite term that is the functional's own divergence
+        s = np.zeros(65)
+        s[17:33] = np.arange(1, 17) * 1e-300
+        s[33:] = s[32] + rv.fbm_path(0.4, 5, seed=1).samples[1:]
+        rv.write_path_csv(rv.Path(grid_level=6, samples=s), tmp_path / "edge.csv")
+        doc = run_json(capsys, "sqv", "--in", str(tmp_path / "edge.csv"), "--p", "1.5",
+                       "--levels", "2:6")
+        assert all(np.isinf(doc["terminals"]))
+        assert all(meta["divergent"] for meta in doc["per_level"])
+
+
+def test_no_subcommand_calls_lapack(tmp_path, capsys, monkeypatch):
+    # the trend fits are closed-form sums: no job pages in OpenBLAS's LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    u = np.linspace(-4.0, 4.0, 161)
+    table = tmp_path / "tanh.csv"
+    table.write_text("u,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                       zip(u.tolist(), np.tanh(u).tolist())))
+    path = ["--kind", "takagi", "--H", "0.5", "--level", "12", "--signs", "random",
+            "--seed", "5"]
+    for argv in (["pvar", *path, "--p", "2"], ["sqv", *path, "--p", "2.5"],
+                 ["classical", *path, "--gamma", "0.5"], ["roughness", *path],
+                 ["isometry", *path, "--p", "2", "--map", "sin"],
+                 ["isometry", *path, "--p", "2", "--map-file", str(table)],
+                 ["chainrule", *path, "--p", "2", "--map", "square_plus_one"],
+                 ["invariance", *path, "--p", "2"],
+                 ["counterexample", "--nmax", "4"]):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)

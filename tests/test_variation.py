@@ -9,6 +9,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -469,6 +470,71 @@ class TestLimitDiagnostics:
         assert doc["classification"] == "finite_positive"
         assert doc["thresholds"] == {"vanish_mag": 1e-6, "diverge_mag": 1e6,
                                      "slope": 0.25, "ratio": 100.0}
+
+
+def _exact_slope(levels, logs):
+    """The least-squares slope of ``logs`` against ``levels``, in exact rationals."""
+    x = [Fraction(float(v)) for v in levels]
+    y = [Fraction(float(v)) for v in logs]
+    k, sx, sy = len(x), sum(x), sum(y)
+    return ((k * sum(a * b for a, b in zip(x, y)) - sx * sy)
+            / (k * sum(a * a for a in x) - sx * sx))
+
+
+class TestTailSlope:
+    """The fit behind every classification, against its exact rational value."""
+
+    def test_within_1e_13_of_the_exact_least_squares_slope(self):
+        # sequences as the limit checks see them: log2 values that trend with
+        # the level (slopes up to 3 either way, offsets up to 2**60) plus
+        # noise, on 2-23 levels drawn from 0-30, unsorted and with repeats
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for _ in range(1200):
+            k = int(rng.integers(2, 24))
+            lv = rng.integers(0, 31, size=k).astype(np.float64)
+            if np.unique(lv).size < 2:
+                continue
+            logs = (rng.uniform(-60.0, 60.0) + rng.uniform(-3.0, 3.0) * lv
+                    + rng.normal(0.0, rng.choice([0.01, 0.5, 2.0]), k))
+            values = np.exp2(logs)
+            exact = _exact_slope(lv, np.log2(values))
+            got = variation._tail_slope(lv, values)
+            worst = max(worst, float(abs(Fraction(got) - exact) / abs(exact)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("value", [1.0, 0.3, 7.5e-9, 3.1e12])
+    def test_flat_sequence_gives_exactly_zero(self, value):
+        levels = np.arange(6.0, 21.0)
+        assert variation._tail_slope(levels, np.full(levels.size, value)) == 0.0
+        # also about a mean that is not a float, and from levels out of order
+        assert variation._tail_slope(np.array([0.0, 1.0, 3.0, 1.0]),
+                                     np.full(4, value)) == 0.0
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0, -2.0], [np.inf, 4.0, np.nan],
+                                        [0.0, 0.0, 0.0]])
+    def test_fewer_than_two_positive_finite_points_give_nan(self, values):
+        assert math.isnan(variation._tail_slope(np.array([1.0, 2.0, 3.0]),
+                                                np.array(values)))
+
+    def test_excluded_points_leave_the_fit_of_the_rest(self):
+        got = variation._tail_slope(np.array([1.0, 2.0, 3.0, 4.0]),
+                                    np.array([4.0, -1.0, 1.0, np.inf]))
+        assert got == -1.0
+
+    def test_one_distinct_level_has_no_slope(self):
+        assert math.isnan(variation._tail_slope(np.array([3.0, 3.0]),
+                                                np.array([1.0, 2.0])))
+
+    def test_repeated_and_unsorted_levels(self):
+        lv = np.array([5.0, 2.0, 5.0, 3.0, 2.0])
+        values = np.exp2(np.array([1.0, -0.5, 1.5, 0.25, -0.25]))
+        exact = _exact_slope(lv, np.log2(values))
+        got = variation._tail_slope(lv, values)
+        assert abs(Fraction(got) - exact) <= 1e-15 * abs(exact)
+        order = [3, 0, 4, 2, 1]
+        assert variation._tail_slope(lv[order], values[order]) == pytest.approx(got,
+                                                                               rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
