@@ -2,8 +2,10 @@
 and convenience wrappers over the Schauder constructions.
 
 All generators are pure functions of their parameters and seed (0 when
-none is given); no global RNG state is touched.  The seed-to-path map uses
-numpy's default generator (PCG64) and is recorded in run metadata, but is
+none is given); no global RNG state is touched, and the seed is recorded in
+run metadata.  Random Takagi signs are SHAKE-128 (FIPS 202) bits of the seed
+and level, the same on every platform and numpy version.  fBM draws its
+normals from numpy's default generator (PCG64), whose seed-to-path map is
 not promised bit-stable across numpy versions or other implementations.
 """
 
@@ -34,7 +36,7 @@ __all__ = [
     "generate",
 ]
 
-GENERATOR_VERSION = "3"
+GENERATOR_VERSION = "4"
 _LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
 _FFT_BLOCK = 1 << 15  # complex values per block of the four-step FFT's passes
 _SMOOTH_BLOCK = 1 << 16  # samples per block of a smooth perturbation
@@ -381,10 +383,10 @@ def takagi_path(H: float, grid_level: int, signs: str = "plus",
     """Takagi-class path: Schauder coefficients ``2**(m*(1/2-H)) * (+-1)``.
 
     Coefficient levels run to ``max_level`` (default: the grid level, the
-    finest resolvable truncation); with none the path is zero.  Rows are
-    drawn one per recursion level, in the order of
-    :func:`~roughvar.schauder.takagi_coefficients`, and the triangle is
-    never held.
+    finest resolvable truncation); with none the path is zero.  The
+    coefficients are those of :func:`~roughvar.schauder.takagi_coefficients`,
+    made a block at a time as the recursion writes each level: no row or
+    triangle of them is held.
     """
     M = grid_level if max_level is None else max_level
     rows, label = _takagi_rows(H, M, signs, seed)

@@ -14,6 +14,7 @@ basis tent is ``e_{m,k}(t) = 2**(-m/2) * max(0, min(2**m t - k, 1 - (2**m t - k)
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -86,9 +87,10 @@ def _midpoint_path(rows, max_level: int, grid_level: int, label: str) -> Path:
     """The midpoint recursion of :func:`schauder_eval`, one coefficient row per level.
 
     ``rows`` yields rows 0..max_level-1, each taken only when its level's
-    midpoints are due, and each level's midpoints are written into the
-    samples ``_BLOCK`` at a time: besides the path, at most one row and a
-    block are held.
+    midpoints are due and sliced ``_BLOCK`` entries at a time as that
+    level's midpoints are written into the samples: besides the path, at
+    most one row (a :class:`_SignRow` holds only its bits) and a block are
+    held.
     """
     _check_max_level(grid_level)
     if grid_level < max_level:
@@ -115,30 +117,39 @@ def _midpoint_path(rows, max_level: int, grid_level: int, label: str) -> Path:
 _SIGNS = ("plus", "minus", "alternating", "random")
 
 
-def _sign_stream(signs, m: int, rng) -> np.ndarray:
-    width = 1 << m
-    if signs == "plus":
-        return np.ones(width)
-    if signs == "minus":
-        return -np.ones(width)
-    if signs == "alternating":
-        k = np.arange(width)
-        return np.where((m + k) % 2 == 0, 1.0, -1.0)
-    # rng.choice([-1.0, 1.0], size=width) draws these indices and takes the
-    # signs; drawn _BLOCK at a time they are the same stream, bit for bit,
-    # without a row-sized index array
-    row = np.empty(width)
-    for lo in range(0, width, _BLOCK):
-        idx = rng.integers(0, 2, size=min(_BLOCK, width - lo))
-        np.take([-1.0, 1.0], idx, out=row[lo:lo + _BLOCK])
-    return row
+class _SignRow:
+    """Takagi row m, ``factor * s_{m,k}``, made only a slice at a time.
+
+    Random signs are the first 2**m bits of one SHAKE-128 (FIPS 202) digest
+    of ``b"roughvar-takagi-signs:<seed>:<m>"``: sign k is bit ``k % 8`` of
+    byte ``k // 8``, least significant first, and a 1 bit is +1.  The row
+    holds those ``ceil(2**m / 8)`` bytes and no float array.
+    """
+
+    def __init__(self, signs: str, m: int, seed: int, factor: float):
+        self.signs, self.m, self.factor = signs, m, factor
+        self.bits = None
+        if signs == "random":
+            xof = hashlib.shake_128(b"roughvar-takagi-signs:%d:%d" % (seed, m))
+            self.bits = np.frombuffer(xof.digest(((1 << m) + 7) >> 3), dtype=np.uint8)
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        lo, hi, _ = s.indices(1 << self.m)
+        if self.signs == "random":
+            bits = np.unpackbits(self.bits[lo >> 3:(hi + 7) >> 3], bitorder="little")
+            plus = bits[lo & 7:(lo & 7) + hi - lo]
+        elif self.signs == "alternating":
+            plus = (np.arange(lo, hi) + self.m) % 2 == 0
+        else:
+            plus = np.full(hi - lo, self.signs == "plus")
+        return np.where(plus, self.factor, -self.factor)
 
 
 def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:
-    """``(rows, label)``: Takagi-class rows 0..M-1, drawn lazily in stream order.
+    """``(rows, label)``: Takagi-class rows 0..M-1 as :class:`_SignRow`.
 
-    The arguments are checked at once; each row is made when the iterator
-    reaches it, so a consumer that takes them one at a time holds one row.
+    The arguments are checked at once; a row's values are made when it is
+    sliced, so a consumer that takes them a block at a time holds a block.
     Random signs with no seed are drawn with seed 0.
     """
     if not 0.0 < H < 1.0:
@@ -149,16 +160,9 @@ def _takagi_rows(H: float, M: int, signs: str, seed: int | None) -> tuple:
             f"unknown sign source {signs!r}; expected plus, minus, alternating, or random"
         )
     seed = _check_seed(seed)
-    rng = np.random.default_rng(seed)
-
-    def rows():
-        for m in range(M):
-            row = _sign_stream(signs, m, rng)
-            row *= 2.0 ** (m * (0.5 - H))
-            yield row
-
+    rows = (_SignRow(signs, m, seed, 2.0 ** (m * (0.5 - H))) for m in range(M))
     tag = signs if signs != "random" else f"random(seed={seed})"
-    return rows(), f"takagi(H={H}, signs={tag})"
+    return rows, f"takagi(H={H}, signs={tag})"
 
 
 def takagi_coefficients(H: float, M: int, signs: str = "plus",
@@ -166,13 +170,15 @@ def takagi_coefficients(H: float, M: int, signs: str = "plus",
     """Takagi-class coefficients ``theta[m][k] = 2**(m*(1/2 - H)) * s_{m,k}``.
 
     ``signs`` selects the sign rule: ``plus`` / ``minus`` (constant),
-    ``alternating`` (``(-1)**(m+k)``), or ``random`` (seeded +-1 stream).
-    The scale factor is folded into the stored coefficients.
+    ``alternating`` (``(-1)**(m+k)``), or ``random`` (seeded SHAKE-128 bits,
+    as in :class:`_SignRow`).  The scale factor is folded into the stored
+    coefficients.
     """
     rows, label = _takagi_rows(H, M, signs, seed)
     if M < 1:
         raise ValidationError(f"max_level must be >= 1, got {M}")
-    return SchauderCoefficients(max_level=M, theta=tuple(rows), label=label)
+    return SchauderCoefficients(max_level=M, theta=tuple(row[:] for row in rows),
+                                label=label)
 
 
 def counterexample_burst_levels(n_max: int) -> list[int]:

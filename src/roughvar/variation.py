@@ -200,7 +200,9 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
     degenerate-block conventions of :func:`scaled_qv`: a zero weight with a
     zero increment (0 * inf, NaN) gives 0, and a zero weight with a nonzero
     increment at gamma < 0 gives +inf, which ``divergent`` flags (an
-    infinite term with a nonzero weight overflowed; it is not flagged).
+    infinite term with a nonzero weight overflowed; it is not flagged).  An
+    infinite weight overflowed too, and its term is +inf, not the 0 that
+    ``inf**gamma`` is at gamma < 0.
     They are a new array; the other terms are written over ``dx``.  Callers
     run it under ``np.errstate(divide="ignore", invalid="ignore")``.
     """
@@ -218,6 +220,7 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
     t *= dx
     t *= dx
     t[np.isnan(t)] = 0.0
+    t[np.isinf(w)] = np.inf
     inf = np.isinf(t)
     return t, bool(inf.any()) and bool((inf & (w == 0.0)).any())
 
@@ -366,8 +369,10 @@ def scaled_qv(x: Path, part: Partition, p: float,
 
     Degenerate-term conventions: a block with zero weight and zero increment
     contributes 0 for any gamma; zero weight with a nonzero increment and
-    gamma < 0 contributes +inf and flags the profile divergent.  Negative
-    weight increments from a noisy source are clamped to zero and counted.
+    gamma < 0 contributes +inf and flags the profile divergent.  A weight
+    that overflowed to inf contributes +inf for any gamma, unflagged.
+    Negative weight increments from a noisy source are clamped to zero and
+    counted.
     """
     return _profile("scaled", x, part, p, src=src)
 

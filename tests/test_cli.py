@@ -65,7 +65,7 @@ class TestGen:
         direct = rv.fbm_path(0.3, 9, seed=5)
         np.testing.assert_array_equal(x.samples, direct.samples)
         manifest = json.loads((tmp_path / "p.manifest.json").read_text())
-        assert manifest["generator"]["generator_version"] == "3"
+        assert manifest["generator"]["generator_version"] == "4"
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_gen_level_17_reads_back_bitwise(self, suffix, tmp_path, capsys):
@@ -1054,7 +1054,10 @@ class TestOneSidedOverflow:
 
     They printed numpy's overflow warning, every terminal as ``inf`` and
     "classification: diverging (slope +nan)", and exited 0; ``roughness``
-    exited 2 with a bracket error.
+    exited 2 with a bracket error.  Below p = 2 the weights overflow: inf
+    to the power ``(p - 2)/p < 0`` is 0, so ``sqv --p 1.5`` printed every
+    terminal as 0, "classification: vanishing", and exited 0, and
+    ``roughness`` probed q = 1.2 to zero terminals before q = 4 raised.
     """
 
     @pytest.fixture(scope="class")
@@ -1069,7 +1072,9 @@ class TestOneSidedOverflow:
         (["pvar", "--p", "2"], "pvar"),
         (["sqv", "--p", "2.5"], "sqv"),
         (["classical", "--gamma", "0.5"], "classical"),
-        (["roughness"], "probe at q=4"),
+        (["roughness"], "probe at q=1.2"),
+        (["sqv", "--p", "1.5"], "sqv"),
+        (["sqv", "--p", "1.5", "--src", "self"], "sqv"),
     ])
     def test_exits_two_with_only_its_error(self, big_csv, argv, name):
         proc = _cli([*argv, "--in", big_csv, "--levels", "2:6"])
@@ -1112,3 +1117,39 @@ def test_no_subcommand_calls_lapack(tmp_path, capsys, monkeypatch):
                  ["counterexample", "--nmax", "4"]):
         rc, _, err = run(capsys, *argv)
         assert rc == 0, (argv, err)
+
+
+def _loads_numpy_random(argvs) -> bool:
+    """Whether a fresh interpreter that runs ``cli.main`` on each argv loads numpy.random."""
+    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\nimport roughvar.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert roughvar.cli.main(argv) == 0, argv\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_takagi_jobs_do_not_load_numpy_random(tmp_path):
+    # random Takagi signs are SHAKE-128 bits: numpy's random package, about
+    # 2 MiB of extension modules, is loaded only by the fBM generator
+    u = np.linspace(-4.0, 4.0, 161)
+    table = tmp_path / "tanh.csv"
+    table.write_text("u,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                       zip(u.tolist(), np.tanh(u).tolist())))
+    path = ["--kind", "takagi", "--H", "0.5", "--level", "12", "--signs", "random",
+            "--seed", "5"]
+    assert not _loads_numpy_random([
+        ["pvar", *path, "--p", "2"], ["sqv", *path, "--p", "2.5"],
+        ["sqv", *path, "--p", "2", "--src", "analytic", "--analytic-c", "1"],
+        ["classical", *path, "--gamma", "0.5"], ["roughness", *path],
+        ["chainrule", *path, "--p", "2", "--map", "square_plus_one"],
+        ["isometry", *path, "--p", "2", "--map", "sin"],
+        ["isometry", *path, "--p", "2", "--map-file", str(table)],
+        ["invariance", *path, "--p", "2"]])
+    assert _loads_numpy_random([["gen", "--kind", "fbm", "--H", "0.4", "--level", "8",
+                                 "--seed", "1", "--out", str(tmp_path / "fbm.csv")]])

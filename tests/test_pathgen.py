@@ -467,24 +467,25 @@ class TestConvenienceWrappers:
     def test_takagi_resident_peak_is_the_path_and_a_row(self):
         """The resident high-water mark above an import-only interpreter, at level 20.
 
-        The path (8 MiB) and the finest row (4 MiB) are 12 MiB; 20.1 MiB was
-        measured, the rest being numpy's random module (loaded on first use)
-        and block temporaries.  The bound leaves 3.9 MiB; the whole
-        coefficient triangle and the recursion's full-row temporaries
-        measured 30.0 MiB.
+        The path is 8 MiB, and each row is sliced a 2**16-entry block at a
+        time, so no row is held whole: 9.7-9.8 MiB was measured, the rest
+        being block temporaries.  The bound leaves 1.7 MiB; whole float rows,
+        with numpy's random module loaded, measured 20.1 MiB, and the whole
+        coefficient triangle with the recursion's full-row temporaries 30.0 MiB.
         """
         base = _vmhwm_mib("")
         peak = _vmhwm_mib("rv.takagi_path(0.5, 20)")
-        assert peak - base <= 24.0
+        assert peak - base <= 11.5
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads VmHWM from /proc")
     def test_random_signs_cost_no_more_than_plus_signs(self):
         """At level 22, random signs peak within 2 MiB of plus signs.
 
-        Random rows are drawn in 2**16-sign blocks, so no row-sized index
-        array is made: 0.6 MiB above plus signs was measured (92.4 MiB), and
-        16.2 MiB (108.0 MiB) when each row was one ``rng.choice`` call.
+        Random rows keep only their SHAKE-128 bytes (at most 256 KiB) and
+        unpack them a 2**16-sign block at a time: 0.3 MiB above plus signs
+        was measured (68.8 MiB), and 16.2 MiB (108.0 MiB) when each row was
+        one ``rng.choice`` call.
         """
         plus = _vmhwm_mib("rv.takagi_path(0.5, 22)")
         random_signs = _vmhwm_mib("rv.takagi_path(0.5, 22, signs='random', seed=3)")
@@ -536,7 +537,7 @@ class TestGeneratorSpec:
                                 params={"signs": "plus"})
         meta = spec.metadata()
         assert meta["kind"] == "takagi"
-        assert meta["generator_version"] == rv.pathgen.GENERATOR_VERSION == "3"
+        assert meta["generator_version"] == rv.pathgen.GENERATOR_VERSION == "4"
 
 
 class TestSeeds:

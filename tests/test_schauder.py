@@ -6,6 +6,7 @@ quadratic variation of any evaluated path must equal the coefficient-side
 closed form 2**-n * sum of squared rows below n.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 
 import roughvar as rv
 from roughvar.errors import FormatError, ResolutionError, ValidationError
-from roughvar.schauder import _sign_stream
 
 
 def _schauder_eval_direct(c, grid_level):
@@ -145,17 +145,32 @@ class TestTakagiCoefficients:
             npt.assert_array_equal(ra, rb)
         assert set(np.unique(np.concatenate(a.theta[2:]))) <= {-1.0, 1.0}
 
-    @pytest.mark.parametrize("m", [0, 5, 16, 17, 18])
-    def test_random_signs_in_blocks_are_the_one_call_draw(self, m):
-        """Rows drawn 2**16 signs at a time are one ``rng.choice`` of the row, bitwise.
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 70])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 16, 17, 18])
+    def test_random_signs_are_the_shake128_bits(self, m, seed):
+        """Row m's signs are the first 2**m bits of one SHAKE-128 digest, LSB first.
 
-        The generator is left where the one call leaves it, too.
+        Decoded here bit by bit in plain Python, independently of
+        ``np.unpackbits``, and compared bitwise with the row at H = 1/2, where
+        the level factor is 1.
         """
-        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = _sign_stream("random", m, got_rng)
-        want = want_rng.choice([-1.0, 1.0], size=1 << m)
-        assert got.tobytes() == want.tobytes()
-        assert got_rng.standard_normal() == want_rng.standard_normal()
+        xof = hashlib.shake_128(b"roughvar-takagi-signs:%d:%d" % (seed, m))
+        data = xof.digest(((1 << m) + 7) // 8)
+        want = [1.0 if data[k // 8] >> (k % 8) & 1 else -1.0 for k in range(1 << m)]
+        got = rv.takagi_coefficients(0.5, m + 1, signs="random", seed=seed).theta[m]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_random_rows_differ_by_seed_and_level(self):
+        a = rv.takagi_coefficients(0.5, 12, signs="random", seed=0)
+        b = rv.takagi_coefficients(0.5, 12, signs="random", seed=1)
+        assert not np.array_equal(a.theta[11], b.theta[11])
+        # rows of one seed are not prefixes of each other
+        assert not np.array_equal(a.theta[11][:1 << 10], a.theta[10])
+
+    def test_random_signs_are_fair(self):
+        """A 2**20 row's count of +1 lies within 5 sigma (5 * 2**9) of 2**19."""
+        row = rv.takagi_coefficients(0.5, 21, signs="random", seed=4).theta[20]
+        assert abs(int(np.count_nonzero(row > 0)) - (1 << 19)) <= 5 * (1 << 9)
 
     def test_unknown_sign_rule_rejected(self):
         with pytest.raises(ValidationError, match="sign"):

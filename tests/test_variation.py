@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import roughvar as rv
 from roughvar import variation
-from roughvar.errors import FormatError, ResolutionError, SourceError, ValidationError
+from roughvar.errors import (EvaluationError, FormatError, ResolutionError, SourceError,
+                             ValidationError)
 from roughvar.variation import _level_metadata, _level_terminals
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,20 @@ class TestScaledQV:
         prof = rv.scaled_qv(x, rv.dyadic_partition(4, 5), 3.0, dead)
         assert prof.terminal == 0.0
         assert not prof.divergent
+
+    def test_overflowed_weight_is_an_infinite_term(self):
+        """A weight past the double range is an overflow, never a zero term.
+
+        ``|dx|**1.5`` of 1e300-sized steps is inf, and inf**gamma is 0 at
+        gamma < 0: the scaled terms read 0 and the level "vanished".
+        """
+        x = rv.smooth_perturbation("sine", 1e300, 10)
+        for src in (None, rv.PVarSource.self_level()):
+            with np.errstate(over="ignore"):
+                prof = rv.scaled_qv(x, rv.dyadic_partition(4, 10), 1.5, src)
+            assert np.isinf(prof.terms).all() and not prof.divergent
+            with pytest.raises(EvaluationError, match="^sqv terminal at level 2 is inf"):
+                _level_metadata(x, [4, 2, 6], "scaled", 1.5, src=src, name="sqv")
 
     def test_source_mode_recorded(self):
         x = rv.takagi_path(0.5, 8)
