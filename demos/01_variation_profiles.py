@@ -32,10 +32,9 @@ for p in (1.5, 2.0, 3.0):
 # Scaled quadratic variation reweights |dx|^2 by variation increments so
 # the p = 2 behaviour transfers to other exponents.  For this path the
 # limit variation is literally t, so the analytic source is exact.
-print("\nscaled QV at p=3 with three weight sources (level 10):")
+print("\nscaled QV at p=3 with two weight sources (level 10):")
 part = rv.dyadic_partition(10, 14)
 for name, src in [("finest_level", None),
-                  ("self_level", rv.PVarSource.self_level()),
                   ("analytic t", rv.PVarSource.linear(1.0))]:
     prof = rv.scaled_qv(x, part, 3.0, src)
     print(f"  {name:13s} terminal {prof.terminal:.9f} "

@@ -46,7 +46,7 @@ _PUBLIC = {
     "isometry": (
         "SmoothMap", "IsometryReport", "identity_map", "affine_map",
         "square_plus_one_map", "sin_map", "exp_clamped_map", "tabulated_map",
-        "builtin_map", "compose_path", "holder_proxy",
+        "builtin_map", "holder_proxy",
         "isometry_check", "chain_rule_check", "invariance_check",
         "write_report_csv"),
 }

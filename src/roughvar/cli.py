@@ -178,8 +178,6 @@ def _resolve_source(args) -> variation.PVarSource | None:
     if mode != "analytic" and getattr(args, "analytic_c", None) is not None:
         raise ValidationError(f"--analytic-c is read only with --src analytic, "
                               f"not --src {mode or 'finest'}")
-    if mode == "self":
-        return variation.PVarSource.self_level()
     if mode == "analytic":
         if getattr(args, "analytic_c", None) is None:
             raise ValidationError("--src analytic requires --analytic-c C "
@@ -524,7 +522,7 @@ def _add_common_analysis_flags(p: argparse.ArgumentParser, src: bool = True) -> 
     p.add_argument("--levels", help="dyadic levels, N or A:B inclusive")
     p.add_argument("--out", help="write the report JSON here (plus manifest)")
     if src:
-        p.add_argument("--src", choices=["finest", "self", "analytic"],
+        p.add_argument("--src", choices=["finest", "analytic"],
                        help="weight source for scaled QV (default finest)")
         p.add_argument("--analytic-c", dest="analytic_c", type=float,
                        help="C for the linear analytic source C*t")

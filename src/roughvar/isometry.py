@@ -43,7 +43,6 @@ __all__ = [
     "exp_clamped_map",
     "tabulated_map",
     "builtin_map",
-    "compose_path",
     "holder_proxy",
     "isometry_check",
     "chain_rule_check",
@@ -225,12 +224,6 @@ def _image(f: SmoothMap, x: Path) -> Callable:
         return out
 
     return values
-
-
-def compose_path(f: SmoothMap, x: Path) -> Path:
-    """Pointwise image f(x(t_j)) on the same grid."""
-    return Path(grid_level=x.grid_level, samples=_image(f, x)(0, x.samples.size),
-                label=f"{f.id}({x.label})" if x.label else f.id)
 
 
 @dataclass(frozen=True)

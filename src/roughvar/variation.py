@@ -234,7 +234,7 @@ def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
     dx = np.diff(x.samples[part.indices])
     w, clamped = None, 0
     if kind == "scaled" and gamma != 0.0:
-        w, clamped = src.block_weights(x, part, p, dx)
+        w, clamped = src.block_weights(x, part, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms, divergent = _terms(kind, dx, p, gamma, w,
                                   np.diff(times) if kind == "classical_scaled" else None)
@@ -260,22 +260,20 @@ class PVarSource:
     """Strategy supplying the limit p-th variation inside scaled-QV weights.
 
     The scaled-QV definition weights each squared increment by an increment
-    of the *limit* p-th variation, which no finite computation knows.  Three
+    of the *limit* p-th variation, which no finite computation knows.  Two
     approximations are supported:
 
     * ``finest_level`` (default): the p-th variation of each partition block
       at the deepest available level — the only model-free choice.  A
       block's weight is the sum of the grid-level ``|dx|**p`` inside it;
     * ``analytic``: a caller-supplied nondecreasing function with value 0
-      at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear);
-    * ``self_level``: the evaluation partition's own ``|dx|**p`` terms,
-      which turns scaled QV into the p-th variation identically.
+      at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear).
     """
 
     mode: str = "finest_level"
     analytic_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
-    _MODES = ("analytic", "finest_level", "self_level")
+    _MODES = ("analytic", "finest_level")
 
     def __post_init__(self):
         if self.mode not in self._MODES:
@@ -294,26 +292,28 @@ class PVarSource:
         """The analytic source ``t -> C*t`` (limit variation linear in time)."""
         return cls.analytic(lambda t: C * np.asarray(t, dtype=np.float64))
 
-    @classmethod
-    def self_level(cls) -> "PVarSource":
-        return cls(mode="self_level")
-
     def materialized(self, x: Path, p: float) -> "PVarSource":
         """This source itself; kept because the benchmark's oracle check calls it."""
         return self
 
-    def block_weights(self, x: Path, part: Partition, p: float,
-                      dx: np.ndarray) -> tuple[np.ndarray, int]:
+    def block_weights(self, x: Path, part: Partition,
+                      p: float) -> tuple[np.ndarray, int]:
         """Nonnegative weight increments per partition block (+ clamp count)."""
-        if self.mode == "self_level":
-            return np.abs(dx) ** p, 0
         if self.mode == "finest_level":
             # block sums of the grid-level terms: a tiny block weight next to a
             # large running total survives, where a cumulative difference
             # would round it to zero
             part.check_grid(x.grid_level)
             fine = np.diff(x.samples)
-            return np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1]), 0
+            w = _pth_terms(fine, p, fine)
+            steps = np.diff(part.indices)
+            if (steps != steps[0]).any():
+                return np.add.reduceat(w, part.indices[:-1]), 0
+            # equal blocks tiling 2**L grid steps are dyadic: halve pairwise,
+            # the pyramid pass's order, so the profile's terms are the pass's
+            while w.size > steps.size:
+                w = w[0::2] + w[1::2]
+            return w, 0
         weights = _Analytic(self.analytic_fn)
         w = weights(part.times(x.grid_level))
         return w, weights.check()
@@ -453,16 +453,15 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     one tile is the grid) takes that tile's strided increments, weights and
     terms, and feeds the terms to its :class:`_Level` (with ``scale`` and
     ``gather`` as there).  Weights: finest-level ones are the tile's
-    ``|dx|**p`` halved pairwise (``w[0::2] + w[1::2]``) down the levels, so
-    each is an exact-order block sum; self-level ones are the level's own
-    ``|dx|**p``; analytic ones are :class:`_Analytic` on the tile's times,
-    checked over each whole level before the pass returns.  The coarser
-    levels, at most ``2**(L-9)`` terms each, are taken whole after the
-    sweep, from every ``2**9``-th sample and the finest-level weights at
-    level L-9, both kept from the tiles.  ``values(lo, hi)``, when given,
-    stands for samples ``lo:hi`` of ``x``: the pass then runs over that image
-    of the path, which it asks for once per tile, in order, and never holds
-    whole.  Overflows are not warned of: with ``name``, the lowest level
+    ``|dx|**p`` halved pairwise (``w[0::2] + w[1::2]``) down the levels, as
+    :meth:`PVarSource.block_weights` sums a dyadic block; analytic ones are
+    :class:`_Analytic` on the tile's times, checked over each whole level
+    before the pass returns.  The coarser levels, at most ``2**(L-9)`` terms
+    each, are taken whole after the sweep, from every ``2**9``-th sample and
+    the finest-level weights at level L-9, both kept from the tiles.
+    ``values(lo, hi)``, when given, stands for samples ``lo:hi`` of ``x``:
+    the pass then runs over that image of the path, which it asks for once
+    per tile, in order, and never holds whole.  Overflows are not warned of: with ``name``, the lowest level
     whose terminal is not finite although the level is not ``divergent``
     raises :class:`EvaluationError` naming it.
     """
@@ -494,8 +493,6 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
             w = analytic[n](np.arange(j, k + 1, dtype=np.float64) * 2.0 ** -n)
         if dx is None:
             dx = np.subtract(t[r::r], t[:-1:r])
-        if mode == "self_level":
-            w = np.abs(dx) ** p
         lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -206,34 +206,35 @@ def test_criterion_09_kernels_match_direct_summation():
         dxs = np.diff(x.samples[part.indices])
         fine = np.abs(np.diff(x.samples)) ** p
 
-        want_p, want_self, want_fin, want_cl = 0.0, 0.0, 0.0, 0.0
+        want_p, want_lin, want_fin, want_cl = 0.0, 0.0, 0.0, 0.0
         t = part.times(level)
         for j, dx in enumerate(dxs):
             want_p += abs(dx) ** p
-            w_self = abs(dx) ** p
-            want_self += w_self ** gamma * dx * dx if w_self else 0.0
+            want_lin += (0.7 * t[j + 1] - 0.7 * t[j]) ** gamma * dx * dx
             a, b = part.indices[j], part.indices[j + 1]
             w_fin = math.fsum(fine[a:b].tolist())
             want_fin += w_fin ** gamma * dx * dx if w_fin else 0.0
             want_cl += (t[j + 1] - t[j]) ** gamma * dx * dx
 
         got = (rv.pth_variation(x, part, p).terminal,
-               rv.scaled_qv(x, part, p, rv.PVarSource.self_level()).terminal,
+               rv.scaled_qv(x, part, p, rv.PVarSource.linear(0.7)).terminal,
                rv.scaled_qv(x, part, p).terminal,
                rv.classical_scaled_qv(x, part, gamma).terminal)
-        for have, want in zip(got, (want_p, want_self, want_fin, want_cl)):
+        for have, want in zip(got, (want_p, want_lin, want_fin, want_cl)):
             worst = max(worst, abs(have - want) / max(abs(want), 1e-300))
 
     x = rv.fbm_path(0.3, 10, seed=9)
     part = rv.dyadic_partition(8, 10)
     collapse = np.array_equal(rv.scaled_qv(x, part, 2.0).terms,
                               rv.pth_variation(x, part, 2.0).terms)
-    a = rv.scaled_qv(x, part, 2.7, rv.PVarSource.self_level()).terminal
-    b = rv.pth_variation(x, part, 2.7).terminal
-    self_rel = abs(a - b) / abs(b)
-    ok = worst < 1e-14 and collapse and self_rel < 1e-12
+    # at the grid level each block's finest-level weight is its own |dx|**p
+    grid = rv.dyadic_partition(10, 10)
+    a = rv.scaled_qv(x, grid, 2.7).terminal
+    b = rv.pth_variation(x, grid, 2.7).terminal
+    grid_rel = abs(a - b) / abs(b)
+    ok = worst < 1e-14 and collapse and grid_rel < 1e-12
     _verdict(9, ok, f"worst direct-sum rel {worst:.1e}, quadratic collapse "
-             f"exact={collapse}, self-source rel {self_rel:.1e}")
+             f"exact={collapse}, grid-level finest-source rel {grid_rel:.1e}")
 
 
 def test_criterion_10_deep_grid_performance_and_accumulation():

@@ -225,12 +225,13 @@ class TestProfileCommands:
         assert doc["limit_report"]["classification"] == "finite_positive"
         assert doc["per_level"][0]["source_mode"] == "finest_level"
 
-    def test_sqv_self_source_equals_pvar(self, takagi_csv, capsys):
+    def test_sqv_at_the_grid_level_equals_pvar(self, takagi_csv, capsys):
+        # a grid block's finest-level weight is its own |dx|**p
         a = run_json(capsys, "sqv", "--in", takagi_csv, "--p", "2.5",
-                     "--levels", "4:9", "--src", "self")
+                     "--levels", "10:12")
         b = run_json(capsys, "pvar", "--in", takagi_csv, "--p", "2.5",
-                     "--levels", "4:9")
-        np.testing.assert_allclose(a["terminals"], b["terminals"], rtol=1e-12)
+                     "--levels", "10:12")
+        np.testing.assert_allclose(a["terminals"][-1], b["terminals"][-1], rtol=1e-12)
 
     def test_classical_command(self, takagi_csv, capsys):
         doc = run_json(capsys, "classical", "--in", takagi_csv, "--gamma", "0",
@@ -283,7 +284,7 @@ class TestProfileCommands:
     @pytest.mark.parametrize("argv", [
         ("pvar", "--p", "2.5"),
         ("sqv", "--p", "2.5"),
-        ("sqv", "--p", "2.5", "--src", "self"),
+        ("sqv", "--p", "1.5"),
         ("sqv", "--p", "3", "--src", "analytic", "--analytic-c", "0.7"),
         ("classical", "--gamma", "-0.2"),
     ])
@@ -297,6 +298,18 @@ class TestProfileCommands:
             stem = prof_dir / f"{argv[0]}_level{meta['level']:02d}"
             assert json.loads(stem.with_suffix(".meta.json").read_text()) == meta
             assert rv.read_profile_csv(stem.with_suffix(".csv")).terminal == meta["terminal"]
+
+    def test_sqv_profiles_are_the_public_profiles_bitwise(self, tmp_path, capsys):
+        # level 17 is two tiles of the pass; its coarse levels take stored weights
+        prof_dir = tmp_path / "profiles"
+        run_json(capsys, "sqv", "--p", "1.7", "--kind", "fbm", "--H", "0.4",
+                 "--level", "17", "--seed", "0", "--levels", "0:17",
+                 "--profiles-out", str(prof_dir))
+        x = rv.fbm_path(0.4, 17, seed=0)
+        for n in range(18):
+            back = rv.read_profile_csv(prof_dir / f"sqv_level{n:02d}.csv")
+            want = rv.scaled_qv(x, rv.dyadic_partition(n, 17), 1.7)
+            assert back.values.tobytes() == want.values.tobytes(), n
 
     def test_report_json_is_byte_stable(self, takagi_csv, tmp_path, capsys):
         outs = []
@@ -369,6 +382,11 @@ class TestProfileCommands:
         assert err.startswith("error:")
 
 
+# the subcommands that take --src, with the flags each needs besides
+SRC_COMMANDS = [("sqv", ["--p", "3"]), ("roughness", []), ("isometry", ["--p", "2"]),
+                ("invariance", ["--p", "2"])]
+
+
 class TestExponentsAndUsage:
     @pytest.mark.parametrize("argv", [("sqv", "--p", "0"), ("sqv", "--p", "nan"),
                                       ("sqv", "--p", "inf"), ("pvar", "--p", "nan"),
@@ -406,10 +424,8 @@ class TestExponentsAndUsage:
         assert err == "error: analytic_fn must be finite, got nan at t=0.0\n"
         assert out == ""
 
-    @pytest.mark.parametrize("command,flags", [("sqv", ["--p", "3"]), ("roughness", []),
-                                               ("isometry", ["--p", "2"]),
-                                               ("invariance", ["--p", "2"])])
-    @pytest.mark.parametrize("src", [[], ["--src", "finest"], ["--src", "self"]])
+    @pytest.mark.parametrize("command,flags", SRC_COMMANDS)
+    @pytest.mark.parametrize("src", [[], ["--src", "finest"]])
     def test_analytic_constant_without_analytic_source_exits_one(
             self, command, flags, src, tmp_path, capsys):
         # a constant that the chosen source would not read is an error, not
@@ -421,6 +437,18 @@ class TestExponentsAndUsage:
         mode = src[1] if src else "finest"
         assert err == ("error: --analytic-c is read only with --src analytic, "
                        f"not --src {mode}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flags", SRC_COMMANDS)
+    def test_removed_self_source_is_a_usage_error(self, command, flags, tmp_path):
+        proc = _cli([command, "--kind", "takagi", "--H", "0.5", "--level", "8",
+                     "--levels", "4:6", *flags, "--src", "self",
+                     "--out", str(tmp_path / "r.json")])
+        err = proc.stderr.decode()
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert err.endswith(f"{command}: error: argument --src: invalid choice: "
+                            "'self' (choose from 'finest', 'analytic')\n")
         assert not list(tmp_path.iterdir())
 
     def test_usage_error_exits_one(self, capsys):
@@ -1074,7 +1102,7 @@ class TestOneSidedOverflow:
         (["classical", "--gamma", "0.5"], "classical"),
         (["roughness"], "probe at q=1.2"),
         (["sqv", "--p", "1.5"], "sqv"),
-        (["sqv", "--p", "1.5", "--src", "self"], "sqv"),
+        (["sqv", "--p", "1.5", "--src", "analytic", "--analytic-c", "1"], "sqv"),
     ])
     def test_exits_two_with_only_its_error(self, big_csv, argv, name):
         proc = _cli([*argv, "--in", big_csv, "--levels", "2:6"])

@@ -104,7 +104,7 @@ class TestCriticalIndexSearch:
         assert abs(rep.hurst_est - 0.3) <= 0.015
 
     def test_source_choice_still_finds_takagi_index(self, takagi14):
-        for src in (rv.PVarSource.self_level(), rv.PVarSource.linear(1.0)):
+        for src in (rv.PVarSource(), rv.PVarSource.linear(1.0)):
             rep = rv.critical_index_search(takagi14, src=src)
             assert abs(rep.p_bar_est - 2.0) <= 0.01
             assert rep.src_mode == src.mode
@@ -223,7 +223,7 @@ class TestSecantSearch:
         # each probe of a search reads the increments taken once for all
         x = rv.fbm_path(0.4, 16, seed=3)
         levels = list(rv.default_levels(x))
-        for src in (None, rv.PVarSource.self_level(), rv.PVarSource.linear(1.0)):
+        for src in (None, rv.PVarSource.linear(1.0)):
             rep = rv.critical_index_search(x, src=src)
             assert len(rep.per_q) >= 4
             for rec in rep.per_q:
@@ -239,7 +239,7 @@ class TestSecantSearch:
 
     def test_budget_bounds_the_probes(self, takagi14):
         for iters in (1, 2, 3, 12):
-            for src in (None, rv.PVarSource.self_level()):
+            for src in (None, rv.PVarSource.linear(1.0)):
                 rep = rv.critical_index_search(takagi14, iters=iters, src=src)
                 assert len(rep.per_q) <= iters + 2
                 lo, hi = rep.bracket

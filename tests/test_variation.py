@@ -5,6 +5,7 @@ here (plain Python loops, no shared code with the implementation), against
 closed forms, and against an extended-precision accumulation oracle.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -200,8 +201,9 @@ class TestPthVariation:
 
 class TestPVarSource:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError, match="unknown source mode"):
-            rv.PVarSource(mode="psychic")
+        for mode in ("psychic", "self_level"):
+            with pytest.raises(ValidationError, match="unknown source mode"):
+                rv.PVarSource(mode=mode)
 
     def test_analytic_requires_callable(self):
         with pytest.raises(ValidationError, match="analytic_fn"):
@@ -265,12 +267,12 @@ class TestPVarSource:
 
 
 class TestScaledQV:
-    def test_matches_naive_reference_with_self_weights(self):
+    def test_matches_naive_reference_with_linear_weights(self):
         for level, samples, indices, p in random_cases(60, seed=20):
             x = rv.Path(grid_level=level, samples=samples)
             part = rv.Partition(level=0, indices=indices)
-            prof = rv.scaled_qv(x, part, p, rv.PVarSource.self_level())
-            weights = [abs(samples[b] - samples[a]) ** p
+            prof = rv.scaled_qv(x, part, p, rv.PVarSource.linear(1.7))
+            weights = [1.7 * (b * 2.0 ** -level) - 1.7 * (a * 2.0 ** -level)
                        for a, b in zip(indices, indices[1:])]
             want = naive_scaled_qv(samples, indices, p, weights)
             npt.assert_allclose(prof.values, want, rtol=1e-13, atol=1e-300)
@@ -310,18 +312,18 @@ class TestScaledQV:
         x = rv.fbm_path(0.3, 10, seed=4)
         part = rv.dyadic_partition(7, 10)
         qv = rv.pth_variation(x, part, 2.0)
-        for src in (None, rv.PVarSource.self_level(),
-                    rv.PVarSource.linear(2.0)):
+        for src in (None, rv.PVarSource.linear(2.0)):
             prof = rv.scaled_qv(x, part, 2.0, src)
             npt.assert_array_equal(prof.terms, qv.terms)
             npt.assert_array_equal(prof.values, qv.values)
             assert prof.gamma == 0.0
 
-    def test_self_level_source_reproduces_pth_variation(self):
+    def test_finest_source_at_the_grid_level_reproduces_pth_variation(self):
+        # each grid block's weight is its own |dx|**p: w**gamma * dx**2 = |dx|**p
         x = rv.takagi_path(0.4, 10)
-        part = rv.dyadic_partition(8, 10)
+        part = rv.dyadic_partition(10, 10)
         for p in (1.5, 2.5, 3.0):
-            a = rv.scaled_qv(x, part, p, rv.PVarSource.self_level())
+            a = rv.scaled_qv(x, part, p)
             b = rv.pth_variation(x, part, p)
             npt.assert_allclose(a.values, b.values, rtol=1e-12)
 
@@ -333,8 +335,7 @@ class TestScaledQV:
 
     def test_zero_weight_zero_increment_contributes_nothing(self):
         flat = rv.Path(grid_level=3, samples=np.zeros(9))
-        prof = rv.scaled_qv(flat, rv.dyadic_partition(3, 3), 1.5,
-                            rv.PVarSource.self_level())
+        prof = rv.scaled_qv(flat, rv.dyadic_partition(3, 3), 1.5)
         npt.assert_array_equal(prof.terms, np.zeros(8))
         assert not prof.divergent
 
@@ -360,7 +361,7 @@ class TestScaledQV:
         gamma < 0: the scaled terms read 0 and the level "vanished".
         """
         x = rv.smooth_perturbation("sine", 1e300, 10)
-        for src in (None, rv.PVarSource.self_level()):
+        for src in (None, rv.PVarSource.linear(1.0)):
             with np.errstate(over="ignore"):
                 prof = rv.scaled_qv(x, rv.dyadic_partition(4, 10), 1.5, src)
             assert np.isinf(prof.terms).all() and not prof.divergent
@@ -372,7 +373,7 @@ class TestScaledQV:
         part = rv.dyadic_partition(6, 8)
         assert rv.scaled_qv(x, part, 2.5).src_mode == "finest_level"
         assert rv.scaled_qv(x, part, 2.5,
-                            rv.PVarSource.self_level()).src_mode == "self_level"
+                            rv.PVarSource.linear(1.0)).src_mode == "analytic"
 
     def test_atom_risk_flags_concentrated_measure(self):
         jump = np.zeros(17)
@@ -588,7 +589,8 @@ class TestDyadicPyramid:
         ("pth", 2.0, None, None),
         ("pth", 2.7, None, None),
         ("scaled", 2.5, None, None),
-        ("scaled", 1.5, None, rv.PVarSource.self_level()),
+        ("scaled", 1.7, None, None),
+        ("scaled", 1.5, None, rv.PVarSource.linear(0.7)),
         ("scaled", 3.0, None, rv.PVarSource.linear(0.7)),
         ("scaled", 2.0, None, None),
         ("classical_scaled", 2.0, -0.3, None),
@@ -601,11 +603,7 @@ class TestDyadicPyramid:
         for meta in got:
             want = _profile(fbm16, meta["level"], kind, p, gamma, src).metadata()
             assert meta.keys() == want.keys()
-            for key, value in want.items():
-                if isinstance(value, float):
-                    npt.assert_allclose(meta[key], value, rtol=1e-13)
-                else:
-                    assert meta[key] == value, key
+            assert meta == want
 
     def test_degenerate_block_conventions(self):
         x = rv.takagi_path(0.5, 5)
@@ -626,6 +624,87 @@ class TestDyadicPyramid:
             _level_terminals(fbm16, [-1, 6], "pth", 2.0)
         with pytest.raises(ValidationError, match="p must be"):
             _level_terminals(fbm16, [6], "scaled", 0.0)
+
+
+class TestProfilesAreThePassBits:
+    """A public profile along a dyadic partition is the pass's level, bitwise.
+
+    Grid levels 17 and 18 are two and four tiles of the pass, and their
+    levels below L-9 take the finest-level weights the tiles stored; the
+    profile's block sums must halve in the same order.
+    """
+
+    @pytest.fixture(scope="class", params=[17, 18])
+    def path(self, request):
+        return rv.fbm_path(0.4, request.param, seed=request.param)
+
+    @pytest.mark.parametrize("kind, p, gamma, src", [
+        ("pth", 1.7, None, None),
+        ("scaled", 1.2, None, None),
+        ("scaled", 1.7, None, None),
+        ("scaled", 3.3, None, None),
+        ("scaled", 1.7, None, rv.PVarSource.linear(0.7)),
+        ("classical_scaled", 2.0, -0.3, None),
+    ])
+    def test_every_level_has_the_gathered_terms(self, path, kind, p, gamma, src):
+        levels = range(path.grid_level + 1)
+        for lv in variation._dyadic_levels(path, levels, kind, p, gamma, src,
+                                           gather=True):
+            prof = _profile(path, lv.n, kind, p, gamma, src)
+            assert prof.terms.tobytes() == lv.terms.tobytes(), lv.n
+            assert prof.terminal == lv.total, lv.n
+
+
+# ---------------------------------------------------------------------------
+# Takagi-class paths: exact terminals and sign invariance
+# ---------------------------------------------------------------------------
+
+_SIGN_RULES = [("plus", None), ("minus", None), ("alternating", None), ("random", 7)]
+
+
+def _takagi_pth_oracle(H, n, p):
+    """Level-n p-th variation of a Takagi-class path, by enumerating signs.
+
+    Hats of level m >= n vanish on the level's points, so a level-n
+    increment is ``sum_{m<n} 2**-n * 2**(m*(1-H)) * r_m``, with ``r_m`` the
+    sign of level m's coefficient times that of its hat's slope there.  The
+    slope's sign is the interval's binary digit m, so as the interval runs
+    over the level, ``r`` runs over {+1, -1}**n once, whatever the signs.
+    """
+    c = [2.0 ** -n * 2.0 ** (m * (1.0 - H)) for m in range(n)]
+    return math.fsum(abs(math.fsum(a * r for a, r in zip(c, rs))) ** p
+                     for rs in itertools.product((1.0, -1.0), repeat=n))
+
+
+class TestTakagiExactTerminals:
+    LEVELS = range(13)
+
+    @pytest.mark.parametrize("H, p", [(0.3, 1.0 / 0.3), (0.3, 3.0), (0.3, 1.5),
+                                      (0.7, 1.0 / 0.7), (0.7, 2.0), (0.7, 2.5)])
+    def test_pth_terminals_are_the_sign_enumeration(self, H, p):
+        want = [_takagi_pth_oracle(H, n, p) for n in self.LEVELS]
+        for signs, seed in _SIGN_RULES:
+            x = rv.takagi_path(H, 12, signs=signs, seed=seed)
+            got = _level_terminals(x, self.LEVELS, "pth", p)
+            npt.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=signs)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_weighted_terminals_do_not_depend_on_the_signs(self, H):
+        # a finest-level weight depends only on its block's own r, so the
+        # (weight, increment) pairs of a level are the same for every sign rule
+        levels = range(15)
+
+        def terminals(x):
+            rows = [_level_terminals(x, levels, "scaled", p, src=src)
+                    for p in (1.5, 1.0 / H, 3.0)
+                    for src in (None, rv.PVarSource.linear(1.3))]
+            return rows + [_level_terminals(x, levels, "classical_scaled", gamma=g)
+                           for g in (-0.25, 0.4)]
+
+        want = terminals(rv.takagi_path(H, 14))
+        for signs, seed in _SIGN_RULES[1:]:
+            got = terminals(rv.takagi_path(H, 14, signs=signs, seed=seed))
+            npt.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +757,7 @@ def _reference_dyadic_levels(x, levels, kind, p=2.0, gamma=None, src=None):
         out.append((n, *_reference_terms(
             kind, dx, p, gamma,
             lambda: (w, 0) if w is not None else src.block_weights(
-                x, rv.dyadic_partition(n, L), p, dx),
+                x, rv.dyadic_partition(n, L), p),
             lambda: np.float64(2.0 ** -n))))
     return out
 
@@ -707,7 +786,7 @@ _PYRAMID_CASES = [
     ("scaled", 4.0, None, None),
     ("scaled", 2.0, None, None),
     ("scaled", 3.0, None, "analytic"),
-    ("scaled", 1.5, None, "self_level"),
+    ("scaled", 1.5, None, "analytic"),
     ("classical_scaled", 2.0, -0.3, None),
     ("classical_scaled", 2.0, 0.0, None),
 ]
@@ -733,8 +812,6 @@ class TestPyramidBitsMatchReference:
         L = path.grid_level
         if src == "analytic":
             src = rv.PVarSource.linear(0.7)
-        elif src == "self_level":
-            src = rv.PVarSource.self_level()
         level_sets = [[0], [L], [L - 3, 1, L // 2, L, 1, L - 3], [0, 2, L - 1],
                       list(range(max(L - 12, 0), L + 1))]
         for levels in level_sets:
@@ -799,8 +876,6 @@ class TestBlockedReductionAtDeepLevels:
                                                               gamma, src):
         if src == "analytic":
             src = rv.PVarSource.linear(0.7)
-        elif src == "self_level":
-            src = rv.PVarSource.self_level()
         # the grid level on top (its terms come from the weight sweep) and below
         for levels in ([17, 18, 19, 20], [19, 17]):
             want = _reference_dyadic_levels(path, levels, kind, p, gamma, src)
