@@ -27,29 +27,20 @@ class SourceError(ValidationError):
 
 
 class NumericalError(RoughvarError):
-    """A computation finished but could not reach a required decision."""
+    """A computation finished but could not reach a required decision;
+    ``evidence`` lists what was observed up to the abort (a search's probes)."""
+
+    def __init__(self, message: str, evidence: list | None = None):
+        super().__init__(message)
+        self.evidence = evidence or []
 
 
 class BracketError(NumericalError):
-    """A search range does not bracket the quantity being searched for.
-
-    Carries the endpoint evidence so callers can report what was observed.
-    """
-
-    def __init__(self, message: str, evidence: list | None = None):
-        super().__init__(message)
-        self.evidence = evidence or []
+    """A search range does not bracket the quantity being searched for."""
 
 
 class InconclusiveError(NumericalError):
-    """A probe produced a classification the caller cannot act on.
-
-    Carries the per-probe evidence collected up to the abort.
-    """
-
-    def __init__(self, message: str, evidence: list | None = None):
-        super().__init__(message)
-        self.evidence = evidence or []
+    """A probe produced a classification the caller cannot act on."""
 
 
 class EvaluationError(NumericalError):

@@ -292,19 +292,14 @@ def _pth_trend(x: Path, p: float, levels) -> LimitReport | None:
                              window=len(levels), levels=levels)
 
 
-def _index_warning(x: Path, p: float, levels) -> list:
-    """Warn when the path's p-th variation is visibly not levelling off."""
-    rep = _pth_trend(x, p, levels)
-    if rep is not None and abs(rep.trend_slope) > 0.5:
-        return [f"p-th variation terminals trend with log2 slope "
-                f"{rep.trend_slope:+.2f}; the path's critical index appears "
-                f"far from p={p:g}"]
-    return []
-
-
 def _map_warnings(x: Path, f: SmoothMap, p: float, levels) -> list:
-    """The index warning, plus one when the path leaves the map's table."""
-    warnings = _index_warning(x, p, levels)
+    """A warning when the path's p-th variation is visibly not levelling off,
+    and one when the path leaves the map's table."""
+    rep, warnings = _pth_trend(x, p, levels), []
+    if rep is not None and abs(rep.trend_slope) > 0.5:
+        warnings.append(f"p-th variation terminals trend with log2 slope "
+                        f"{rep.trend_slope:+.2f}; the path's critical index appears "
+                        f"far from p={p:g}")
     if f.table_range is None:
         return warnings
     lo, hi = float(np.min(x.samples)), float(np.max(x.samples))

@@ -360,21 +360,22 @@ def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
             raise ValidationError(f"perturbation {name} must be finite, got {value}")
     n, step = (1 << grid_level) + 1, 2.0 ** (-grid_level)
     samples = np.empty(n)
-    for lo in range(0, n, _SMOOTH_BLOCK):
-        t = np.arange(lo, min(lo + _SMOOTH_BLOCK, n), dtype=np.float64)
-        t *= step  # the grid_times bits
-        out = samples[lo:lo + t.size]
-        if kind == "sine":
-            np.multiply(t, 2.0 * np.pi * freq, out=out)
-            np.sin(out, out=out)
-        else:
-            # Horner's rule in the order np.polynomial.polynomial.polyval
-            # takes it, whose first value is coeffs[-1] + 0 * t
-            out.fill(coeffs[-1] + 0.0)
-            for c in coeffs[-2::-1]:
-                out *= t
-                out += c
-        out *= amplitude
+    with np.errstate(over="ignore", invalid="ignore"):  # the Path check names a bad sample
+        for lo in range(0, n, _SMOOTH_BLOCK):
+            t = np.arange(lo, min(lo + _SMOOTH_BLOCK, n), dtype=np.float64)
+            t *= step  # the grid_times bits
+            out = samples[lo:lo + t.size]
+            if kind == "sine":
+                np.multiply(t, 2.0 * np.pi * freq, out=out)
+                np.sin(out, out=out)
+            else:
+                # Horner's rule in the order np.polynomial.polynomial.polyval
+                # takes it, whose first value is coeffs[-1] + 0 * t
+                out.fill(coeffs[-1] + 0.0)
+                for c in coeffs[-2::-1]:
+                    out *= t
+                    out += c
+            out *= amplitude
     return Path(grid_level=grid_level, samples=samples, label=label)
 
 

@@ -12,15 +12,16 @@ Three accumulation kernels share one profile type:
 Each profile stores the cumulative values (the distribution function of the
 level-n atomic variation measure) together with the raw per-block terms, so
 downstream consumers (Stieltjes integration, diagnostics) can reuse the
-exact accumulation.  Callers that need only per-level summaries along the
-dyadic levels (the critical-index search, the identity checks, the CLI)
-use :func:`_dyadic_levels`, one sweep over the samples a tile of
-``_PASS_BLOCK`` grid increments at a time, which builds no profile and
-holds no level's terms whole: each level is fed its increments, weights
-and terms tile by tile and reduced to its sum (bitwise numpy's pairwise
-sum of the whole level), its largest term and its divergence flag.  Both
-take their exponents from :func:`_resolve` and their terms from
-:func:`_terms`, the one definition of each functional.
+exact accumulation.  Every dyadic level, a profile's or not, comes from
+:func:`_dyadic_levels`, one sweep over the samples a tile of
+``_PASS_BLOCK`` grid increments at a time: each level is fed its
+increments, weights and terms tile by tile and reduced to its sum
+(bitwise numpy's pairwise sum of the whole level), its largest term and
+its divergence flag; only a profile's level gathers its terms whole.
+Callers that need only per-level summaries (the critical-index search,
+the identity checks, the CLI) build no profile.  All take their exponents
+from :func:`_resolve` and their terms from :func:`_terms`, the one
+definition of each functional.
 :func:`limit_diagnostics` classifies a terminal-value sequence across
 levels as vanishing / finite_positive / diverging / oscillating /
 inconclusive.
@@ -204,7 +205,7 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
     infinite weight overflowed too, and its term is +inf, not the 0 that
     ``inf**gamma`` is at gamma < 0.
     They are a new array; the other terms are written over ``dx``.  Callers
-    run it under ``np.errstate(divide="ignore", invalid="ignore")``.
+    run it under ``np.errstate`` ignoring ``divide``, ``invalid`` and ``over``.
     """
     if kind == "pth":
         return _pth_terms(dx, p, dx), False
@@ -228,17 +229,23 @@ def _terms(kind: str, dx: np.ndarray, p: float, gamma: float | None,
 def _profile(kind: str, x: Path, part: Partition, p: float = 2.0,
              gamma: float | None = None,
              src: PVarSource | None = None) -> VariationProfile:
-    """The ``kind`` profile of ``x`` along ``part`` (arguments as :func:`_resolve`)."""
+    """The ``kind`` profile of ``x`` along ``part`` (arguments as :func:`_resolve`);
+    a dyadic one is the pass's level.  An overflow gives +inf, unwarned."""
     p, gamma, src = _resolve(kind, p, gamma, src)
     times = part.times(x.grid_level)  # checks that part ends on the grid
-    dx = np.diff(x.samples[part.indices])
-    w, clamped = None, 0
-    if kind == "scaled" and gamma != 0.0:
-        w, clamped = src.block_weights(x, part, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms, divergent = _terms(kind, dx, p, gamma, w,
-                                  np.diff(times) if kind == "classical_scaled" else None)
-    return _from_terms(kind, p, gamma, src, part.level, times, terms, clamped, divergent)
+    steps = np.diff(part.indices)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if (steps == steps[0]).all():  # tiling 2**L grid steps: level L - log2(step)
+            [lv] = _dyadic_levels(x, [x.grid_level + 1 - int(steps[0]).bit_length()],
+                                  kind, p, gamma, src, gather=True)
+            terms, clamped, divergent = lv.terms, lv.clamped, lv.divergent
+        else:
+            w, clamped = (src.block_weights(x, part, p) if kind == "scaled"
+                          and gamma != 0.0 else (None, 0))
+            dt = np.diff(times) if kind == "classical_scaled" else None
+            terms, divergent = _terms(kind, np.diff(x.samples[part.indices]), p, gamma, w, dt)
+        return _from_terms(kind, p, gamma, src, part.level, times, terms, clamped,
+                           divergent)
 
 
 def _from_terms(kind: str, p: float, gamma, src, level: int, times: np.ndarray,
@@ -289,11 +296,15 @@ class PVarSource:
 
     @classmethod
     def linear(cls, C: float) -> "PVarSource":
-        """The analytic source ``t -> C*t`` (limit variation linear in time)."""
-        return cls.analytic(lambda t: C * np.asarray(t, dtype=np.float64))
+        """The analytic source ``t -> C*t``, checked when made: p = 2 reads no weights."""
+        weights = _Analytic(lambda t: C * np.asarray(t, dtype=np.float64))
+        with np.errstate(invalid="ignore"):  # inf * 0 is the NaN it names
+            weights(np.array([0.0, 1.0]))
+        weights.check()
+        return cls.analytic(weights.fn)
 
     def materialized(self, x: Path, p: float) -> "PVarSource":
-        """This source itself; kept because the benchmark's oracle check calls it."""
+        """This source itself; kept because ``perfbench/test_checks.py`` calls it."""
         return self
 
     def block_weights(self, x: Path, part: Partition,
@@ -305,15 +316,7 @@ class PVarSource:
             # would round it to zero
             part.check_grid(x.grid_level)
             fine = np.diff(x.samples)
-            w = _pth_terms(fine, p, fine)
-            steps = np.diff(part.indices)
-            if (steps != steps[0]).any():
-                return np.add.reduceat(w, part.indices[:-1]), 0
-            # equal blocks tiling 2**L grid steps are dyadic: halve pairwise,
-            # the pyramid pass's order, so the profile's terms are the pass's
-            while w.size > steps.size:
-                w = w[0::2] + w[1::2]
-            return w, 0
+            return np.add.reduceat(_pth_terms(fine, p, fine), part.indices[:-1]), 0
         weights = _Analytic(self.analytic_fn)
         w = weights(part.times(x.grid_level))
         return w, weights.check()
@@ -382,7 +385,6 @@ def classical_scaled_qv(x: Path, part: Partition, gamma: float) -> VariationProf
     return _profile("classical_scaled", x, part, gamma=gamma)
 
 
-
 # ---------------------------------------------------------------------------
 # Every dyadic level in one pass
 # ---------------------------------------------------------------------------
@@ -445,25 +447,25 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
                    values: Callable | None = None, name: str | None = None) -> list:
     """A finished :class:`_Level` per distinct level, finest first.
 
-    The terms are :func:`_terms` of ``kind``, as in the profile of the
-    level's dyadic partition, but no partition, time grid, cumulative array
-    or profile is built, and no level's terms are held whole.  One sweep
-    takes the samples a tile of ``_PASS_BLOCK`` grid increments at a time;
-    every level with at least ``_LEAF`` terms per tile (every level, when
-    one tile is the grid) takes that tile's strided increments, weights and
-    terms, and feeds the terms to its :class:`_Level` (with ``scale`` and
-    ``gather`` as there).  Weights: finest-level ones are the tile's
-    ``|dx|**p`` halved pairwise (``w[0::2] + w[1::2]``) down the levels, as
-    :meth:`PVarSource.block_weights` sums a dyadic block; analytic ones are
+    The terms are :func:`_terms` of ``kind`` on the level's increments; no
+    partition, time grid or cumulative array is built, and no level's terms
+    are held whole.  One sweep takes the samples a tile of ``_PASS_BLOCK``
+    grid increments at a time; every level with at least ``_LEAF`` terms per
+    tile (every level, when one tile is the grid) takes that tile's strided
+    increments, weights and terms, and feeds the terms to its
+    :class:`_Level` (with ``scale`` and ``gather`` as there).  Weights:
+    finest-level ones are the tile's ``|dx|**p`` halved pairwise
+    (``w[0::2] + w[1::2]``) down the levels; analytic ones are
     :class:`_Analytic` on the tile's times, checked over each whole level
     before the pass returns.  The coarser levels, at most ``2**(L-9)`` terms
     each, are taken whole after the sweep, from every ``2**9``-th sample and
     the finest-level weights at level L-9, both kept from the tiles.
     ``values(lo, hi)``, when given, stands for samples ``lo:hi`` of ``x``:
     the pass then runs over that image of the path, which it asks for once
-    per tile, in order, and never holds whole.  Overflows are not warned of: with ``name``, the lowest level
-    whose terminal is not finite although the level is not ``divergent``
-    raises :class:`EvaluationError` naming it.
+    per tile, in order, and never holds whole.  Overflows are not warned
+    of: with ``name``, the lowest level whose terminal is not finite
+    although the level is not ``divergent`` raises :class:`EvaluationError`
+    naming it.
     """
     L = x.grid_level
     read = values or (lambda lo, hi: x.samples[lo:hi])
@@ -484,10 +486,7 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
 
     def feed(lv: _Level, j: int, t: np.ndarray, r: int, w: np.ndarray | None,
              dx: np.ndarray | None = None) -> None:
-        """Level ``lv``'s terms from ``j`` on, over samples ``t`` (``dx`` its increments).
-
-        The level's grid points are every ``r``-th of ``t``.
-        """
+        """Level ``lv``'s terms from ``j`` on, over every ``r``-th of samples ``t``."""
         n, k = lv.n, j + (t.size - 1) // r
         if mode == "analytic":
             w = analytic[n](np.arange(j, k + 1, dtype=np.float64) * 2.0 ** -n)
@@ -496,9 +495,9 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
         lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = w = None
         for lo in range(0, 1 << L, size):
             t = read(lo, lo + size + 1)
-            d = w = None
             if finest:
                 d = np.subtract(t[1:], t[:-1])
                 w = np.abs(d)
@@ -613,24 +612,21 @@ class LimitReport:
                                "slope": _SLOPE, "ratio": _RATIO}}
 
 
-def _centred(v: np.ndarray) -> np.ndarray:
-    """``v`` minus its mean, taken about ``v[0]``: a constant ``v`` gives exact zeros."""
-    return v - (v[0] + math.fsum(v - v[0]) / v.size)
-
-
 def _tail_slope(levels: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of ``log2(values)`` against ``levels``.
 
     Nonpositive and non-finite values are left out.  The closed form
-    ``sum(dx * dy) / sum(dx * dx)`` over the centred levels and logs, each
-    sum a ``math.fsum`` of elementwise products, so no BLAS or LAPACK call:
-    a flat sequence gives exactly 0.  NaN when fewer than 2 points, or fewer
+    ``sum(dx * dy) / sum(dx * dx)`` over the levels and logs less their
+    means (taken about the first, so a constant gives exact zeros), each sum
+    a ``math.fsum`` of elementwise products, so no BLAS or LAPACK call: a
+    flat sequence gives exactly 0.  NaN when fewer than 2 points, or fewer
     than 2 distinct levels, are left.
     """
     ok = (values > 0.0) & np.isfinite(values)
     if np.count_nonzero(ok) < 2:
         return float("nan")
-    dx, dy = _centred(levels[ok]), _centred(np.log2(values[ok]))
+    dx, dy = (v - (v[0] + math.fsum(v - v[0]) / v.size)
+              for v in (levels[ok], np.log2(values[ok])))
     sxx = math.fsum(dx * dx)
     return math.fsum(dx * dy) / sxx if sxx else float("nan")
 
@@ -706,6 +702,20 @@ def write_profile_csv(profile: VariationProfile, csv_filename,
         fh.write("\n")
 
 
+# Each sidecar field, what it must be, and its check (a JSON boolean is no number)
+_SIDECAR = (
+    ("level", "an integer >= 0", lambda v: type(v) is int and v >= 0),
+    ("clamped", "an integer >= 0", lambda v: type(v) is int and v >= 0),
+    ("kind", "pth, scaled or classical_scaled",
+     lambda v: v in ("pth", "scaled", "classical_scaled")),
+    ("p", "finite and > 0", lambda v: type(v) in (int, float) and 0 < v < math.inf),
+    ("gamma", "null or finite",
+     lambda v: v is None or type(v) in (int, float) and abs(v) < math.inf),
+    ("divergent", "a boolean", lambda v: type(v) is bool),
+    ("source_mode", "null or a source mode", lambda v: v is None or v in PVarSource._MODES),
+    ("terminal", "a number", lambda v: type(v) in (int, float)))
+
+
 def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
     """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal."""
     data = _read_csv(csv_filename, "profile")
@@ -713,16 +723,17 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
     try:
         sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
         with open(sidecar) as fh:
-            meta = json.load(fh)
+            meta = {"clamped": 0, "divergent": False, "gamma": None, "source_mode": None,
+                    **json.load(fh)}
+        for key, what, ok in _SIDECAR:
+            if not ok(meta[key]):
+                raise ValueError(f"sidecar {key} must be {what}, got {meta[key]!r}")
         terminal = float(meta["terminal"])
-        profile = VariationProfile(level=int(meta["level"]), times=times,
-                                   values=values, p=float(meta["p"]),
-                                   kind=str(meta["kind"]),
-                                   gamma=meta.get("gamma"),
-                                   src_mode=meta.get("source_mode"),
-                                   clamped=int(meta.get("clamped", 0)),
-                                   divergent=bool(meta.get("divergent", False)))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        profile = VariationProfile(level=meta["level"], times=times, values=values,
+                                   p=float(meta["p"]), kind=meta["kind"],
+                                   gamma=meta["gamma"], src_mode=meta["source_mode"],
+                                   clamped=meta["clamped"], divergent=meta["divergent"])
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"cannot parse profile {csv_filename}: {exc}") from exc
     if times[0] != 0.0 or times[-1] != 1.0 or np.any(np.diff(times) <= 0.0):
         raise FormatError(f"profile {csv_filename}: times must rise strictly "

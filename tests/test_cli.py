@@ -413,15 +413,19 @@ class TestExponentsAndUsage:
         assert rc == 1
         assert err == "error: gamma must be finite, got -inf\n" and out == ""
 
-    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
-    def test_non_finite_analytic_constant_exits_one(self, c, capsys):
-        # C*t is NaN at t = 0 for each of these; NaN weights once gave
-        # terminals of 0 and a "vanishing" verdict
-        rc, out, err = run(capsys, "sqv", "--kind", "fbm", "--H", "0.4",
-                           "--level", "12", "--seed", "1", "--p", "3",
+    @pytest.mark.parametrize("command, p", [("sqv", "3"), ("sqv", "2"), ("isometry", "2"),
+                                            ("invariance", "2")])
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_analytic_constant_exits_one(self, command, p, c, capsys):
+        # C*t is NaN at t = 0 for the non-finite C; NaN weights once gave
+        # terminals of 0 and a "vanishing" verdict.  At p = 2 no weight is
+        # read, and these exited 0 recording src_mode "analytic"
+        rc, out, err = run(capsys, command, "--kind", "fbm", "--H", "0.4",
+                           "--level", "12", "--seed", "1", "--p", p,
                            "--src", "analytic", "--analytic-c", c)
         assert rc == 1
-        assert err == "error: analytic_fn must be finite, got nan at t=0.0\n"
+        assert err == ("error: analytic_fn must be nondecreasing\n" if c == "-1" else
+                       "error: analytic_fn must be finite, got nan at t=0.0\n")
         assert out == ""
 
     @pytest.mark.parametrize("command,flags", SRC_COMMANDS)
@@ -1075,6 +1079,23 @@ class TestInputsReadOnce:
         assert [e["sha256"] for e in doc["reports"]] == [_sha256_of(n) for n in reports]
         assert json.loads((tmp_path / "all.manifest.json").read_text())["inputs"] == \
             {n: _sha256_of(n) for n in reports}
+
+
+@pytest.mark.parametrize("argv, index, t", [
+    (["gen", "--kind", "smooth", "--smooth-kind", "poly", "--coeffs", "1e308,1e308"],
+     52, 0.8125),
+    (["gen", "--kind", "smooth", "--smooth-kind", "poly", "--coeffs", "0,1e200,1e200",
+      "--amplitude", "1e200"], 1, 0.015625),
+    (["gen", "--kind", "smooth", "--freq", "1e308"], 0, 0.0),
+    (["invariance", "--kind", "takagi", "--H", "0.5", "--p", "2", "--smooth-kind", "poly",
+      "--coeffs", "1e308,1e308"], 52, 0.8125),
+], ids=["poly_add", "poly_multiply", "sine", "invariance"])
+def test_overflowing_smooth_perturbation_prints_only_its_error(argv, index, t, tmp_path):
+    # numpy's overflow and invalid-value warnings came before the error line
+    proc = _cli([*argv, "--level", "6", "--out", str(tmp_path / "out.json")])
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"error: non-finite sample at index {index} (t = {t})\n"
+    assert proc.stdout == b"" and not list(tmp_path.iterdir())
 
 
 class TestOneSidedOverflow:

@@ -238,6 +238,19 @@ class TestPVarSource:
             with pytest.raises(SourceError, match=message):
                 _level_terminals(x, levels, "scaled", 3.0, src=src)
 
+    @pytest.mark.parametrize("C, message", [
+        (math.nan, "must be finite, got nan at t=0.0"),
+        (math.inf, "must be finite, got nan at t=0.0"),
+        (-math.inf, "must be finite, got nan at t=0.0"),
+        (-1.0, "must be nondecreasing")])
+    def test_linear_source_is_checked_when_made(self, C, message):
+        # at p = 2 no weight is read, so a bad C went unnoticed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SourceError, match=message):
+                rv.PVarSource.linear(C)
+        assert rv.PVarSource.linear(0.0).analytic_fn(np.array([0.5, 1.0])).tolist() == [0, 0]
+
     def test_tiny_negative_increments_are_clamped_and_counted(self):
         x = rv.takagi_path(0.5, 6)
 
@@ -655,6 +668,29 @@ class TestProfilesAreThePassBits:
             assert prof.terminal == lv.total, lv.n
 
 
+@pytest.mark.parametrize("kind, p, gamma, src", [
+    ("pth", 3.0, None, None),
+    ("scaled", 1.5, None, None),
+    ("scaled", 1.5, None, rv.PVarSource.linear(1.0)),
+    ("classical_scaled", 2.0, -0.3, None),
+])
+def test_overflow_is_the_same_unwarned_inf_on_any_partition(kind, p, gamma, src):
+    """A dyadic profile (the pass's level) and any other overflow alike.
+
+    Steps of 1e300 overflow every kind's terms (the weights too, below
+    p = 2): each profile ends on +inf, is not ``divergent`` (no zero weight
+    met a nonzero increment), and numpy warns of nothing.
+    """
+    x = rv.smooth_perturbation("sine", 1e300, 10)
+    other = np.concatenate([[0], np.arange(3, 1 << 10, 7), [1 << 10]])
+    for part in (rv.dyadic_partition(4, 10), rv.Partition(level=4, indices=other)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = variation._profile(kind, x, part, p, gamma, src)
+        assert prof.terminal == math.inf and not prof.divergent, part.indices.size
+        assert np.isinf(prof.terms).any()
+
+
 # ---------------------------------------------------------------------------
 # Takagi-class paths: exact terminals and sign invariance
 # ---------------------------------------------------------------------------
@@ -676,17 +712,71 @@ def _takagi_pth_oracle(H, n, p):
                      for rs in itertools.product((1.0, -1.0), repeat=n))
 
 
+def _enumerated_pth(slopes, n, p):
+    """``sum_r |sum_m 2**-n slopes[m] r_m|**p`` over every r in {+1, -1}**n.
+
+    The oracle of :func:`_takagi_pth_oracle` for any path with one modulus
+    per Schauder row (``slopes[m]`` is row m's modulus times its hat's slope
+    ``2**(m/2)``), vectorised over the sign vectors: each doubling adds row
+    m's increment to every partial sum with both signs, and the ``|.|**p``
+    terms are added with ``math.fsum``.  At n = 12 it is bitwise the
+    per-vector ``fsum`` oracle for Takagi rows.
+    """
+    sums = np.zeros(1)
+    for m in range(n):
+        c = 2.0 ** -n * slopes[m]
+        sums = np.concatenate([sums + c, sums - c])
+    return math.fsum((np.abs(sums) ** p).tolist())
+
+
+_TAKAGI_CASES = [(0.3, 1.0 / 0.3), (0.3, 3.0), (0.3, 1.5),
+                 (0.7, 1.0 / 0.7), (0.7, 2.0), (0.7, 2.5)]
+
+
 class TestTakagiExactTerminals:
     LEVELS = range(13)
 
-    @pytest.mark.parametrize("H, p", [(0.3, 1.0 / 0.3), (0.3, 3.0), (0.3, 1.5),
-                                      (0.7, 1.0 / 0.7), (0.7, 2.0), (0.7, 2.5)])
+    @pytest.mark.parametrize("H, p", _TAKAGI_CASES)
     def test_pth_terminals_are_the_sign_enumeration(self, H, p):
         want = [_takagi_pth_oracle(H, n, p) for n in self.LEVELS]
         for signs, seed in _SIGN_RULES:
             x = rv.takagi_path(H, 12, signs=signs, seed=seed)
             got = _level_terminals(x, self.LEVELS, "pth", p)
             npt.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=signs)
+
+    def test_vectorised_enumeration_is_the_per_vector_one(self):
+        for H, p in _TAKAGI_CASES:
+            slopes = [2.0 ** (m * (1.0 - H)) for m in range(12)]
+            assert _enumerated_pth(slopes, 12, p) == _takagi_pth_oracle(H, 12, p)
+
+    @pytest.mark.parametrize("H, p", _TAKAGI_CASES)
+    def test_pth_terminals_at_levels_13_to_16_are_the_sign_enumeration(self, H, p):
+        # Tolerance 2e-13, three times the measured worst: 6.6e-14 at H 0.7,
+        # p 2.5, level 16 (7.2e-15 at H 0.3).  That is the rounding of the
+        # path's own midpoint recursion, which grows with n*H; the oracle is
+        # the per-vector fsum one bitwise at n = 12 (test above).
+        levels = range(13, 17)
+        slopes = [2.0 ** (m * (1.0 - H)) for m in range(16)]
+        want = [_enumerated_pth(slopes, n, p) for n in levels]
+        for signs, seed in _SIGN_RULES:
+            x = rv.takagi_path(H, 16, signs=signs, seed=seed)
+            got = _level_terminals(x, levels, "pth", p)
+            npt.assert_allclose(got, want, rtol=2e-13, atol=0, err_msg=signs)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_counterexample_pth_terminals_are_the_sign_enumeration(self, p):
+        # one modulus per row, most rows zero: the enumeration holds as for
+        # Takagi rows (a zero row's sign doubles every increment's count).
+        # Tolerance 1e-13, as above at n <= 12; measured worst 3.3e-15.
+        coeffs = rv.counterexample_coefficients(5)
+        x = rv.counterexample_path(5)
+        slopes = [float(row[0]) * 2.0 ** (m / 2.0) for m, row in enumerate(coeffs.theta)]
+        levels = range(x.grid_level + 1)
+        want = [_enumerated_pth(slopes, n, p) for n in levels]
+        assert all(len(set(row.tolist())) == 1 for row in coeffs.theta)
+        assert want[0] == 0.0 and min(want[1:]) > 0.0
+        got = _level_terminals(x, levels, "pth", p)
+        npt.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
     def test_weighted_terminals_do_not_depend_on_the_signs(self, H):
@@ -928,6 +1018,20 @@ class TestPassMemory:
             tracemalloc.stop()
         assert peak <= 0.25 * fbm20.samples.nbytes, peak / fbm20.samples.nbytes
 
+    def test_traced_peak_of_a_public_dyadic_profile(self, fbm20):
+        # the level-10 profile is the pass's level: its 2**10 terms and the
+        # tiles.  Measured 0.16; 1.75 when its weights were the grid's
+        # |dx|**p taken whole and halved down to the level.
+        part = rv.dyadic_partition(10, 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rv.scaled_qv(fbm20, part, 2.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * fbm20.samples.nbytes, peak / fbm20.samples.nbytes
+
 
 # ---------------------------------------------------------------------------
 
@@ -995,6 +1099,51 @@ class TestProfileSerialization:
         (tmp_path / "p.csv").write_text("t,value\n" + rows)
         with pytest.raises(FormatError):
             rv.read_profile_csv(tmp_path / "p.csv")
+
+    @staticmethod
+    def _with_sidecar(tmp_path, **fields):
+        """A level-4 pth profile's files, its sidecar updated by ``fields`` (``...`` deletes)."""
+        x = rv.takagi_path(0.5, 4)
+        rv.write_profile_csv(rv.pth_variation(x, rv.dyadic_partition(4, 4), 2.0),
+                             tmp_path / "p.csv")
+        meta = json.loads((tmp_path / "p.meta.json").read_text())
+        meta.update(fields)
+        for key in [key for key, value in fields.items() if value is ...]:
+            del meta[key]
+        (tmp_path / "p.meta.json").write_text(json.dumps(meta))
+        return tmp_path / "p.csv"
+
+    @pytest.mark.parametrize("key, value", [
+        ("divergent", "false"), ("divergent", 0), ("divergent", None),
+        ("level", 3.7), ("level", -2), ("level", True), ("level", "4"),
+        ("clamped", -1), ("clamped", 2.0), ("clamped", False),
+        ("p", True), ("p", -1.0), ("p", 0), ("p", math.inf), ("p", math.nan), ("p", "2"),
+        ("kind", 5), ("kind", "quartic"), ("kind", ["pth"]),
+        ("gamma", "abc"), ("gamma", math.nan), ("gamma", -math.inf), ("gamma", False),
+        ("source_mode", "psychic"), ("source_mode", "self_level"), ("source_mode", 1),
+        ("terminal", True), ("terminal", "1.0"),
+    ])
+    def test_sidecar_field_of_the_wrong_type_or_range_is_format_error(self, key, value,
+                                                                      tmp_path):
+        # each of these once read as something else: "false" as True, 3.7 as
+        # level 3, true as p = 1.0; or was kept as given
+        name = self._with_sidecar(tmp_path, **{key: value})
+        with pytest.raises(FormatError, match=f"sidecar {key} must be ") as exc:
+            rv.read_profile_csv(name)
+        assert str(exc.value).endswith(f", got {value!r}")
+
+    def test_sidecar_integers_and_missing_optional_fields_read(self, tmp_path):
+        name = self._with_sidecar(tmp_path, p=2, gamma=..., source_mode=...,
+                                  clamped=..., divergent=...)
+        back = rv.read_profile_csv(name)
+        assert back.p == 2.0 and type(back.p) is float
+        assert (back.gamma, back.src_mode, back.clamped, back.divergent) == (None, None, 0,
+                                                                             False)
+        name = self._with_sidecar(tmp_path, gamma=-1, source_mode="analytic", clamped=3,
+                                  divergent=True)
+        back = rv.read_profile_csv(name)
+        assert (back.gamma, back.src_mode, back.clamped, back.divergent) == (
+            -1, "analytic", 3, True)
 
     def test_missing_sidecar_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)
