@@ -111,8 +111,9 @@ def _peak_rss_mib() -> float:
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1024), 3)
 
 
-def _write_manifest(args, t0: float, inputs: dict, out: str,
+def _write_manifest(args, t0: float, path_s: float, inputs: dict, out: str,
                     extra: dict | None = None, exact_name: bool = False) -> None:
+    """The run manifest of ``out``; ``path_s`` is the time the input took to make or read."""
     config = {key: val for key, val in vars(args).items()
               if key != "func" and not callable(val)}
     manifest = {
@@ -121,6 +122,7 @@ def _write_manifest(args, t0: float, inputs: dict, out: str,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "roughvar": __version__},
         "timings": {"total_s": round(time.perf_counter() - t0, 6),
+                    "path_s": round(path_s, 6),
                     "cpu_s": round(sum(os.times()[:2]), 6)},  # user + system
         "peak_rss_mib": _peak_rss_mib(),
         "inputs": inputs,
@@ -243,7 +245,12 @@ def _read_path(filename: str, inputs: dict) -> grid.Path:
 
 
 def _load_path(args) -> tuple:
-    """Resolve the input path: --in FILE or inline generator flags."""
+    """Resolve the input path: --in FILE or inline generator flags.
+
+    Returns the path, the input digests, the manifest's extra fields and the
+    seconds taken to generate or read, and hash, the path.
+    """
+    t0 = time.perf_counter()
     inputs, extra = {}, {}
     infile = getattr(args, "infile", None)
     if infile:
@@ -255,7 +262,7 @@ def _load_path(args) -> tuple:
     else:
         raise ValidationError("provide an input path with --in FILE or "
                               "generator flags (--kind ...)")
-    return x, inputs, extra
+    return x, inputs, extra, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +273,12 @@ def _cmd_gen(args) -> int:
     t0 = time.perf_counter()
     spec = _generator_spec(args)
     _check_names(args)
-    inputs = {}
+    inputs, t1 = {}, time.perf_counter()
     x = _generate(spec, inputs)
+    path_s = time.perf_counter() - t1
     write = grid.write_path_json if args.out.endswith(".json") else grid.write_path_csv
     write(x, args.out)
-    _write_manifest(args, t0, inputs, args.out, {"generator": spec.metadata()})
+    _write_manifest(args, t0, path_s, inputs, args.out, {"generator": spec.metadata()})
     payload = {"command": "gen", "out": args.out, "generator": spec.metadata(),
                "samples": int(x.samples.size)}
     _emit(args, payload, [f"wrote {args.out}: level {x.grid_level}, "
@@ -292,7 +300,7 @@ def _profile_run(args, kind: str) -> int:
     p, gamma = getattr(args, "p", 2.0), getattr(args, "gamma", None)
     src = _resolve_source(args)
     t0 = time.perf_counter()
-    x, inputs, extra = _load_path(args)
+    x, inputs, extra, path_s = _load_path(args)
     levels = _resolve_levels(args, x)
 
     out_dir, write = getattr(args, "profiles_out", None), None
@@ -319,7 +327,7 @@ def _profile_run(args, kind: str) -> int:
 
     if args.out:
         _write_json(payload, args.out)
-        _write_manifest(args, t0, inputs, args.out, extra)
+        _write_manifest(args, t0, path_s, inputs, args.out, extra)
 
     lines = [f"{label}: level {n:2d} terminal {v:.12g}"
              for n, v in zip(levels, terminals)]
@@ -334,7 +342,7 @@ def _cmd_roughness(args) -> int:
     t0 = time.perf_counter()
     _check_names(args, ("--per-q-out", args.per_q_out))
     src = _resolve_source(args)
-    x, inputs, extra = _load_path(args)
+    x, inputs, extra, path_s = _load_path(args)
     levels = _resolve_levels(args, x)
     report = roughness.critical_index_search(
         x, levels=levels, p_range=(args.p_min, args.p_max), iters=args.iters, src=src)
@@ -348,7 +356,7 @@ def _cmd_roughness(args) -> int:
             fh.write(header + "\n" + "\n".join(rows) + "\n")
     if args.out:
         _write_json(payload, args.out)
-        _write_manifest(args, t0, inputs, args.out, extra)
+        _write_manifest(args, t0, path_s, inputs, args.out, extra)
     _emit(args, payload, [
         f"p_bar_est {report.p_bar_est:.6g} in bracket "
         f"[{report.bracket[0]:.6g}, {report.bracket[1]:.6g}]",
@@ -376,13 +384,13 @@ def _two_sided_run(args, check) -> int:
     table = os.path.splitext(args.out or "")[0] + ".csv"
     _check_names(args, ("the per-level table", args.out and table))
     t0 = time.perf_counter()
-    x, inputs, extra = _load_path(args)
+    x, inputs, extra, path_s = _load_path(args)
     report = check(x, _resolve_levels(args, x), inputs)
     payload = {"command": args.command, **report.to_dict()}
     if args.out:
         _write_json(payload, args.out)
         isometry.write_report_csv(report, table)
-        _write_manifest(args, t0, inputs, args.out, extra)
+        _write_manifest(args, t0, path_s, inputs, args.out, extra)
     lines = [f"level {n:2d}: lhs {a:.9g} rhs {b:.9g} rel_err {r:.3g}"
              for n, a, b, r in zip(report.levels, report.lhs_terminal,
                                    report.rhs_terminal, report.rel_err)]
@@ -425,9 +433,11 @@ def _cmd_counterexample(args) -> int:
     files = ("path.csv", "coefficients.json", "report.json", "manifest.json")
     files = [os.path.join(args.out, name) for name in files] if args.out else []
     _check_names(args, *(("--out", name) for name in files), report=False)
+    t1 = time.perf_counter()
     coeffs = schauder.counterexample_coefficients(n_max)
     level = args.level if args.level is not None else coeffs.max_level
     x = schauder.schauder_eval(coeffs, level)
+    path_s = time.perf_counter() - t1
 
     # coefficient bursts sit at rows S_n - 1; observation levels are S_n
     burst = [row + 1 for row in schauder.counterexample_burst_levels(n_max)]
@@ -452,7 +462,7 @@ def _cmd_counterexample(args) -> int:
         grid.write_path_csv(x, files[0])
         schauder.write_coefficients_json(coeffs, files[1])
         _write_json(payload, files[2])
-        _write_manifest(args, t0, {}, files[3], exact_name=True)
+        _write_manifest(args, t0, path_s, {}, files[3], exact_name=True)
     lines = [f"level {n:2d}: quadratic variation {v:.9g}"
              for n, v in zip(inter_levels, inter_vals)]
     lines.append("interleaved classification: "
@@ -467,11 +477,14 @@ def _cmd_report(args) -> int:
     inputs = {}
     entries = []
     lines = []
+    path_s = 0.0  # the time the bundled reports took to read and hash
     for name in args.infiles:
+        t1 = time.perf_counter()
         try:
             payload = _hashed(inputs, name, _load_json)
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot parse report {name}: {exc}") from exc
+        path_s += time.perf_counter() - t1
         if not isinstance(payload, dict):
             raise FormatError(f"report {name} is not a JSON object")
         entries.append({"file": name, "sha256": inputs[name], "report": payload})
@@ -486,7 +499,7 @@ def _cmd_report(args) -> int:
     combined = {"command": "report", "reports": entries}
     if args.out:
         _write_json(combined, args.out)
-        _write_manifest(args, t0, inputs, args.out)
+        _write_manifest(args, t0, path_s, inputs, args.out)
     _emit(args, combined, lines)
     return 0
 

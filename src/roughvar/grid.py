@@ -9,13 +9,16 @@ are accumulated.  All objects are immutable; operations are pure functions.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import io
 import json
 import math
 import operator
 import os
 import re
+import threading
 import warnings
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,98 @@ def _check_seed(seed, what: str = "seed") -> int:
     if value < 0:
         raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
     return value
+
+
+# A grid of at most this many increments runs every work item on the caller:
+# a second thread pays for itself only on the finer grids.
+_SPLIT_INCREMENTS = 1 << 16
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _two_threads(increments: int) -> bool:
+    """Whether work on a grid of ``increments`` increments may take a second thread."""
+    return increments > _SPLIT_INCREMENTS and _cpus() > 1
+
+
+@contextlib.contextmanager
+def _beside(target: Callable):
+    """Run ``target()`` on one ``threading.Thread`` while the ``with`` body runs.
+
+    The thread runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in it too; numpy releases the interpreter lock
+    inside its loops.  It is joined when the body ends, and the body's
+    exception is raised before the thread's.
+    """
+    errors = []
+
+    def run() -> None:
+        try:
+            target()
+        except BaseException as exc:  # re-raised on the caller, after its own
+            errors.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _in_halves(run: Callable, items: Sequence, increments: int) -> None:
+    """``run(items)``, or ``run`` on each half of ``items`` at once.
+
+    With at least two independent items, where :func:`_two_threads` allows,
+    a second thread runs the second half while the caller runs the first
+    (:func:`_beside`).
+    """
+    cut = len(items) // 2 if _two_threads(increments) else 0
+    if not cut:
+        run(items)
+        return
+    with _beside(lambda: run(items[cut:])):
+        run(items[:cut])
+
+
+def _behind(work: Callable, items: Iterable, increments: int) -> None:
+    """``work(*item)`` for each item that iterating ``items`` gives, in order.
+
+    Where :func:`_two_threads` allows, a second thread does the work
+    (:func:`_beside`) while the caller makes the next item, so an item may
+    be made while the two before it are queued and worked on.
+    """
+    if not _two_threads(increments):
+        for item in items:
+            work(*item)
+        return
+    import queue  # loaded only by the jobs that take a second thread
+
+    queued = queue.Queue(maxsize=1)
+
+    def consume() -> None:
+        item = None
+        try:
+            while (item := queued.get()) is not None:
+                work(*item)
+        finally:
+            while item is not None:  # drained, so that the caller never blocks
+                item = queued.get()
+
+    with _beside(consume):
+        try:
+            for item in items:
+                queued.put(item)
+        finally:
+            queued.put(None)
 
 
 def grid_times(grid_level: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Path, _check_max_level, _check_seed
+from .grid import Path, _behind, _check_max_level, _check_seed, _in_halves
 from .schauder import (
     _midpoint_path,
     _takagi_rows,
@@ -79,18 +79,22 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
     # C(2H, 2j) for j = _SERIES_TERMS down to 1
     coef = [math.prod(two_h - i for i in range(2 * j)) / math.factorial(2 * j)
             for j in range(_SERIES_TERMS, 0, -1)]
-    for lo in range(_SERIES_LAG, N + 1, _LAG_BLOCK):
-        k = np.arange(lo, min(lo + _LAG_BLOCK, N + 1), dtype=np.float64)
-        out = row[lo:lo + k.size]
-        np.power(k, two_h - 2.0, out=out)
-        x = np.reciprocal(k, out=k)
-        x *= x
-        acc = coef[0] * x
-        for c in coef[1:-1]:
-            acc += c
-            acc *= x
-        acc += coef[-1]
-        out *= acc
+
+    def series(starts) -> None:
+        for lo in starts:
+            k = np.arange(lo, min(lo + _LAG_BLOCK, N + 1), dtype=np.float64)
+            out = row[lo:lo + k.size]
+            np.power(k, two_h - 2.0, out=out)
+            x = np.reciprocal(k, out=k)
+            x *= x
+            acc = coef[0] * x
+            for c in coef[1:-1]:
+                acc += c
+                acc *= x
+            acc += coef[-1]
+            out *= acc
+
+    _in_halves(series, range(_SERIES_LAG, N + 1, _LAG_BLOCK), N)
     row[N + 1:] = row[N - 1:0:-1]
     return row
 
@@ -133,23 +137,28 @@ class _FourStep:
         Each block of columns is gathered into a contiguous scratch block, so
         the transforms read it with the stride of a block's row, not of the
         buffer's; the twiddle is applied as the block is written back (or,
-        if inverse, as it is gathered).
+        if inverse, as it is gathered).  Each half of the blocks
+        (:func:`~roughvar.grid._in_halves`) has its own scratch.
         """
         cols = min(self.n2, max(1, _FFT_BLOCK // self.n1))
         k1 = np.arange(self.n1)[:, None]
         step = self._root(k1 * np.arange(cols))  # the twiddle of columns 0..cols-1
-        tw, b = np.empty_like(step), np.empty_like(step)
-        for j in range(0, self.n2, cols):
-            blk = m[:, j:j + cols]
-            np.multiply(step, self._root(k1 * j), out=tw)
-            if inverse:
-                np.multiply(blk, np.conjugate(tw, out=tw), out=b)
-                np.fft.ifft(b, axis=0, norm="forward", out=b)
-                blk[...] = b
-            else:
-                b[...] = blk
-                np.fft.fft(b, axis=0, out=b)
-                np.multiply(b, tw, out=blk)
+
+        def blocks(starts) -> None:
+            tw, b = np.empty_like(step), np.empty_like(step)
+            for j in starts:
+                blk = m[:, j:j + cols]
+                np.multiply(step, self._root(k1 * j), out=tw)
+                if inverse:
+                    np.multiply(blk, np.conjugate(tw, out=tw), out=b)
+                    np.fft.ifft(b, axis=0, norm="forward", out=b)
+                    blk[...] = b
+                else:
+                    b[...] = blk
+                    np.fft.fft(b, axis=0, out=b)
+                    np.multiply(b, tw, out=blk)
+
+        _in_halves(blocks, range(0, self.n2, cols), m.size)
 
     @staticmethod
     def rows(m: np.ndarray, slices, inverse: bool = False) -> None:
@@ -193,20 +202,24 @@ def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
     """
     m = _fgn_covariance(H, N).view(np.complex128).reshape(fs.n1, fs.n2)
     fs.columns(m)
-    for rows, x, y in fs.mirror_blocks():
-        fs.rows(m, rows)
-        e = fs.half_angle(x)
-        zx, zy = m[x], m[y]
-        p = np.add(zx.real, zy.real)
-        v = np.add(zx.imag, zy.imag)
-        v *= e.real
-        t = np.subtract(zx.real, zy.real)
-        t *= e.imag
-        v += t
-        p *= 0.5
-        v *= 0.5
-        np.subtract(p, v, out=m.imag[y])  # where x and y overlap, x's value is written last
-        np.add(p, v, out=m.imag[x])
+
+    def unpack(blocks) -> None:
+        for rows, x, y in blocks:
+            fs.rows(m, rows)
+            e = fs.half_angle(x)
+            zx, zy = m[x], m[y]
+            p = np.add(zx.real, zy.real)
+            v = np.add(zx.imag, zy.imag)
+            v *= e.real
+            t = np.subtract(zx.real, zy.real)
+            t *= e.imag
+            v += t
+            p *= 0.5
+            v *= 0.5
+            np.subtract(p, v, out=m.imag[y])  # where x and y overlap, x's value is written last
+            np.add(p, v, out=m.imag[x])
+
+    _in_halves(unpack, list(fs.mirror_blocks()), N)
     lam_n = m[0, 0].real - m[0, 0].imag
     m.imag[0, 0] = m[0, 0].real + m[0, 0].imag
     return m, lam_n
@@ -215,12 +228,14 @@ def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
 def _normal_blocks(rng: np.random.Generator, m: np.ndarray):
     """Column blocks of ``m`` with the stream's next N - 1 normals, one per bin k >= 1.
 
-    The normals are drawn in bin order; bin 0's slot is zero.
+    The normals are drawn in bin order; bin 0's slot is zero.  Three scratch
+    blocks take turns, so a block's normals stay as drawn while the next two
+    are made: :func:`~roughvar.grid._behind` works that far behind.
     """
     n1, n2 = m.shape
-    buf = np.empty((min(n2, max(1, _FFT_BLOCK // n1)), n1))
-    for j in range(0, n2, buf.shape[0]):
-        w = buf[:n2 - j]
+    bufs = [np.empty((min(n2, max(1, _FFT_BLOCK // n1)), n1)) for _ in range(3)]
+    for i, j in enumerate(range(0, n2, bufs[0].shape[0])):
+        w = bufs[i % 3][:n2 - j]
         flat = w.reshape(-1)
         if j == 0:
             flat[0] = 0.0
@@ -240,11 +255,26 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     allocated, numpy's FFT scratch included.
     A negative eigenvalue means the embedding is not a valid covariance:
     that raises :class:`NumericalError` and is never clipped.
+    Every stage but the normal draws and the cumulative sum is a loop over
+    independent blocks, which :func:`~roughvar.grid._in_halves` runs in two
+    halves at once on a grid of more than 2**16 increments, and each block
+    of normals is multiplied in on a second thread while the next is drawn
+    (:func:`~roughvar.grid._behind`); each block keeps its shape and is made
+    by one thread, so the samples are the same bits.
     """
     fs = _FourStep(N)
     m, lam_n = _fgn_eigenvalues(H, N, fs)
     lam = m.imag
-    lam_min = min(lam.min(), lam_n)
+    band = max(1, _FFT_BLOCK // fs.n2)  # rows of lam a block
+    starts = range(0, fs.n1, band)
+    mins = np.empty(len(starts))
+
+    def least(part) -> None:
+        for r in part:
+            mins[r // band] = lam[r:r + band].min()
+
+    _in_halves(least, starts, N)
+    lam_min = min(mins.min(), lam_n)
     if lam_min < 0.0:
         raise NumericalError(
             f"circulant embedding of the fractional-noise covariance has a "
@@ -254,27 +284,35 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     # sqrt(lam_k / 2) (w[k] + i w[N+k]), and bins 0 and N are real, with
     # sqrt(2N) / N for the unnormalized inverse and 1/2 for the packing
     lam0 = lam[0, 0]
-    np.sqrt(np.multiply(lam, 0.25 / N, out=lam), out=lam)
+
+    def root(part) -> None:
+        for r in part:
+            blk = lam[r:r + band]
+            np.sqrt(np.multiply(blk, 0.25 / N, out=blk), out=blk)
+
+    _in_halves(root, starts, N)
     w0 = rng.standard_normal()
-    for blk, w in _normal_blocks(rng, m):
-        np.multiply(w, blk.imag, out=blk.real)
+    _behind(lambda blk, w: np.multiply(w, blk.imag, out=blk.real), _normal_blocks(rng, m), N)
     wn = rng.standard_normal()
-    for blk, w in _normal_blocks(rng, m):
-        blk.imag *= w
+    _behind(lambda blk, w: np.multiply(blk.imag, w, out=blk.imag), _normal_blocks(rng, m), N)
     s0, sn = np.sqrt(lam0 / (2 * N)) * w0, np.sqrt(lam_n / (2 * N)) * wn
     m[0, 0] = complex(s0 + sn, s0 - sn)
-    # bins k and N - k of the packed inverse are a + b and conj(a - b)
-    for rows, x, y in fs.mirror_blocks():
-        u, a = m[x], np.conjugate(m[y])
-        b = u - a
-        a += u
-        e = np.conjugate(fs.half_angle(x))
-        e *= 1j
-        b *= e
-        np.subtract(a, b, out=m[y])
-        np.negative(m.imag[y], out=m.imag[y])
-        np.add(a, b, out=m[x])
-        fs.rows(m, rows, inverse=True)
+
+    def pack(blocks) -> None:
+        # bins k and N - k of the packed inverse are a + b and conj(a - b)
+        for rows, x, y in blocks:
+            u, a = m[x], np.conjugate(m[y])
+            b = u - a
+            a += u
+            e = np.conjugate(fs.half_angle(x))
+            e *= 1j
+            b *= e
+            np.subtract(a, b, out=m[y])
+            np.negative(m.imag[y], out=m.imag[y])
+            np.add(a, b, out=m[x])
+            fs.rows(m, rows, inverse=True)
+
+    _in_halves(pack, list(fs.mirror_blocks()), N)
     fs.columns(m, inverse=True)
     return m.reshape(-1).view(np.float64)[:N]
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, InconclusiveError, ValidationError
-from .grid import Path
+from .grid import Path, _in_halves
 from .variation import (
     PVarSource,
     _check_levels,
@@ -181,6 +181,11 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     the secant through that pair.  At most ``iters`` probes follow the
     endpoints (the last one probes r itself); when they run out
     ``p_bar_est`` is the root of the final bracket.
+
+    The two endpoint probes, and each confirmation pair, are independent:
+    on a grid of more than 2**16 increments they run at once, one on a
+    second thread (:func:`~roughvar.grid._in_halves`), with the same
+    report, and the lower probe's error is raised first.
     """
     p_min, p_max = float(p_range[0]), float(p_range[1])
     if not p_min < p_max:
@@ -196,17 +201,24 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     def evidence() -> list:
         return [r.to_dict() for r in sorted(seen.values(), key=lambda r: r.q)]
 
-    def probe(q: float) -> ProbeRecord:
-        rec = _probe(x, levels, q, src)
-        seen[rec.q] = rec
-        return rec
+    def probes(qs: list) -> list:
+        """The records of probes at each of ``qs`` (rising), entered in ``seen``."""
+        recs = [None] * len(qs)
 
-    ends = [probe(p_min), probe(p_max)]
+        def run(part) -> None:
+            for i in part:
+                recs[i] = _probe(x, levels, qs[i], src)
+
+        _in_halves(run, range(len(qs)), 1 << x.grid_level)
+        seen.update((rec.q, rec) for rec in recs)
+        return recs
+
+    ends = probes([p_min, p_max])
     for _ in range(_EXTENSIONS):
         if ends[0].classification == "finite_positive":
-            ends.insert(0, probe(ends[0].q / 2.0))
+            ends.insert(0, probes([ends[0].q / 2.0])[0])
         if ends[-1].classification == "finite_positive":
-            ends.append(probe(ends[-1].q * 2.0))
+            ends.extend(probes([ends[-1].q * 2.0]))
     if ends[0].classification != "diverging" or ends[-1].classification != "vanishing":
         raise BracketError(
             f"range ({ends[0].q:g}, {ends[-1].q:g}) does not bracket a critical "
@@ -224,7 +236,7 @@ def critical_index_search(x: Path, levels=None, p_range=(1.2, 4.0),
     while left and hi.q - lo.q > 2.0 * half:
         qs = [q for q in (root - half, root + half) if lo.q < q < hi.q]
         confirm = stepped and len(qs) <= left
-        recs = [probe(q) for q in (qs if confirm else [root])]
+        recs = probes(qs if confirm else [root])
         for rec in recs:
             if rec.classification not in _RANK:
                 raise InconclusiveError(

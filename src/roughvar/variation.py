@@ -274,7 +274,8 @@ class PVarSource:
       at the deepest available level — the only model-free choice.  A
       block's weight is the sum of the grid-level ``|dx|**p`` inside it;
     * ``analytic``: a caller-supplied nondecreasing function with value 0
-      at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear).
+      at t=0 (e.g. ``t -> C*t`` when the limit is known to be linear),
+      checked on t = (0, 1) when made, as p = 2 reads no weights.
     """
 
     mode: str = "finest_level"
@@ -287,8 +288,13 @@ class PVarSource:
             raise ValidationError(
                 f"unknown source mode {self.mode!r}; expected one of {self._MODES}"
             )
-        if self.mode == "analytic" and self.analytic_fn is None:
-            raise ValidationError("analytic source requires analytic_fn")
+        if self.mode == "analytic":
+            if self.analytic_fn is None:
+                raise ValidationError("analytic source requires analytic_fn")
+            weights = _Analytic(self.analytic_fn)
+            with np.errstate(invalid="ignore"):  # the check names a NaN
+                weights(np.array([0.0, 1.0]))
+            weights.check()
 
     @classmethod
     def analytic(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "PVarSource":
@@ -296,12 +302,8 @@ class PVarSource:
 
     @classmethod
     def linear(cls, C: float) -> "PVarSource":
-        """The analytic source ``t -> C*t``, checked when made: p = 2 reads no weights."""
-        weights = _Analytic(lambda t: C * np.asarray(t, dtype=np.float64))
-        with np.errstate(invalid="ignore"):  # inf * 0 is the NaN it names
-            weights(np.array([0.0, 1.0]))
-        weights.check()
-        return cls.analytic(weights.fn)
+        """The analytic source ``t -> C*t``."""
+        return cls.analytic(lambda t: C * np.asarray(t, dtype=np.float64))
 
     def materialized(self, x: Path, p: float) -> "PVarSource":
         """This source itself; kept because ``perfbench/test_checks.py`` calls it."""
@@ -715,6 +717,20 @@ _SIDECAR = (
     ("source_mode", "null or a source mode", lambda v: v is None or v in PVarSource._MODES),
     ("terminal", "a number", lambda v: type(v) in (int, float)))
 
+# Fields write_profile_csv never writes together
+_SIDECAR_CLASHES = (
+    ("a pth profile has no gamma", lambda m: m["kind"] == "pth" and m["gamma"] is not None),
+    ("a classical_scaled profile has p 2 and a gamma",
+     lambda m: m["kind"] == "classical_scaled" and (m["p"] != 2 or m["gamma"] is None)),
+    ("a scaled profile has gamma (p - 2)/p",
+     lambda m: m["kind"] == "scaled" and m["gamma"] != (m["p"] - 2) / m["p"]),
+    ("a scaled profile, and no other, has a source_mode",
+     lambda m: (m["kind"] == "scaled") != (m["source_mode"] is not None)),
+    ("only a scaled profile clamps or diverges",
+     lambda m: m["kind"] != "scaled" and (m["clamped"] > 0 or m["divergent"])),
+    ("a divergent profile has terminal inf",
+     lambda m: m["divergent"] and m["terminal"] != math.inf))
+
 
 def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
     """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal."""
@@ -728,6 +744,9 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
         for key, what, ok in _SIDECAR:
             if not ok(meta[key]):
                 raise ValueError(f"sidecar {key} must be {what}, got {meta[key]!r}")
+        for what, clash in _SIDECAR_CLASHES:
+            if clash(meta):
+                raise ValueError(f"sidecar fields clash: {what}")
         terminal = float(meta["terminal"])
         profile = VariationProfile(level=meta["level"], times=times, values=values,
                                    p=float(meta["p"]), kind=meta["kind"],

@@ -1202,3 +1202,44 @@ def test_takagi_jobs_do_not_load_numpy_random(tmp_path):
         ["invariance", *path, "--p", "2"]])
     assert _loads_numpy_random([["gen", "--kind", "fbm", "--H", "0.4", "--level", "8",
                                  "--seed", "1", "--out", str(tmp_path / "fbm.csv")]])
+
+
+def _every_command(tmp_path, capsys, level):
+    """Run each subcommand on a level-``level`` fBM path; the manifests' names."""
+    path = str(tmp_path / "fbm.csv")
+    gen = ["--kind", "fbm", "--H", "0.4", "--level", str(level), "--seed", "3"]
+    o = lambda name: str(tmp_path / name)
+    argvs = [["gen", *gen, "--out", path],
+             ["pvar", "--in", path, "--p", "2.5", "--out", o("pvar.json")],
+             ["sqv", *gen, "--p", "2.5", "--out", o("sqv.json")],
+             ["classical", "--in", path, "--gamma", "0.5", "--out", o("classical.json")],
+             ["roughness", "--in", path, "--out", o("roughness.json")],
+             ["isometry", "--in", path, "--p", "2.5", "--map", "sin", "--out", o("iso.json")],
+             ["chainrule", "--in", path, "--p", "2.5", "--map", "square_plus_one",
+              "--out", o("chain.json")],
+             ["invariance", "--in", path, "--p", "2.5", "--out", o("inv.json")],
+             ["counterexample", "--nmax", "4", "--out", o("cx")],
+             ["report", "--in", o("pvar.json"), o("roughness.json"), "--out", o("rep.json")]]
+    for argv in argvs:
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
+    return [tmp_path / name for name in (
+        "fbm.manifest.json", "pvar.manifest.json", "sqv.manifest.json",
+        "classical.manifest.json", "roughness.manifest.json", "iso.manifest.json",
+        "chain.manifest.json", "inv.manifest.json", "cx/manifest.json", "rep.manifest.json")]
+
+
+def test_no_thread_starts_at_level_16(tmp_path, capsys, threads):
+    # a second thread pays for itself only above 2**16 increments
+    _every_command(tmp_path, capsys, 16)
+    assert threads == []
+    rc, _, err = run(capsys, "gen", "--kind", "fbm", "--H", "0.4", "--level", "17",
+                     "--out", str(tmp_path / "fbm17.csv"))
+    assert rc == 0, err
+    assert threads and not any(t.is_alive() for t in threads)
+
+
+def test_every_manifest_times_its_input_path(tmp_path, capsys):
+    for name in _every_command(tmp_path, capsys, 10):
+        timings = json.loads(name.read_text())["timings"]
+        assert 0.0 <= timings["path_s"] <= timings["total_s"], name

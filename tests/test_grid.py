@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -557,3 +559,120 @@ def test_reading_a_level_20_path_holds_its_samples_and_a_block(suffix, tmp_path)
     read = "read_path_json" if suffix == ".json" else "read_path_csv"
     peak = _vmhwm_mib(f"rv.{read}({name!r})")
     assert peak - _vmhwm_mib("") <= 8.0 + 6.0
+
+
+class TestInHalves:
+    """Independent work items, the second half on one more thread; work behind a producer."""
+
+    @staticmethod
+    def _where(items, increments):
+        seen = {}
+        grid._in_halves(lambda part: seen.update((i, threading.get_ident()) for i in part),
+                        items, increments)
+        return seen
+
+    def test_second_half_runs_on_one_joined_thread(self, threads):
+        seen = self._where(range(5), (1 << 16) + 1)
+        assert sorted(seen) == list(range(5))
+        caller = threading.get_ident()
+        assert [seen[i] == caller for i in range(5)] == [True, True, False, False, False]
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    @pytest.mark.parametrize("items, increments, cpus", [
+        (range(5), 1 << 16, 2), (range(5), 1 << 20, 1), (range(1), 1 << 20, 2)])
+    def test_small_grids_one_cpu_or_one_item_run_on_the_caller(self, items, increments,
+                                                               cpus, threads, monkeypatch):
+        monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+        seen = self._where(items, increments)
+        assert set(seen.values()) == {threading.get_ident()} and threads == []
+
+    @pytest.mark.parametrize("fails, raised", [
+        ({0}, "item 0"), ({3}, "item 3"), ({0, 3}, "item 0"), ({1, 2}, "item 1")])
+    def test_the_first_halfs_exception_is_raised_first(self, fails, raised, threads):
+        ran = []
+
+        def run(part):
+            for i in part:
+                if i in fails:
+                    raise ValueError(f"item {i}")
+                ran.append(i)
+
+        with pytest.raises(ValueError, match=raised):
+            grid._in_halves(run, range(4), 1 << 20)
+        assert len(threads) == 1 and not threads[0].is_alive()
+        # each half stops at its own failure only
+        assert sorted(ran) == [i for i in range(4)
+                               if not any(f <= i and (f < 2) == (i < 2) for f in fails)]
+
+    def test_the_callers_errstate_holds_on_the_thread(self, threads):
+        # numpy keeps its floating-point error state in a context variable,
+        # which a new thread would otherwise start without
+        def run(part):
+            for i in part:
+                if i == 3:
+                    np.divide(np.zeros(1), 0.0)
+
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid value"):
+                grid._in_halves(run, range(4), 1 << 20)
+        assert len(threads) == 1
+
+    @staticmethod
+    def _bounded(call):
+        """``call()`` on a watched thread, which must end within 30 s; its exception."""
+        raised = []
+
+        def watched():
+            try:
+                call()
+            except Exception as exc:
+                raised.append(exc)
+
+        watcher = threading.Thread(target=watched, daemon=True)  # a blocked one is left behind
+        watcher.start()
+        watcher.join(timeout=30)
+        assert not watcher.is_alive(), "the caller or its thread blocked"
+        return raised[0] if raised else None
+
+    def test_work_runs_behind_in_order_on_scratch_the_producer_reuses(self, threads):
+        """Items share three scratch blocks, as the fBM normals do; none is overwritten early."""
+        bufs = [np.empty(4) for _ in range(3)]
+        done = []
+
+        def items():
+            for i in range(40):
+                bufs[i % 3][:] = i
+                yield i, bufs[i % 3]
+
+        def work(i, buf):
+            time.sleep(0.001 * (i % 3))  # the worker lags the producer by turns
+            done.append((i, buf.tolist(), threading.get_ident()))
+
+        assert self._bounded(lambda: grid._behind(work, items(), 1 << 20)) is None
+        assert [(i, b) for i, b, _ in done] == [(i, [float(i)] * 4) for i in range(40)]
+        assert len({t for _, _, t in done}) == 1 and len(threads) == 1
+        assert not threads[0].is_alive()
+
+    def test_work_runs_on_the_caller_on_small_grids(self, threads):
+        done = []
+        grid._behind(lambda i: done.append((i, threading.get_ident())), [(0,), (1,)], 1 << 16)
+        assert done == [(0, threading.get_ident()), (1, threading.get_ident())]
+        assert threads == []
+
+    @pytest.mark.parametrize("where", ["work", "items", "both"])
+    def test_a_failure_on_either_side_is_raised_and_blocks_nothing(self, where, threads):
+        def items():
+            for i in range(10):
+                if i == 6 and where in ("items", "both"):
+                    raise ValueError("items failed")
+                yield (i,)
+
+        def work(i):
+            if i == 2 and where in ("work", "both"):
+                raise ValueError("work failed")
+
+        exc = self._bounded(lambda: grid._behind(work, items(), 1 << 20))
+        assert isinstance(exc, ValueError)
+        # the caller's failure is raised before its thread's
+        assert str(exc) == ("work failed" if where == "work" else "items failed")
+        assert len(threads) == 1 and not threads[0].is_alive()

@@ -2,11 +2,13 @@
 
 import cProfile
 import decimal
+import hashlib
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from scipy import stats
 
 import roughvar as rv
-from roughvar import pathgen
+from roughvar import grid, pathgen
 from roughvar.errors import NumericalError, ValidationError
 from roughvar.pathgen import _FourStep, _fgn_circulant, _fgn_covariance, _fgn_eigenvalues
 
@@ -565,3 +567,78 @@ class TestSeeds:
     def test_spec_records_the_seed_drawn_with(self, kind, params, seed):
         spec = rv.GeneratorSpec(kind=kind, grid_level=6, H=0.5, params=params)
         assert spec.seed == spec.metadata()["seed"] == seed
+
+
+# SHA-256 of fbm_path(H, L, seed=L + 1).samples over L in 0..17 and 20, in
+# that order, and of fbm_path(0.4, 22, seed=22).samples: the bits the sampler
+# gave with every block on one thread.  numpy's PCG64 stream and FFT round
+# these bits, so they are pinned for one numpy version.
+_SAMPLE_DIGESTS = {
+    0.05: "2a5b69c4645c9487bf482e3308ff144d3515ff7f64b9cdc409a507a30485b8ff",
+    0.4: "d0d60a28c57df86d0718468e28c99ac6b13c82ecfaf1d662c6861f947a7f1ea1",
+    0.75: "910fae7e89cb8c9ba71a6745e902f7915ec97fb289ef1301efc5ec5a69df3aca",
+    0.999: "11ae0e3103b5b3b49ed69ef93c35e84f8ca476742f2d07214bd5a523481b5469",
+}
+_L22_DIGEST = "c0f242bc35aa548567df8de8d26028cb7d743d27eab90a0faf8fc7005d039d8a"
+_DIGEST_NUMPY = "2.4.6"
+
+
+class TestSecondThread:
+    """Above 2**16 increments, with two CPUs, half of each block loop runs on a second thread."""
+
+    @pytest.mark.skipif(np.__version__ != _DIGEST_NUMPY,
+                        reason=f"sample digests are of numpy {_DIGEST_NUMPY}'s streams")
+    @pytest.mark.parametrize("H", sorted(_SAMPLE_DIGESTS))
+    def test_samples_are_the_recorded_bits(self, H, threads):
+        digest = hashlib.sha256()
+        for level in [*range(18), 20]:
+            digest.update(rv.fbm_path(H, level, seed=level + 1).samples.tobytes())
+        assert digest.hexdigest() == _SAMPLE_DIGESTS[H]
+        assert threads and not any(t.is_alive() for t in threads)
+
+    @pytest.mark.skipif(np.__version__ != _DIGEST_NUMPY,
+                        reason=f"sample digests are of numpy {_DIGEST_NUMPY}'s streams")
+    def test_level_22_samples_are_the_recorded_bits(self, threads):
+        samples = rv.fbm_path(0.4, 22, seed=22).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == _L22_DIGEST
+
+    @pytest.mark.parametrize("H, level", [(0.05, 17), (0.4, 18), (0.999, 17)])
+    def test_one_cpu_gives_the_same_bytes(self, H, level, threads, monkeypatch):
+        two = rv.fbm_path(H, level, seed=3).samples.tobytes()
+        assert threads
+        monkeypatch.setattr(grid, "_cpus", lambda: 1)
+        del threads[:]
+        assert rv.fbm_path(H, level, seed=3).samples.tobytes() == two
+        assert threads == []
+
+    def test_no_thread_outlives_fbm_path(self, threads, monkeypatch):
+        before = threading.active_count()
+        rv.fbm_path(0.4, 17, seed=1)
+        # covariance, two column passes, two mirror-block passes, min, sqrt
+        # and the two loops over the normals
+        assert len(threads) == 9
+        assert not any(t.is_alive() for t in threads)
+        assert threading.active_count() == before
+
+        def bad_row(H, n):  # lam_k = 1 + 2 cos(pi k / N): -1 at k = N
+            row = np.zeros(2 * n)
+            row[[0, 1, -1]] = 1.0
+            return row
+
+        monkeypatch.setattr(pathgen, "_fgn_covariance", bad_row)
+        del threads[:]
+        with pytest.raises(NumericalError, match=r"negative eigenvalue \(-1\)"):
+            rv.fbm_path(0.4, 17, seed=1)
+        assert threads and not any(t.is_alive() for t in threads)
+        assert threading.active_count() == before
+
+    def test_untraced_samples_are_not_copied(self, threads):
+        """The buffer shrinks in place to the samples: no closure of a worker still holds it.
+
+        A second reference to the buffer makes ``ndarray.resize`` refuse, and
+        the samples are then copied out (32 MiB at level 22).
+        """
+        x = rv.fbm_path(0.4, 17, seed=1)
+        assert threads
+        assert x.samples.base is not None and x.samples.base.dtype == np.complex128
+        assert x.samples.base.nbytes == x.samples.nbytes + 8

@@ -1,13 +1,15 @@
 """Critical-index classification and secant search tests."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import roughvar as rv
-from roughvar.errors import (BracketError, InconclusiveError, NumericalError,
-                             ValidationError)
+from roughvar import grid
+from roughvar.errors import (BracketError, EvaluationError, InconclusiveError,
+                             NumericalError, ValidationError)
 from roughvar.roughness import _check_monotone, _secant_root
 from roughvar.variation import _level_terminals
 
@@ -296,3 +298,32 @@ class TestBracketExtension:
         assert exc.value.evidence[-1]["classification"] == "finite_positive"
         rep = rv.critical_index_search(x, p_range=(1.2, 16.0))
         assert abs(rep.hurst_est - 0.15) <= self.HURST_TOL
+
+
+class TestProbePairs:
+    """Above 2**16 increments, with two CPUs, each pair of probes runs on two threads."""
+
+    def test_one_cpu_gives_the_same_report(self, threads, monkeypatch):
+        x = rv.fbm_path(0.4, 17, seed=5)
+        del threads[:]
+        two = json.dumps(rv.critical_index_search(x).to_dict())
+        assert threads and not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(grid, "_cpus", lambda: 1)
+        del threads[:]
+        assert json.dumps(rv.critical_index_search(x).to_dict()) == two
+        assert threads == []
+
+    @pytest.mark.parametrize("amplitude, q", [(1e300, "1.2"), (1e100, "4")])
+    def test_a_failing_probe_raises_its_serial_error(self, amplitude, q, threads,
+                                                     monkeypatch):
+        # at 1e300 both endpoints overflow and the low one is named, as when
+        # the probes ran one after the other; at 1e100 only the high one does
+        x = rv.smooth_perturbation("sine", amplitude, 17)
+        message = f"probe at q={q} terminal at level 6 is inf, not finite"
+        for cpus in (2, 1):
+            monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+            before = threading.active_count()
+            with pytest.raises(EvaluationError, match=message):
+                rv.critical_index_search(x)
+            assert threading.active_count() == before
+        assert len(threads) == 1 and not threads[0].is_alive()

@@ -8,6 +8,7 @@ closed forms, and against an extended-precision accumulation oracle.
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -210,22 +211,39 @@ class TestPVarSource:
             rv.PVarSource(mode="analytic")
 
     def test_analytic_must_vanish_at_zero(self):
-        x = rv.takagi_path(0.5, 6)
-        src = rv.PVarSource.analytic(lambda t: t + 1.0)
+        # checked when made, on t = (0, 1)
         with pytest.raises(SourceError, match="vanish at t=0"):
-            rv.scaled_qv(x, rv.dyadic_partition(4, 6), 3.0, src)
+            rv.PVarSource.analytic(lambda t: t + 1.0)
 
     def test_analytic_must_be_nondecreasing(self):
+        with pytest.raises(SourceError, match="nondecreasing"):
+            rv.PVarSource.analytic(lambda t: -np.asarray(t))
+        # one that is 0 at both ends but dips between is caught where read
         x = rv.takagi_path(0.5, 6)
-        src = rv.PVarSource.analytic(lambda t: -np.asarray(t))
+        src = rv.PVarSource.analytic(lambda t: np.abs(2.0 * np.asarray(t) - 1.0) - 1.0)
         with pytest.raises(SourceError, match="nondecreasing"):
             rv.scaled_qv(x, rv.dyadic_partition(4, 6), 3.0, src)
 
+    @pytest.mark.parametrize("fn, message", [
+        (lambda t: np.full_like(np.asarray(t, dtype=np.float64), np.nan),
+         "must be finite, got nan at t=0.0"),
+        (lambda t: np.where(np.asarray(t) < 1.0, 0.0, np.inf), "must be finite, got inf at t=1.0"),
+        (lambda t: 0.0, "one value per partition point"),
+        (lambda t: np.asarray(t) - 1e-6, "vanish at t=0")])
+    def test_analytic_source_is_checked_when_made(self, fn, message):
+        # at p = 2 no weight is read, so a bad function was recorded as the source
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SourceError, match=message):
+                rv.PVarSource.analytic(fn)
+        with pytest.raises(SourceError, match=message):
+            rv.PVarSource(mode="analytic", analytic_fn=fn)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_analytic_values_must_be_finite(self, bad):
-        def fn(t):
+        def fn(t):  # finite at t = 0 and 1, where the source is checked when made
             t = np.asarray(t, dtype=np.float64)
-            return np.where(t < 0.75, t, bad)
+            return np.where((t < 0.75) | (t == 1.0), t, bad)
 
         src = rv.PVarSource.analytic(fn)
         message = f"analytic_fn must be finite, got {bad} at t=0.75"
@@ -1139,11 +1157,61 @@ class TestProfileSerialization:
         assert back.p == 2.0 and type(back.p) is float
         assert (back.gamma, back.src_mode, back.clamped, back.divergent) == (None, None, 0,
                                                                              False)
-        name = self._with_sidecar(tmp_path, gamma=-1, source_mode="analytic", clamped=3,
-                                  divergent=True)
+        name = self._with_sidecar(tmp_path, kind="scaled", p=1, gamma=-1,
+                                  source_mode="analytic", clamped=3)
         back = rv.read_profile_csv(name)
         assert (back.gamma, back.src_mode, back.clamped, back.divergent) == (
-            -1, "analytic", 3, True)
+            -1, "analytic", 3, False)
+
+    @pytest.mark.parametrize("fields, clash", [
+        ({"gamma": 0.5}, "a pth profile has no gamma"),
+        ({"source_mode": "analytic"}, "a scaled profile, and no other, has a source_mode"),
+        ({"source_mode": "finest_level"}, "a scaled profile, and no other, has a source_mode"),
+        ({"clamped": 7}, "only a scaled profile clamps or diverges"),
+        ({"divergent": True}, "only a scaled profile clamps or diverges"),
+        ({"gamma": 0.5, "source_mode": "analytic", "divergent": True, "clamped": 7},
+         "a pth profile has no gamma"),
+        ({"kind": "classical_scaled", "gamma": 0.5, "p": 2.5},
+         "a classical_scaled profile has p 2 and a gamma"),
+        ({"kind": "classical_scaled", "gamma": ...},
+         "a classical_scaled profile has p 2 and a gamma"),
+        ({"kind": "classical_scaled", "gamma": 0.5, "source_mode": "finest_level"},
+         "a scaled profile, and no other, has a source_mode"),
+        ({"kind": "classical_scaled", "gamma": 0.5, "clamped": 1},
+         "only a scaled profile clamps or diverges"),
+        ({"kind": "scaled", "gamma": 0.5, "source_mode": "finest_level"},
+         "a scaled profile has gamma (p - 2)/p"),
+        ({"kind": "scaled", "gamma": 0.0}, "a scaled profile, and no other, has a source_mode"),
+        ({"kind": "scaled", "gamma": 0.0, "source_mode": "analytic", "divergent": True},
+         "a divergent profile has terminal inf"),
+    ])
+    def test_sidecar_fields_that_clash_are_format_error(self, fields, clash, tmp_path):
+        # each field is valid alone; write_profile_csv never writes them together
+        name = self._with_sidecar(tmp_path, **fields)
+        with pytest.raises(FormatError, match=re.escape(f"sidecar fields clash: {clash}")):
+            rv.read_profile_csv(name)
+
+    @pytest.mark.parametrize("make", [
+        lambda x, part: rv.pth_variation(x, part, 2.5),
+        lambda x, part: rv.scaled_qv(x, part, 2.5),
+        lambda x, part: rv.scaled_qv(x, part, 2.0, rv.PVarSource.linear(2.0)),
+        lambda x, part: rv.classical_scaled_qv(x, part, 0.5),
+        # a block of zero weight beside a nonzero increment at p < 2 diverges
+        lambda x, part: rv.scaled_qv(x, part, 1.5, rv.PVarSource.analytic(
+            lambda t: np.maximum(np.asarray(t, dtype=np.float64) - 0.5, 0.0))),
+        # a staircase whose dips are clamped
+        lambda x, part: rv.scaled_qv(x, part, 3.0, rv.PVarSource.analytic(
+            lambda t: t - 2.5e-10 * (np.floor(32.0 * np.asarray(t)) % 2.0))),
+    ], ids=["pth", "scaled", "scaled-linear", "classical", "divergent", "clamped"])
+    def test_every_kind_reads_back(self, make, tmp_path):
+        prof = make(rv.takagi_path(0.5, 6), rv.dyadic_partition(5, 6))
+        rv.write_profile_csv(prof, tmp_path / "p.csv")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)  # inf - inf
+            back = rv.read_profile_csv(tmp_path / "p.csv")
+        # atom_risk is taken again from the values' differences
+        assert {**back.metadata(), "atom_risk": None} == {**prof.metadata(), "atom_risk": None}
+        npt.assert_array_equal(back.values, prof.values)
 
     def test_missing_sidecar_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)
