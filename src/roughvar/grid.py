@@ -70,6 +70,7 @@ def _check_seed(seed, what: str = "seed") -> int:
 # A grid of at most this many increments runs every work item on the caller:
 # a second thread pays for itself only on the finer grids.
 _SPLIT_INCREMENTS = 1 << 16
+_BLOCK = 1 << 16  # grid values per block of every loop that streams over a path
 
 
 def _cpus() -> int:
@@ -167,10 +168,10 @@ def grid_times(grid_level: int) -> np.ndarray:
 def _check_finite(samples: np.ndarray, grid_level: int, first: int = 0) -> None:
     """Raise on the first non-finite value of ``samples``, grid points ``first`` on.
 
-    Checked 2**16 values at a time, so no path-sized mask is made.
+    Checked ``_BLOCK`` values at a time, so no path-sized mask is made.
     """
-    for lo in range(0, samples.size, 1 << 16):
-        ok = np.isfinite(samples[lo:lo + (1 << 16)])
+    for lo in range(0, samples.size, _BLOCK):
+        ok = np.isfinite(samples[lo:lo + _BLOCK])
         if not ok.all():
             j = first + lo + int(np.argmin(ok))
             raise ValidationError(f"non-finite sample at index {j} "

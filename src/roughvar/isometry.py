@@ -22,7 +22,6 @@ import numpy as np
 from .errors import EvaluationError, ValidationError
 from .grid import Path, _check_finite, _write_csv
 from .variation import (
-    _PASS_BLOCK,
     LimitReport,
     PVarSource,
     _check_levels,
@@ -312,21 +311,27 @@ def _map_warnings(x: Path, f: SmoothMap, p: float, levels) -> list:
 
 def _integrated_sides(x: Path, f: SmoothMap, p: float, levels, kind: str,
                       src: PVarSource | None = None) -> tuple:
-    """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``.
+    """Per-level ``(sum lhs terms, sum |f1(x_left)|**p * rhs terms)``, and
+    whether a factor ``|f1(x_left)|**p`` was 0.
 
     The left side is the ``kind`` terminals of :func:`_level_terminals` over
     f(x), mapped a tile at a time, with its default source; the right side
     is the left-endpoint Stieltjes sum of ``|f1(x)|**p`` against the terms
-    of the same pass over x (weights from ``src``), the factor applied to
-    each piece of terms the pass takes and the products reduced like every
-    other level terminal.
+    of the same pass over x (weights from ``src``), the factor evaluated at
+    the left samples the pass strides out for each piece of terms, and the
+    products reduced like every other level terminal.  ``f`` is evaluated
+    once per sample of a tile, and ``f1`` once per term of a checked level.
     """
-    def g(n, lo, hi):
-        stride = 1 << (x.grid_level - n)
-        return np.abs(f.f1(x.samples[lo * stride:hi * stride:stride])) ** p
+    mins = []
+
+    def factor(u):
+        out = np.abs(f.f1(u)) ** p
+        mins.append(out.min())
+        return out
 
     return (_level_terminals(x, levels, kind, p, values=_image(f, x)),
-            _level_terminals(x, levels, kind, p, src=src, scale=g))
+            _level_terminals(x, levels, kind, p, src=src, scale=factor),
+            np.min(mins) == 0.0)
 
 
 def _two_sided(kind: str, x: Path, p: float, levels, sides,
@@ -372,16 +377,15 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
     the right side integrates |f1(x(t_i))|**p against the scaled-QV profile
     of x (built from ``src``, default its finest-level proxy).  With the
     identity map and the default source both sides run the same
-    accumulation and agree bitwise.
+    accumulation and agree bitwise.  A right-side factor ``|f1|**p`` that is
+    0 at a left sample of a checked level raises a warning.
     """
     src_x = src or PVarSource()
 
     def sides(lv):
-        lhs, rhs = _integrated_sides(x, f, p, lv, "scaled", src_x)
+        lhs, rhs, vanishes = _integrated_sides(x, f, p, lv, "scaled", src_x)
         warnings = _map_warnings(x, f, p, lv)
-        s = x.samples
-        if np.min([np.min(np.abs(f.f1(s[lo:lo + _PASS_BLOCK])))
-                   for lo in range(0, s.size, _PASS_BLOCK)]) == 0.0:
+        if vanishes:
             warnings.append(f"map {f.id} has vanishing derivative on the path's "
                             "range; degenerate blocks contribute zero")
         return lhs, rhs, warnings
@@ -393,7 +397,7 @@ def isometry_check(x: Path, f: SmoothMap, p: float, levels=None,
 def chain_rule_check(x: Path, f: SmoothMap, p: float, levels=None) -> IsometryReport:
     """Compare the p-th variation of f(x) against sum |f'(x)|^p * d[x]^(p)."""
     return _two_sided("chain_rule", x, p, levels, lambda lv: (
-        *_integrated_sides(x, f, p, lv, "pth"), _map_warnings(x, f, p, lv)),
+        *_integrated_sides(x, f, p, lv, "pth")[:2], _map_warnings(x, f, p, lv)),
         map_id=f.id)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Path, _behind, _check_max_level, _check_seed, _in_halves
+from .grid import _BLOCK, Path, _behind, _check_max_level, _check_seed, _in_halves
 from .schauder import (
     _midpoint_path,
     _takagi_rows,
@@ -37,9 +37,7 @@ __all__ = [
 ]
 
 GENERATOR_VERSION = "4"
-_LAG_BLOCK = 1 << 16  # covariance lags evaluated per block of the embedding row
 _FFT_BLOCK = 1 << 15  # complex values per block of the four-step FFT's passes
-_SMOOTH_BLOCK = 1 << 16  # samples per block of a smooth perturbation
 # Lags k >= _SERIES_LAG take the covariance from the first _SERIES_TERMS terms
 # of its series in 1/k**2; the first term left out is below 2**-60 of the
 # leading one there.
@@ -82,7 +80,7 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
 
     def series(starts) -> None:
         for lo in starts:
-            k = np.arange(lo, min(lo + _LAG_BLOCK, N + 1), dtype=np.float64)
+            k = np.arange(lo, min(lo + _BLOCK, N + 1), dtype=np.float64)
             out = row[lo:lo + k.size]
             np.power(k, two_h - 2.0, out=out)
             x = np.reciprocal(k, out=k)
@@ -94,7 +92,7 @@ def _fgn_covariance(H: float, N: int) -> np.ndarray:
             acc += coef[-1]
             out *= acc
 
-    _in_halves(series, range(_SERIES_LAG, N + 1, _LAG_BLOCK), N)
+    _in_halves(series, range(_SERIES_LAG, N + 1, _BLOCK), N)
     row[N + 1:] = row[N - 1:0:-1]
     return row
 
@@ -198,10 +196,12 @@ def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
     bins k and N - k of their length-N FFT with the half-angle twiddle
     (the packing of Numerical Recipes' ``realft``).  Returns the N1 x N2
     buffer, whose imaginary parts hold lam_0..lam_{N-1} in the transposed
-    layout, and lam_N.
+    layout, lam_N, and the least eigenvalue, each block's minimum taken as
+    it is unpacked.
     """
     m = _fgn_covariance(H, N).view(np.complex128).reshape(fs.n1, fs.n2)
     fs.columns(m)
+    mins = []
 
     def unpack(blocks) -> None:
         for rows, x, y in blocks:
@@ -218,11 +218,12 @@ def _fgn_eigenvalues(H: float, N: int, fs: _FourStep) -> tuple:
             v *= 0.5
             np.subtract(p, v, out=m.imag[y])  # where x and y overlap, x's value is written last
             np.add(p, v, out=m.imag[x])
+            mins.extend((m.imag[x].min(initial=np.inf), m.imag[y].min(initial=np.inf)))
 
     _in_halves(unpack, list(fs.mirror_blocks()), N)
     lam_n = m[0, 0].real - m[0, 0].imag
     m.imag[0, 0] = m[0, 0].real + m[0, 0].imag
-    return m, lam_n
+    return m, lam_n, np.min([*mins, m.imag[0, 0], lam_n])
 
 
 def _normal_blocks(rng: np.random.Generator, m: np.ndarray):
@@ -263,18 +264,7 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     by one thread, so the samples are the same bits.
     """
     fs = _FourStep(N)
-    m, lam_n = _fgn_eigenvalues(H, N, fs)
-    lam = m.imag
-    band = max(1, _FFT_BLOCK // fs.n2)  # rows of lam a block
-    starts = range(0, fs.n1, band)
-    mins = np.empty(len(starts))
-
-    def least(part) -> None:
-        for r in part:
-            mins[r // band] = lam[r:r + band].min()
-
-    _in_halves(least, starts, N)
-    lam_min = min(mins.min(), lam_n)
+    m, lam_n, lam_min = _fgn_eigenvalues(H, N, fs)
     if lam_min < 0.0:
         raise NumericalError(
             f"circulant embedding of the fractional-noise covariance has a "
@@ -283,16 +273,14 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     # 2N normals in stream order w[0], w[1:N], w[N], w[N+1:]; bin k < N is
     # sqrt(lam_k / 2) (w[k] + i w[N+k]), and bins 0 and N are real, with
     # sqrt(2N) / N for the unnormalized inverse and 1/2 for the packing
-    lam0 = lam[0, 0]
+    lam0 = m[0, 0].imag
 
-    def root(part) -> None:
-        for r in part:
-            blk = lam[r:r + band]
-            np.sqrt(np.multiply(blk, 0.25 / N, out=blk), out=blk)
+    def first(blk, w) -> None:  # a block's roots are taken as its first normals go in
+        root = np.multiply(blk.imag, 0.25 / N, out=blk.imag)
+        np.multiply(w, np.sqrt(root, out=root), out=blk.real)
 
-    _in_halves(root, starts, N)
     w0 = rng.standard_normal()
-    _behind(lambda blk, w: np.multiply(w, blk.imag, out=blk.real), _normal_blocks(rng, m), N)
+    _behind(first, _normal_blocks(rng, m), N)
     wn = rng.standard_normal()
     _behind(lambda blk, w: np.multiply(blk.imag, w, out=blk.imag), _normal_blocks(rng, m), N)
     s0, sn = np.sqrt(lam0 / (2 * N)) * w0, np.sqrt(lam_n / (2 * N)) * wn
@@ -399,8 +387,8 @@ def smooth_perturbation(kind: str, amplitude: float, grid_level: int,
     n, step = (1 << grid_level) + 1, 2.0 ** (-grid_level)
     samples = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # the Path check names a bad sample
-        for lo in range(0, n, _SMOOTH_BLOCK):
-            t = np.arange(lo, min(lo + _SMOOTH_BLOCK, n), dtype=np.float64)
+        for lo in range(0, n, _BLOCK):
+            t = np.arange(lo, min(lo + _BLOCK, n), dtype=np.float64)
             t *= step  # the grid_times bits
             out = samples[lo:lo + t.size]
             if kind == "sine":

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResolutionError, ValidationError
-from .grid import Path, _check_max_level, _check_seed, _open_text
-
-_BLOCK = 1 << 16  # midpoints written per block of the recursion
+from .grid import _BLOCK, Path, _check_max_level, _check_seed, _open_text
 
 __all__ = [
     "SchauderCoefficients",

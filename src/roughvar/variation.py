@@ -14,7 +14,7 @@ level-n atomic variation measure) together with the raw per-block terms, so
 downstream consumers (Stieltjes integration, diagnostics) can reuse the
 exact accumulation.  Every dyadic level, a profile's or not, comes from
 :func:`_dyadic_levels`, one sweep over the samples a tile of
-``_PASS_BLOCK`` grid increments at a time: each level is fed its
+``_BLOCK`` grid increments at a time: each level is fed its
 increments, weights and terms tile by tile and reduced to its sum
 (bitwise numpy's pairwise sum of the whole level), its largest term and
 its divergence flag; only a profile's level gathers its terms whole.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (EvaluationError, FormatError, ResolutionError, SourceError,
                      ValidationError)
-from .grid import Partition, Path, _read_csv, _write_csv, grid_times
+from .grid import _BLOCK, Partition, Path, _read_csv, _write_csv, grid_times
 
 __all__ = [
     "accurate_cumsum",
@@ -53,8 +53,7 @@ __all__ = [
     "write_profile_csv",
 ]
 
-_BLOCK = 4096
-_PASS_BLOCK = 1 << 16  # grid increments per tile of a pyramid pass
+_SUM_BLOCK = 4096  # terms per row of accurate_cumsum's 2-D pass
 _LEAF = 1 << 7  # numpy's pairwise-sum leaf: the shortest piece of a level a tile feeds
 
 
@@ -68,10 +67,10 @@ def accurate_cumsum(terms: np.ndarray) -> np.ndarray:
     nonnegative terms give a nondecreasing ``out``.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    n, blocks = terms.size, -(-terms.size // _BLOCK)
-    buf = np.zeros(blocks * _BLOCK + 1)
+    n, blocks = terms.size, -(-terms.size // _SUM_BLOCK)
+    buf = np.zeros(blocks * _SUM_BLOCK + 1)
     buf[1:n + 1] = terms
-    rows = buf[1:].reshape(blocks, _BLOCK)
+    rows = buf[1:].reshape(blocks, _SUM_BLOCK)
     sums = np.sum(rows, axis=1)
     scale, lift = float(np.sum(np.abs(sums))), np.cumsum(sums)
     if math.isfinite(scale):
@@ -118,7 +117,8 @@ class VariationProfile:
 
     def __post_init__(self):
         if self.terms is None:
-            object.__setattr__(self, "terms", np.diff(np.asarray(self.values)))
+            with np.errstate(invalid="ignore"):  # inf - inf: atoms past an inf value are NaN
+                object.__setattr__(self, "terms", np.diff(np.asarray(self.values)))
         for name in ("times", "values", "terms"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
@@ -415,22 +415,18 @@ class _Level:
     :meth:`done` sets ``total``, the piece sums added up by a balanced
     pairwise tree, which for aligned power-of-two pieces of at least
     ``_LEAF`` terms (or one piece) is :func:`_level_total` of the whole
-    level bit for bit, and ``peak``, the largest term.  ``scale(n, lo, hi)``,
-    when given, multiplies terms ``lo:hi`` first; with ``gather``, ``terms``
-    holds the whole level's terms (for a profile), else None.
+    level bit for bit, and ``peak``, the largest term.  With ``gather``,
+    ``terms`` holds the whole level's terms (for a profile), else None.
     """
 
-    def __init__(self, n: int, scale: Callable | None = None, gather: bool = False):
-        self.n, self.scale, self.divergent = n, scale, False
+    def __init__(self, n: int, gather: bool = False):
+        self.n, self.divergent = n, False
         self.sums, self.peaks = [], []
         self.terms = np.empty(1 << n) if gather else None
 
     def add(self, lo: int, terms: np.ndarray, divergent: bool) -> None:
-        hi = lo + terms.size
-        if self.scale is not None:
-            np.multiply(self.scale(self.n, lo, hi), terms, out=terms)
         if self.terms is not None:
-            self.terms[lo:hi] = terms
+            self.terms[lo:lo + terms.size] = terms
         self.sums.append(terms.sum())
         self.peaks.append(terms.max())
         self.divergent = self.divergent or divergent
@@ -451,11 +447,13 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
 
     The terms are :func:`_terms` of ``kind`` on the level's increments; no
     partition, time grid or cumulative array is built, and no level's terms
-    are held whole.  One sweep takes the samples a tile of ``_PASS_BLOCK``
+    are held whole.  One sweep takes the samples a tile of ``_BLOCK``
     grid increments at a time; every level with at least ``_LEAF`` terms per
     tile (every level, when one tile is the grid) takes that tile's strided
     increments, weights and terms, and feeds the terms to its
-    :class:`_Level` (with ``scale`` and ``gather`` as there).  Weights:
+    :class:`_Level` (with ``gather`` as there).  ``scale(u)``, when given,
+    multiplies a level's terms first, ``u`` the left samples of their
+    increments, already strided out of the tile.  Weights:
     finest-level ones are the tile's ``|dx|**p`` halved pairwise
     (``w[0::2] + w[1::2]``) down the levels; analytic ones are
     :class:`_Analytic` on the tile's times, checked over each whole level
@@ -474,10 +472,10 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
     p, gamma, src = _resolve(kind, p, gamma, src)
     mode = src.mode if kind == "scaled" and gamma != 0.0 else None
     finest = mode == "finest_level"
-    lvs = [_Level(n, scale, gather)
+    lvs = [_Level(n, gather)
            for n in sorted(set(_check_levels(x, levels, 1)), reverse=True)]
     analytic = {lv.n: _Analytic(src.analytic_fn) for lv in lvs} if mode == "analytic" else {}
-    size = min(_PASS_BLOCK, 1 << L)
+    size = min(_BLOCK, 1 << L)
     # the coarsest level with _LEAF terms a tile (L-9), or 0 when one tile is the grid
     cut = 0 if size == 1 << L else L - (size // _LEAF).bit_length() + 1
     tiled = {lv.n: lv for lv in lvs if lv.n >= cut}
@@ -494,7 +492,10 @@ def _dyadic_levels(x: Path, levels, kind: str, p: float = 2.0,
             w = analytic[n](np.arange(j, k + 1, dtype=np.float64) * 2.0 ** -n)
         if dx is None:
             dx = np.subtract(t[r::r], t[:-1:r])
-        lv.add(j, *_terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n)))
+        terms, divergent = _terms(kind, dx, p, gamma, w, np.float64(2.0 ** -n))
+        if scale is not None:
+            np.multiply(scale(t[:-1:r]), terms, out=terms)
+        lv.add(j, terms, divergent)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = w = None
@@ -539,9 +540,9 @@ def _level_terminals(x: Path, levels, kind: str, p: float = 2.0,
                      values: Callable | None = None, name: str | None = None) -> list:
     """Terminal of each level in ``levels`` (in that order), one pyramid pass.
 
-    ``scale`` multiplies the terms first, as in :class:`_Level`; ``values``
-    is an image of ``x`` to run the pass over, and ``name`` names an
-    overflow, as in :func:`_dyadic_levels`.
+    ``scale(u)`` multiplies the terms by a factor of their left samples
+    ``u``, ``values`` is an image of ``x`` to run the pass over, and
+    ``name`` names an overflow, all as in :func:`_dyadic_levels`.
     """
     got = {lv.n: lv.total for lv in _dyadic_levels(x, levels, kind, p, gamma, src,
                                                     scale, values=values, name=name)}
@@ -733,7 +734,11 @@ _SIDECAR_CLASHES = (
 
 
 def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
-    """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal."""
+    """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal.
+
+    The atoms are the values' differences; past a divergent profile's first
+    infinite value the CSV does not carry them, and they read as NaN.
+    """
     data = _read_csv(csv_filename, "profile")
     times, values = data[:, 0], data[:, 1]
     try:

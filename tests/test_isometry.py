@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import roughvar as rv
+from roughvar import grid
 from roughvar.errors import EvaluationError, ValidationError
 from roughvar.isometry import _image
 from roughvar.variation import _level_terminals, _tail_slope
@@ -319,6 +320,38 @@ class TestIsometryCheck:
         # the path starts at 0, where the square map's derivative vanishes
         rep = rv.isometry_check(takagi14, rv.square_plus_one_map(), 2.0, LEVELS)
         assert any("vanishing derivative" in w for w in rep.warnings)
+
+    def test_derivative_warning_reads_the_right_side_factors(self, fbm14):
+        """It fires when a factor |f1|**p is 0 at a left sample of a checked level.
+
+        At x(0) = 0, a left sample of every level, |1e-200|**2.5 underflows
+        to 0; a derivative that vanishes only at x(1) weights no term.
+        """
+        end = fbm14.samples[-1]
+        assert fbm14.samples[0] == 0.0 and np.count_nonzero(fbm14.samples == end) == 1
+        for f1, warns in [(lambda u: np.where(u == 0.0, 1e-200, 1.0), True),
+                          (lambda u: np.where(u == end, 0.0, 1.0), False)]:
+            f = rv.SmoothMap("identity", f=lambda u: u.copy(), f1=f1)
+            rep = rv.isometry_check(fbm14, f, 2.5, LEVELS)
+            assert any("vanishing derivative" in w for w in rep.warnings) == warns
+
+    @pytest.mark.parametrize("level", [14, 17])
+    def test_each_sample_is_mapped_once(self, level):
+        """f once per sample (neighbouring tiles share one), f1 once per right-side term."""
+        x = rv.fbm_path(0.4, level, seed=1)
+        calls = {"f": 0, "f1": 0}
+
+        def counted(name, fn):
+            def g(u):
+                calls[name] += u.size
+                return fn(u)
+            return g
+
+        levels = range(6, level - 1)
+        rv.isometry_check(x, rv.SmoothMap("sin", counted("f", np.sin),
+                                          counted("f1", np.cos)), 2.5, levels)
+        assert calls["f"] == 2 ** level + max(1, 2 ** level // grid._BLOCK)
+        assert calls["f1"] == sum(2 ** n for n in levels)
 
     def test_alpha_proxy_tracks_regularity(self, takagi14):
         assert abs(rv.holder_proxy(takagi14, LEVELS) - 0.5) < 0.1

@@ -246,8 +246,9 @@ class TestFbmPath:
         for level in [*range(17), 20]:
             N = 1 << level
             fs = _FourStep(N)
-            m, lam_n = _fgn_eigenvalues(H, N, fs)
+            m, lam_n, least = _fgn_eigenvalues(H, N, fs)
             lam = np.append(m.imag.T.ravel(), lam_n)
+            assert least == lam.min(), level
             ref = np.fft.rfft(_fgn_covariance(H, N)).real
             assert np.max(np.abs(lam - ref)) <= 4e-15 * np.max(ref), level
 
@@ -614,9 +615,9 @@ class TestSecondThread:
     def test_no_thread_outlives_fbm_path(self, threads, monkeypatch):
         before = threading.active_count()
         rv.fbm_path(0.4, 17, seed=1)
-        # covariance, two column passes, two mirror-block passes, min, sqrt
-        # and the two loops over the normals
-        assert len(threads) == 9
+        # covariance, two column passes, two mirror-block passes and the two
+        # loops over the normals
+        assert len(threads) == 7
         assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
 
@@ -631,6 +632,29 @@ class TestSecondThread:
             rv.fbm_path(0.4, 17, seed=1)
         assert threads and not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
+
+    def test_negative_eigenvalue_raises_before_a_normal_is_drawn(self, threads, monkeypatch):
+        drawn, normal_blocks = [], pathgen._normal_blocks
+
+        def spy(rng, m):
+            for item in normal_blocks(rng, m):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(pathgen, "_normal_blocks", spy)
+        rv.fbm_path(0.4, 17, seed=1)
+        assert drawn
+
+        def bad_row(H, n):  # lam_k = 1 + 2 cos(pi k / N): -1 at k = N
+            row = np.zeros(2 * n)
+            row[[0, 1, -1]] = 1.0
+            return row
+
+        monkeypatch.setattr(pathgen, "_fgn_covariance", bad_row)
+        del drawn[:]
+        with pytest.raises(NumericalError, match=r"negative eigenvalue \(-1\)"):
+            rv.fbm_path(0.4, 17, seed=1)
+        assert drawn == []
 
     def test_untraced_samples_are_not_copied(self, threads):
         """The buffer shrinks in place to the samples: no closure of a worker still holds it.

@@ -1206,12 +1206,24 @@ class TestProfileSerialization:
     def test_every_kind_reads_back(self, make, tmp_path):
         prof = make(rv.takagi_path(0.5, 6), rv.dyadic_partition(5, 6))
         rv.write_profile_csv(prof, tmp_path / "p.csv")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)  # inf - inf
-            back = rv.read_profile_csv(tmp_path / "p.csv")
+        back = rv.read_profile_csv(tmp_path / "p.csv")
         # atom_risk is taken again from the values' differences
         assert {**back.metadata(), "atom_risk": None} == {**prof.metadata(), "atom_risk": None}
         npt.assert_array_equal(back.values, prof.values)
+
+    def test_divergent_profile_reads_back_without_warning(self, tmp_path):
+        """The CSV holds values, not atoms: past the first inf value they read as NaN."""
+        prof = rv.scaled_qv(rv.takagi_path(0.5, 6), rv.dyadic_partition(5, 6), 1.5,
+                            rv.PVarSource.analytic(lambda t: np.maximum(t - 0.5, 0)))
+        rv.write_profile_csv(prof, tmp_path / "p.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = rv.read_profile_csv(tmp_path / "p.csv")
+        first = int(np.argmax(np.isinf(back.values)))
+        assert back.divergent and first > 0
+        npt.assert_array_equal(back.values, prof.values)
+        assert np.isfinite(back.terms[:first - 1]).all() and back.terms[first - 1] == np.inf
+        assert np.isnan(back.terms[first:]).all()
 
     def test_missing_sidecar_is_format_error(self, tmp_path):
         x = rv.takagi_path(0.5, 4)
