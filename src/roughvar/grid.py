@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import importlib
 import io
 import json
 import math
@@ -292,6 +293,13 @@ def _write_csv(filename, header: str, n_rows: int, rows) -> None:
             fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
+def _write_json(obj, filename) -> None:
+    """``obj`` as JSON indented by 2 with sorted keys, plus a newline."""
+    with open(filename, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class _Hashing(io.BufferedReader):
     """A buffered binary file whose bytes, as they are read, also update ``digest``.
 
@@ -330,6 +338,23 @@ def _open_text(filename, digest=None):
             yield fh
             while digest is not None and binary.read(1 << 20):
                 pass
+
+
+def _hash(name: str, *builtins: str):
+    """Hash constructor ``name`` from a builtin module in ``builtins``, else from ``hashlib``.
+
+    The first of CPython's builtin hash modules ``builtins`` that this
+    interpreter has is used.  The bits are the same either way, but
+    ``hashlib`` loads OpenSSL's libcrypto: 3.6 MiB resident and 5-7 ms to
+    load and tear down.
+    """
+    for module in builtins:
+        try:
+            return getattr(importlib.import_module(module), name)
+        except (ImportError, AttributeError):
+            pass
+    import hashlib
+    return getattr(hashlib, name)
 
 
 class _Rows:

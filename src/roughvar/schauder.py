@@ -14,7 +14,6 @@ basis tent is ``e_{m,k}(t) = 2**(-m/2) * max(0, min(2**m t - k, 1 - (2**m t - k)
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResolutionError, ValidationError
-from .grid import _BLOCK, Path, _check_max_level, _check_seed, _open_text
+from .grid import _BLOCK, Path, _check_max_level, _check_seed, _hash, _open_text
 
 __all__ = [
     "SchauderCoefficients",
@@ -121,14 +120,16 @@ class _SignRow:
     Random signs are the first 2**m bits of one SHAKE-128 (FIPS 202) digest
     of ``b"roughvar-takagi-signs:<seed>:<m>"``: sign k is bit ``k % 8`` of
     byte ``k // 8``, least significant first, and a 1 bit is +1.  The row
-    holds those ``ceil(2**m / 8)`` bytes and no float array.
+    holds those ``ceil(2**m / 8)`` bytes and no float array.  The digest
+    comes from CPython's builtin ``_sha3`` where it exists, so that a job
+    that makes only Takagi paths loads no OpenSSL.
     """
 
     def __init__(self, signs: str, m: int, seed: int, factor: float):
         self.signs, self.m, self.factor = signs, m, factor
         self.bits = None
         if signs == "random":
-            xof = hashlib.shake_128(b"roughvar-takagi-signs:%d:%d" % (seed, m))
+            xof = _hash("shake_128", "_sha3")(b"roughvar-takagi-signs:%d:%d" % (seed, m))
             self.bits = np.frombuffer(xof.digest(((1 << m) + 7) >> 3), dtype=np.uint8)
 
     def __getitem__(self, s: slice) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (EvaluationError, FormatError, ResolutionError, SourceError,
                      ValidationError)
-from .grid import _BLOCK, Partition, Path, _read_csv, _write_csv, grid_times
+from .grid import _BLOCK, Partition, Path, _read_csv, _write_csv, _write_json, grid_times
 
 __all__ = [
     "accurate_cumsum",
@@ -699,10 +699,8 @@ def write_profile_csv(profile: VariationProfile, csv_filename,
                       sidecar_filename=None) -> None:
     _write_csv(csv_filename, "t,value", profile.times.size,
                lambda start, stop: (profile.times[start:stop], profile.values[start:stop]))
-    sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
-    with open(sidecar, "w") as fh:
-        json.dump(profile.metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(profile.metadata(), sidecar_filename if sidecar_filename is not None
+                else _sidecar_name(csv_filename))
 
 
 # Each sidecar field, what it must be, and its check (a JSON boolean is no number)

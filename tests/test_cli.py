@@ -164,6 +164,24 @@ class TestGen:
         assert err.startswith("error: bad --coeffs '1,x'")
 
     @pytest.mark.parametrize("argv", [
+        ("gen", "--kind", "smooth", "--level", "4", "--coeffs", "1e308,1e308",
+         "--out", "p.csv"),
+        ("invariance", "--kind", "takagi", "--H", "0.5", "--level", "8", "--p", "2",
+         "--coeffs", "0,5", "--out", "i.json"),
+        ("invariance", "--in", "missing.csv", "--p", "2", "--smooth-kind", "sine",
+         "--coeffs", "0,5", "--out", "i.json"),
+    ], ids=["gen", "invariance", "before_the_read"])
+    def test_coeffs_without_poly_exits_one(self, argv, tmp_path, monkeypatch, capsys):
+        # the sine shape ignored the coefficients: gen wrote a sine labelled
+        # sine(amp=1.0, freq=1.0), and invariance perturbed by that sine
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err == ("error: --coeffs is read only with --smooth-kind poly, "
+                       "not --smooth-kind sine\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ("gen", "--kind", "fbm", "--H", "0.5", "--level", "4", "--out", "p.csv"),
         ("pvar", "--kind", "takagi", "--signs", "random", "--H", "0.5", "--level", "6",
          "--p", "2", "--out", "p.json"),
@@ -869,49 +887,69 @@ class TestLevelCap:
         assert not (tmp_path / "p.csv").exists()
 
 
-def test_startup_does_not_import_scipy(tmp_path):
-    # No command needs scipy, not even --map-file splines; loading it costs
-    # about half a second and 40 MiB on a CLI job.  A fresh interpreter,
-    # because other test modules load scipy into this one.
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's roughvar."""
     src = str(pathlib.Path(rv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# Modules a job should load only when it needs them: numpy's random package
+# (about 2 MiB of extension modules), scipy (about half a second and 40 MiB)
+# and OpenSSL's libcrypto behind hashlib (3.6 MiB)
+_WATCHED = ("numpy.random", "scipy", "_hashlib")
+
+
+def _footprint(argvs, blocked=()) -> list:
+    """Which of ``_WATCHED`` a fresh interpreter has loaded, as sets.
+
+    The first set is taken after ``import roughvar.cli``, and one more after
+    ``cli.main`` has run each argv, which must exit 0.  The ``blocked``
+    modules are mapped to None in ``sys.modules`` first, so that importing
+    them fails.  A fresh interpreter, because other test modules load all
+    three into this one.
+    """
+    code = ("import contextlib, io, json, sys\n"
+            f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
+            "import roughvar.cli\n"
+            f"loaded = lambda: print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))\n"
+            "loaded()\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert roughvar.cli.main(argv) == 0, argv\n"
+            "    loaded()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_startup_does_not_import_scipy(tmp_path):
+    # No command needs scipy, not even --map-file splines
     u = np.linspace(-2.0, 2.0, 41)
     table = tmp_path / "tanh.csv"
     np.savetxt(table, np.column_stack([u, np.tanh(u)]), delimiter=",",
                header="u,f", comments="")
     argv = ["isometry", "--kind", "takagi", "--H", "0.5", "--level", "10",
             "--p", "2", "--map-file", str(table), "--out", str(tmp_path / "i.json")]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import roughvar.cli, sys; print('scipy' in sys.modules); "
-         f"rc = roughvar.cli.main({argv!r}); print(rc, 'scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "0 False"
+    imported, ran = _footprint([argv])
+    assert "scipy" not in imported
+    assert "scipy" not in ran
 
 
 def _cli(argv, stdin_bytes=None):
     """``python -m roughvar argv`` in a fresh interpreter; ``stdin_bytes`` arrive through a pipe."""
-    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "roughvar", *argv], input=stdin_bytes,
-                          capture_output=True, env=env)
+                          capture_output=True, env=_fresh_env())
 
 
 def _vmhwm_mib(argv=None):
     """VmHWM of a fresh interpreter that imports the CLI, then runs ``argv``."""
-    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     run_argv = f"assert roughvar.cli.main({argv!r}) == 0\n" if argv else ""
     proc = subprocess.run(
         [sys.executable, "-c", f"import roughvar.cli\n{run_argv}"
          "print(open('/proc/self/status').read())"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=_fresh_env(), check=True)
     line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("VmHWM:"))
     return int(line.split()[1]) / 1024.0
 
@@ -1081,6 +1119,77 @@ class TestInputsReadOnce:
             {n: _sha256_of(n) for n in reports}
 
 
+class TestInputDigests:
+    """A manifest's input SHA-256 is the same whichever implementation made it.
+
+    A regular file of at most 1 MiB is hashed by CPython's builtin SHA-256,
+    anything else by OpenSSL's through hashlib; an interpreter without the
+    builtin hashes takes them all from hashlib.
+    """
+
+    MIB = 1 << 20
+
+    @staticmethod
+    def _padded_report(name, size) -> bytes:
+        # a report JSON object followed by spaces, ``size`` bytes in all
+        data = b'{"command": "pvar", "success": true}'
+        data += b" " * (size - len(data))
+        pathlib.Path(name).write_bytes(data)
+        return data
+
+    @pytest.mark.parametrize("size, builtins", [
+        (MIB - 1, ("_sha2", "_sha256")), (MIB, ("_sha2", "_sha256")), (MIB + 1, ())])
+    def test_report_inputs_either_side_of_one_mib(self, size, builtins, tmp_path,
+                                                  monkeypatch, capsys):
+        asked = []
+        hash_ = rv.grid._hash
+        monkeypatch.setattr(rv.grid, "_hash",
+                            lambda name, *mods: asked.append((name, mods)) or hash_(name, *mods))
+        name = str(tmp_path / "padded.json")
+        data = self._padded_report(name, size)
+        rc, _, err = run(capsys, "report", "--in", name, "--out", str(tmp_path / "r.json"))
+        assert rc == 0, err
+        manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert manifest["inputs"] == {name: hashlib.sha256(data).hexdigest()}
+        assert asked == [("sha256", builtins)]
+
+    def test_piped_report(self, tmp_path):
+        data = self._padded_report(tmp_path / "padded.json", 1000)
+        proc = _cli(["report", "--in", "/dev/stdin", "--out", str(tmp_path / "r.json")], data)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert manifest["inputs"] == {"/dev/stdin": hashlib.sha256(data).hexdigest()}
+
+    def test_large_path_file_loads_openssl(self, tmp_path, capsys):
+        big = str(tmp_path / "takagi.csv")
+        rc, _, err = run(capsys, "gen", "--kind", "takagi", "--H", "0.5", "--level", "15",
+                         "--signs", "random", "--seed", "5", "--out", big)
+        assert rc == 0, err
+        assert os.path.getsize(big) > self.MIB
+        imported, ran = _footprint([["pvar", "--in", big, "--p", "2",
+                                     "--out", str(tmp_path / "p.json")]])
+        assert "_hashlib" not in imported
+        assert "_hashlib" in ran
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["inputs"] == {big: _sha256_of(big)}
+
+    def test_same_bits_without_builtin_hashes(self, tmp_path, capsys):
+        tak = ["--kind", "takagi", "--H", "0.5", "--level", "12", "--signs", "random",
+               "--seed", "5"]
+        small = str(tmp_path / "small.json")
+        data = self._padded_report(small, 5000)
+        rc, _, err = run(capsys, "gen", *tak, "--out", str(tmp_path / "builtin.json"))
+        assert rc == 0, err
+        loaded = _footprint([["gen", *tak, "--out", str(tmp_path / "hashlib.json")],
+                             ["report", "--in", small, "--out", str(tmp_path / "r.json")]],
+                            blocked=("_sha3", "_sha2", "_sha256"))
+        assert "_hashlib" in loaded[1]   # the signs came through hashlib
+        assert (tmp_path / "hashlib.json").read_bytes() == \
+            (tmp_path / "builtin.json").read_bytes()
+        manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert manifest["inputs"] == {small: hashlib.sha256(data).hexdigest()}
+
+
 @pytest.mark.parametrize("argv, index, t", [
     (["gen", "--kind", "smooth", "--smooth-kind", "poly", "--coeffs", "1e308,1e308"],
      52, 0.8125),
@@ -1168,40 +1277,61 @@ def test_no_subcommand_calls_lapack(tmp_path, capsys, monkeypatch):
         assert rc == 0, (argv, err)
 
 
-def _loads_numpy_random(argvs) -> bool:
-    """Whether a fresh interpreter that runs ``cli.main`` on each argv loads numpy.random."""
-    src = str(pathlib.Path(rv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import contextlib, io, sys\nimport roughvar.cli\n"
-            f"for argv in {argvs!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert roughvar.cli.main(argv) == 0, argv\n"
-            "print('numpy.random' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return proc.stdout.split()[-1] == "True"
-
-
-def test_takagi_jobs_do_not_load_numpy_random(tmp_path):
-    # random Takagi signs are SHAKE-128 bits: numpy's random package, about
-    # 2 MiB of extension modules, is loaded only by the fBM generator
+def _tanh_table(tmp_path) -> str:
+    """The benchmark's (u, tanh u) table on [-4, 4], about 6 KB."""
     u = np.linspace(-4.0, 4.0, 161)
     table = tmp_path / "tanh.csv"
     table.write_text("u,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in
                                        zip(u.tolist(), np.tanh(u).tolist())))
+    return str(table)
+
+
+def test_takagi_jobs_do_not_load_numpy_random(tmp_path):
+    # random Takagi signs are SHAKE-128 bits: numpy's random package is
+    # loaded only by the fBM generator
+    table = _tanh_table(tmp_path)
     path = ["--kind", "takagi", "--H", "0.5", "--level", "12", "--signs", "random",
             "--seed", "5"]
-    assert not _loads_numpy_random([
+    assert not any("numpy.random" in loaded for loaded in _footprint([
         ["pvar", *path, "--p", "2"], ["sqv", *path, "--p", "2.5"],
         ["sqv", *path, "--p", "2", "--src", "analytic", "--analytic-c", "1"],
         ["classical", *path, "--gamma", "0.5"], ["roughness", *path],
         ["chainrule", *path, "--p", "2", "--map", "square_plus_one"],
         ["isometry", *path, "--p", "2", "--map", "sin"],
-        ["isometry", *path, "--p", "2", "--map-file", str(table)],
-        ["invariance", *path, "--p", "2"]])
-    assert _loads_numpy_random([["gen", "--kind", "fbm", "--H", "0.4", "--level", "8",
-                                 "--seed", "1", "--out", str(tmp_path / "fbm.csv")]])
+        ["isometry", *path, "--p", "2", "--map-file", table],
+        ["invariance", *path, "--p", "2"]]))
+    assert "numpy.random" in _footprint([["gen", "--kind", "fbm", "--H", "0.4", "--level",
+                                          "8", "--seed", "1",
+                                          "--out", str(tmp_path / "fbm.csv")]])[-1]
+
+
+def test_short_jobs_do_not_load_openssl(tmp_path):
+    # Takagi signs come from the builtin SHAKE-128 and inputs of at most
+    # 1 MiB are hashed by the builtin SHA-256: OpenSSL's libcrypto added
+    # 3.6 MiB to every short job's peak
+    o = lambda name: str(tmp_path / name)
+    tak = ["--kind", "takagi", "--H", "0.5", "--level", "12", "--signs", "random",
+           "--seed", "5"]
+    argvs = [  # the benchmark's nine short jobs, two levels down
+        ["pvar", *tak, "--p", "2", "--levels", "4:12", "--out", o("pvar.json")],
+        ["sqv", *tak, "--p", "3", "--src", "analytic", "--analytic-c", "1",
+         "--levels", "4:12", "--out", o("sqv.json")],
+        ["classical", *tak, "--gamma", "0", "--levels", "4:12", "--out", o("cl.json")],
+        ["roughness", *tak, "--out", o("rough.json")],
+        ["counterexample", "--nmax", "4", "--level", "12", "--out", o("cx")],
+        ["chainrule", *tak, "--p", "2", "--map", "sin", "--out", o("chain.json")],
+        ["isometry", *tak, "--p", "2", "--map", "square_plus_one", "--out", o("iso.json")],
+        ["invariance", *tak, "--p", "2", "--amplitude", "0.5", "--out", o("inv.json")],
+        ["isometry", *tak, "--p", "2", "--map-file", _tanh_table(tmp_path),
+         "--out", o("table.json")],
+        ["report", "--in", o("pvar.json"), o("rough.json"), o("table.json"),
+         "--out", o("report.json")],
+        ["gen", *tak, "--out", o("takagi.csv")],
+        ["pvar", "--in", o("takagi.csv"), "--p", "2", "--out", o("file.json")],
+    ]
+    loaded = _footprint(argvs)
+    assert loaded[0] == set()
+    assert [(argv, after) for argv, after in zip(argvs, loaded[1:]) if after] == []
 
 
 def _every_command(tmp_path, capsys, level):
