@@ -83,10 +83,9 @@ def _check_names(args, *writes, dirs=(), report: bool = True) -> None:
     ``os.path.realpath`` with every file an input flag names and every
     earlier write.
     """
-    reads = [("--in", name) for name in getattr(args, "infiles", None) or ()]
-    reads += [(flag, getattr(args, dest, None)) for flag, dest in (
-        ("--in", "infile"), ("--coeffs-file", "coeffs_file"),
-        ("--map-file", "map_file"), ("--perturb-in", "perturb_in"))]
+    reads = [("--in", name) for name in args.infiles or ()]
+    reads += [(_flag(dest), getattr(args, dest))
+              for dest in ("infile", "coeffs_file", "map_file", "perturb_in")]
     if report and args.out:
         writes = (("--out", args.out), *writes, ("the manifest", _manifest_name(args.out)))
     seen = {}
@@ -122,11 +121,9 @@ def _peak_rss_mib() -> float:
 def _write_manifest(args, t0: float, path_s: float, inputs: dict, out: str,
                     extra: dict | None = None, exact_name: bool = False) -> None:
     """The run manifest of ``out``; ``path_s`` is the time the input took to make or read."""
-    config = {key: val for key, val in vars(args).items()
-              if key != "func" and not callable(val)}
     manifest = {
         "command": args.command,
-        "config": config,
+        "config": args.config,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "roughvar": __version__},
         "timings": {"total_s": round(time.perf_counter() - t0, 6),
@@ -141,7 +138,7 @@ def _write_manifest(args, t0: float, path_s: float, inputs: dict, out: str,
 
 
 def _emit(args, payload: dict, lines) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -165,14 +162,14 @@ def _parse_levels(text: str) -> list:
 
 def _resolve_levels(args, x: grid.Path) -> list:
     """``--levels``, else the default window, else every level of a short grid."""
-    if getattr(args, "levels", None):
+    if args.levels:
         return _parse_levels(args.levels)
     lv = list(variation.default_levels(x))
     return lv if len(lv) >= 3 else list(range(0, x.grid_level + 1))
 
 
 def _resolve_window(args, n_levels: int) -> int:
-    raw = getattr(args, "window", None)
+    raw = args.window
     if raw in (None, ""):
         return min(4, n_levels)
     if raw == "full":
@@ -184,25 +181,14 @@ def _resolve_window(args, n_levels: int) -> int:
 
 
 def _resolve_source(args) -> variation.PVarSource | None:
-    mode = getattr(args, "src", None)
-    if mode != "analytic" and getattr(args, "analytic_c", None) is not None:
-        raise ValidationError(f"--analytic-c is read only with --src analytic, "
-                              f"not --src {mode or 'finest'}")
-    if mode == "analytic":
-        if getattr(args, "analytic_c", None) is None:
-            raise ValidationError("--src analytic requires --analytic-c C "
-                                  "(weights from the linear proxy C*t)")
-        return variation.PVarSource.linear(args.analytic_c)
-    return None  # --src finest, the default
+    """The linear source of ``--src analytic``; None for ``--src finest`` or no ``--src``."""
+    return variation.PVarSource.linear(args.analytic_c) if args.src == "analytic" else None
 
 
 def _smooth_params(args) -> dict:
-    """Polynomial ``coeffs`` from ``--coeffs`` when given, else the sine ``freq``."""
-    if not args.coeffs:
+    """The sine's ``freq``, or the polynomial's ``coeffs`` parsed from ``--coeffs``."""
+    if args.smooth_kind == "sine":
         return {"freq": args.freq}
-    if args.smooth_kind != "poly":
-        raise ValidationError("--coeffs is read only with --smooth-kind poly, "
-                              f"not --smooth-kind {args.smooth_kind}")
     try:
         return {"coeffs": [float(c) for c in args.coeffs.split(",")]}
     except ValueError as exc:
@@ -211,34 +197,19 @@ def _smooth_params(args) -> dict:
 
 
 def _generator_spec(args) -> pathgen.GeneratorSpec:
-    kind = args.kind
-    level = getattr(args, "level", None)
-    if kind in ("fbm", "takagi") and getattr(args, "H", None) is None:
-        raise ValidationError(f"--kind {kind} requires --H")
-    if kind == "counterexample" and getattr(args, "nmax", None) is None:
-        raise ValidationError("--kind counterexample requires --nmax")
-    if kind == "custom_schauder" and not getattr(args, "coeffs_file", None):
-        raise ValidationError("--kind custom_schauder requires --coeffs-file")
-    if kind != "counterexample" and level is None:
-        raise ValidationError(f"--kind {kind} requires --level")
-    params = {}
+    kind, params = args.kind, {}
     if kind == "takagi":
-        params["signs"] = getattr(args, "signs", None) or "plus"
-        if getattr(args, "max_level", None) is not None:
+        params["signs"] = args.signs
+        if args.max_level is not None:
             params["max_level"] = args.max_level
     elif kind == "counterexample":
         params["n_max"] = args.nmax
     elif kind == "smooth":
-        params["shape"] = getattr(args, "smooth_kind", None) or "sine"
-        params["amplitude"] = args.amplitude
-        params.update(_smooth_params(args))
+        params.update(shape=args.smooth_kind, amplitude=args.amplitude, **_smooth_params(args))
     elif kind == "custom_schauder":
         params["coeffs_file"] = args.coeffs_file
-    spec = pathgen.GeneratorSpec(kind=kind, grid_level=level,
-                                 H=getattr(args, "H", None),
-                                 seed=getattr(args, "seed", None), params=params)
-    args.seed = spec.seed  # the manifest's config records the seed drawn with
-    return spec
+    return pathgen.GeneratorSpec(kind=kind, grid_level=args.level, H=args.H,
+                                 seed=args.seed, params=params)
 
 
 def _generate(spec: pathgen.GeneratorSpec, inputs: dict) -> grid.Path:
@@ -263,16 +234,12 @@ def _load_path(args) -> tuple:
     """
     t0 = time.perf_counter()
     inputs, extra = {}, {}
-    infile = getattr(args, "infile", None)
-    if infile:
-        x = _read_path(infile, inputs)
-    elif getattr(args, "kind", None):
+    if args.infile:
+        x = _read_path(args.infile, inputs)
+    else:
         spec = _generator_spec(args)
         x = _generate(spec, inputs)
         extra["generator"] = spec.metadata()
-    else:
-        raise ValidationError("provide an input path with --in FILE or "
-                              "generator flags (--kind ...)")
     return x, inputs, extra, time.perf_counter() - t0
 
 
@@ -305,16 +272,12 @@ def _profile_run(args, kind: str) -> int:
     same pass, so each sidecar ``terminal`` is its ``per_level`` terminal.
     """
     label = args.command
-    flag = "gamma" if kind == "classical_scaled" else "p"
-    if getattr(args, flag) is None:
-        raise ValidationError(f"{label} requires --{flag}")
-    p, gamma = getattr(args, "p", 2.0), getattr(args, "gamma", None)
     src = _resolve_source(args)
     t0 = time.perf_counter()
     x, inputs, extra, path_s = _load_path(args)
     levels = _resolve_levels(args, x)
 
-    out_dir, write = getattr(args, "profiles_out", None), None
+    out_dir, write = args.profiles_out, None
     csv = lambda n: os.path.join(out_dir, f"{label}_level{n:02d}.csv")
     _check_names(args, *(("a --profiles-out file", name) for n in levels if out_dir
                          for name in (csv(n), variation._sidecar_name(csv(n)))),
@@ -322,19 +285,17 @@ def _profile_run(args, kind: str) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write = lambda prof: variation.write_profile_csv(prof, csv(prof.level))
-    per_level = variation._level_metadata(x, levels, kind, p, gamma, src, write, label)
+    per_level = variation._level_metadata(x, levels, kind, args.p, args.gamma, src, write, label)
     terminals = [meta["terminal"] for meta in per_level]
     report = None
     if len(levels) >= 3:
         window = _resolve_window(args, len(levels))
         report = variation.limit_diagnostics(terminals, window=window, levels=levels)
 
+    flag = "gamma" if kind == "classical_scaled" else "p"
     payload = {"command": label, "levels": levels, "terminals": terminals,
-               "per_level": per_level,
+               "per_level": per_level, flag: getattr(args, flag),
                "limit_report": report.to_dict() if report else None}
-    for key in ("p", "gamma"):
-        if getattr(args, key, None) is not None:
-            payload[key] = getattr(args, key)
 
     if args.out:
         grid._write_json(payload, args.out)
@@ -378,7 +339,7 @@ def _cmd_roughness(args) -> int:
 
 
 def _map_from_args(args, inputs: dict) -> isometry.SmoothMap:
-    if getattr(args, "map_file", None):
+    if args.map_file:
         data = _hashed(inputs, args.map_file, grid._read_csv, "map table")
         name = os.path.splitext(os.path.basename(args.map_file))[0]
         return isometry.tabulated_map(name, data[:, 0], data[:, 1])
@@ -517,7 +478,7 @@ def _cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and flag contract
 # ---------------------------------------------------------------------------
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
@@ -527,17 +488,18 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
                    help="generate the input path instead of reading --in")
     g.add_argument("--H", type=float, help="roughness parameter in (0,1)")
     g.add_argument("--level", type=int, help="grid level of the generated path")
-    g.add_argument("--seed", type=int, help="RNG seed (fbm, random-sign takagi)")
+    g.add_argument("--seed", type=int, help="RNG seed of fbm and random takagi (default 0)")
     g.add_argument("--signs", choices=["plus", "minus", "alternating", "random"],
                    help="coefficient sign pattern for takagi (default plus)")
     g.add_argument("--max-level", type=int, dest="max_level",
                    help="truncate takagi coefficients at this level")
     g.add_argument("--nmax", type=int, help="burst count for counterexample")
     g.add_argument("--smooth-kind", choices=["sine", "poly"], dest="smooth_kind",
-                   default="sine", help="shape for --kind smooth")
-    g.add_argument("--amplitude", type=float, default=1.0)
-    g.add_argument("--freq", type=float, default=1.0)
-    g.add_argument("--coeffs", help="comma-separated polynomial coefficients")
+                   help="shape of --kind smooth or the perturbation (default sine)")
+    g.add_argument("--amplitude", type=float, help="smooth shape's factor (default 1)")
+    g.add_argument("--freq", type=float, help="sine shape's frequency (default 1)")
+    g.add_argument("--coeffs", help="poly shape's comma-separated coefficients, "
+                                    "constant first (default 0,1)")
     g.add_argument("--coeffs-file", dest="coeffs_file",
                    help="coefficient JSON for custom_schauder")
 
@@ -619,9 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_common_analysis_flags(p, src=(name == "isometry"))
         p.add_argument("--p", type=float, required=True)
-        p.add_argument("--map", default="identity",
-                       help="catalog map id (identity, affine:a,b, "
-                            "square_plus_one, sin, exp_clamped)")
+        p.add_argument("--map", help="catalog map id (identity, the default, "
+                                     "affine:a,b, square_plus_one, sin, exp_clamped)")
         p.add_argument("--map-file", dest="map_file",
                        help="CSV (u,f) table for a not-a-knot cubic-spline map")
         p.set_defaults(func=func)
@@ -630,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_analysis_flags(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--perturb-in", dest="perturb_in",
-                   help="perturbation path CSV/JSON (default: built sine)")
+                   help="perturbation path CSV/JSON (default: the smooth shape)")
     p.set_defaults(func=_cmd_invariance)
 
     p = sub.add_parser("counterexample",
@@ -648,10 +609,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Rows: the flags (by dest) a command reads whatever its input, then those
+# that "--flag value" adds, or "--flag" at any value.  "a|b" reads the first
+# of a and b given, else b; "a!" must be given.  A flag not given takes its
+# _DEFAULTS value, else None; argparse gives these flags no default.
+_INPUT = "infile|kind! levels out"  # a path file, or a generated path
+_PROFILE = _INPUT + " window profiles_out"
+_READS = {
+    "gen": "kind! out",
+    "pvar": _PROFILE + " p!",
+    "sqv": _PROFILE + " p! src",
+    "classical": _PROFILE + " gamma!",
+    "roughness": _INPUT + " src p_min p_max iters per_q_out",
+    "isometry": _INPUT + " src p map_file|map",
+    "chainrule": _INPUT + " p map_file|map",
+    "invariance": _INPUT + " src p perturb_in|smooth_kind",
+    "counterexample": "nmax level out",
+    "report": "infiles out",
+    "--kind fbm": "H! level! seed",
+    "--kind takagi": "H! level! signs max_level",
+    "--kind counterexample": "nmax! level",
+    "--kind smooth": "level! smooth_kind",
+    "--kind custom_schauder": "level! coeffs_file!",
+    "--signs random": "seed",
+    "--smooth-kind": "amplitude",
+    "--smooth-kind sine": "freq",
+    "--smooth-kind poly": "coeffs",
+    "--src analytic": "analytic_c!",
+}
+_DEFAULTS = {"seed": 0, "signs": "plus", "smooth_kind": "sine", "amplitude": 1.0,
+             "freq": 1.0, "coeffs": "0,1", "src": "finest", "map": "identity"}
+_FLAGS = set(re.findall(r"\w+", " ".join(_READS.values())))
+
+
+def _flag(dest: str) -> str:
+    return "--in" if dest.startswith("infile") else "--" + dest.replace("_", "-")
+
+
+def _apply_contract(args) -> None:
+    """Give each flag of ``_READS`` its value by the table, None where it is not read.
+
+    ``args.config`` gets the flags read.  A flag given but not read, one
+    needed but not given, and one that two rows read are validation errors.
+    """
+    given = {dest: val for dest, val in vars(args).items() if dest in _FLAGS and val is not None}
+    read, by, left = {}, {}, {}  # the row that read a flag; a choice's flags not taken
+
+    def visit(key):  # depth first: an input's flags are read before a later choice's
+        for item in _READS[key].split():
+            alts = item.rstrip("!").split("|")
+            dest = next((d for d in alts if d in given), alts[-1])
+            left.update((d, dest) for d in alts if d != dest)
+            if dest in read:
+                raise ValidationError(f"{_flag(dest)} is read with {by[dest]}, "
+                                      f"so {key} requires {_flag(alts[0])}")
+            if item.endswith("!") and dest not in given:
+                raise ValidationError(f"{key} requires {' or '.join(map(_flag, alts))}")
+            read[dest], by[dest] = given.get(dest, _DEFAULTS.get(dest)), key
+            for row in (_flag(dest), f"{_flag(dest)} {read[dest]}"):
+                if row in _READS:
+                    visit(row)
+
+    visit(args.command)
+    for dest in (d for d in given if d not in read):  # the first raises
+        if dest in left:
+            raise ValidationError(f"{_flag(dest)} is not read with {_flag(left[dest])}")
+        keys = [key for key, row in _READS.items()
+                if key.startswith("--") and dest in re.findall(r"\w+", row)]
+        sel = next((d for key in reversed(keys) for d in read if key.split()[0] == _flag(d)), None)
+        raise ValidationError(f"{_flag(dest)} is read only with {' or '.join(keys)}"
+                              + (f", not {_flag(sel)} {read[sel]}" if sel else ""))
+    vars(args).update(dict.fromkeys(_FLAGS), **read)
+    args.config = read
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_contract(args)
         return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """End-to-end command-line tests (in-process, exit codes and artifacts)."""
 
+import argparse
 import hashlib
 import json
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 import roughvar as rv
-from roughvar import schauder
-from roughvar.cli import main
+from roughvar import cli, schauder
+from roughvar.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -50,6 +52,8 @@ class TestGen:
         assert x.grid_level == 8
         manifest = json.loads((tmp_path / "p.manifest.json").read_text())
         assert manifest["command"] == "gen"
+        assert manifest["config"] == {"kind": "takagi", "out": str(out), "H": 0.5, "level": 8,
+                                      "signs": "plus", "max_level": None}
         assert manifest["generator"]["kind"] == "takagi"
         assert manifest["versions"] == {"python": platform.python_version(),
                                         "numpy": np.__version__,
@@ -853,6 +857,118 @@ class TestNoFileWrittenTwice:
         assert {"cr.json", "cr.csv", "cr.manifest.json"} <= set(_tree(work))
 
 
+def _subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# A value for each flag that some input leaves unread.  --map-file and
+# --perturb-in are read whenever they are given, in place of --map and the
+# smooth shape, whose defaults the contexts below take.
+_UNREAD_VALUE = {"infile": "path.csv", "kind": "fbm", "H": "0.5", "level": "6", "seed": "1",
+                 "signs": "random", "max_level": "4", "nmax": "3", "smooth_kind": "poly",
+                 "amplitude": "2", "freq": "2", "coeffs": "0,1", "coeffs_file": "c.json",
+                 "analytic_c": "1", "map": "sin"}
+
+
+def _contexts() -> list:
+    """Every command with every input, alone and with each flag that adds to it.
+
+    An input is a path file, or a generator with the flags it needs; the
+    flags that add are ``--signs random``, ``--smooth-kind poly``, ``--src
+    analytic``, ``--map-file`` and ``--perturb-in``.  No file named exists.
+    """
+    inputs = [("--in", "path.csv"), ("--kind", "fbm", "--H", "0.5", "--level", "6"),
+              ("--kind", "takagi", "--H", "0.5", "--level", "6"),
+              ("--kind", "takagi", "--H", "0.5", "--level", "6", "--signs", "random"),
+              ("--kind", "counterexample", "--nmax", "3"), ("--kind", "smooth", "--level", "6"),
+              ("--kind", "smooth", "--level", "6", "--smooth-kind", "poly"),
+              ("--kind", "custom_schauder", "--level", "6", "--coeffs-file", "c.json")]
+    extras = [(), ("--src", "analytic", "--analytic-c", "1"), ("--map-file", "map.csv"),
+              ("--perturb-in", "pert.csv")]
+    needs = {"gen": ("--out", "p.csv"), "classical": ("--gamma", "0"), "roughness": ()}
+    contexts = []
+    for command, parser in _subparsers().items():
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        for inp in inputs:
+            for extra in extras:
+                argv = (command, *needs.get(command, ("--p", "2")), *inp, *extra)
+                # invariance may read the smooth shape once only: tested below
+                twice = (command == "invariance" and "smooth" in inp
+                         and "--perturb-in" not in extra)
+                if {a for a in argv if a.startswith("--")} <= options and not twice:
+                    contexts.append(argv)
+    return contexts
+
+
+class TestFlagContract:
+    """Every flag given is read, or the run exits 1 before it reads or writes a file."""
+
+    @pytest.mark.parametrize("argv", _contexts(), ids=" ".join)
+    def test_each_flag_its_input_does_not_read_exits_one(self, argv, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(argv)
+        cli._apply_contract(args)
+        unread = [action for action in _subparsers()[argv[0]]._actions
+                  if action.dest in cli._FLAGS and action.dest not in args.config
+                  and action.dest not in ("map_file", "perturb_in")]
+        assert unread
+        for action in unread:
+            flag = action.option_strings[0]
+            rc, out, err = run(capsys, *argv, flag, _UNREAD_VALUE[action.dest])
+            assert (rc, out) == (1, ""), (flag, err)
+            assert err.startswith("error: --") and err.count("\n") == 1 and flag in err, err
+            assert not list(tmp_path.iterdir())
+
+    def test_every_flag_of_every_command_is_in_the_table(self):
+        # a flag that no row reads would be accepted and ignored; one that a
+        # command's rows name but its parser lacks would be read as None
+        for command, parser in _subparsers().items():
+            rows, reach = [command], set()
+            for row in rows:
+                for dest in re.findall(r"\w+", cli._READS[row]):
+                    reach.add(dest)
+                    rows += [key for key in cli._READS
+                             if key.split()[0] == cli._flag(dest) and key not in rows]
+            assert {action.dest for action in parser._actions} - {"help"} == reach, command
+
+    @pytest.mark.parametrize("argv, message", [
+        (("pvar", "--in", "f.csv", "--kind", "fbm", "--H", "0.3", "--level", "8", "--p", "2"),
+         "--kind is not read with --in"),
+        (("pvar", "--kind", "fbm", "--H", "0.5", "--level", "8", "--p", "2",
+          "--signs", "random"), "--signs is read only with --kind takagi, not --kind fbm"),
+        (("pvar", "--kind", "takagi", "--H", "0.5", "--level", "8", "--p", "2", "--nmax", "3"),
+         "--nmax is read only with --kind counterexample, not --kind takagi"),
+        (("pvar", "--kind", "takagi", "--H", "0.5", "--level", "8", "--p", "2",
+          "--coeffs", "0,5", "--amplitude", "3"), "--amplitude is read only with --smooth-kind"),
+        (("pvar", "--kind", "takagi", "--H", "0.5", "--level", "8", "--p", "2", "--seed", "4"),
+         "--seed is read only with --kind fbm or --signs random, not --signs plus"),
+        (("pvar", "--kind", "smooth", "--H", "0.3", "--level", "8", "--p", "2"),
+         "--H is read only with --kind fbm or --kind takagi, not --kind smooth"),
+        (("gen", "--kind", "smooth", "--smooth-kind", "poly", "--coeffs", "0,1", "--freq", "7",
+          "--level", "4", "--out", "p.csv"),
+         "--freq is read only with --smooth-kind sine, not --smooth-kind poly"),
+        (("invariance", "--in", "f.csv", "--p", "2", "--perturb-in", "g.csv",
+          "--coeffs", "1,2"), "--coeffs is read only with --smooth-kind poly"),
+        (("isometry", "--in", "f.csv", "--p", "2", "--map", "sin", "--map-file", "t.csv"),
+         "--map is not read with --map-file"),
+        # gen said "--kind None requires --level", or "unknown generator kind None"
+        (("gen", "--H", "0.5", "--level", "4", "--out", "p.csv"), "gen requires --kind"),
+        # the shape flags set both the path and its perturbation, so A = x:
+        # lhs was 4 times rhs, and the run exited 0
+        (("invariance", "--kind", "smooth", "--level", "10", "--p", "2", "--amplitude", "3",
+          "--smooth-kind", "poly", "--coeffs", "0,1"),
+         "--smooth-kind is read with --kind smooth, so invariance requires --perturb-in"),
+    ])
+    def test_flag_not_read_or_not_given_exits_one(self, argv, message, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestZeroLevelTakagi:
     def test_takagi_at_level_zero_writes_the_zero_path(self, tmp_path, capsys):
         # no coefficient levels: the path is 0 at both grid points
@@ -944,8 +1060,13 @@ def _cli(argv, stdin_bytes=None):
 
 
 def _vmhwm_mib(argv=None):
-    """VmHWM of a fresh interpreter that imports the CLI, then runs ``argv``."""
-    run_argv = f"assert roughvar.cli.main({argv!r}) == 0\n" if argv else ""
+    """VmHWM of a fresh interpreter that imports the CLI, then runs ``argv``.
+
+    Without ``argv`` it imports ``numpy.random`` instead, as every fBM job
+    does, and OpenSSL's libcrypto with it (``secrets`` -> ``hmac``): the
+    baseline of the fBM jobs below, whose own arrays are what they bound.
+    """
+    run_argv = f"assert roughvar.cli.main({argv!r}) == 0\n" if argv else "import numpy.random\n"
     proc = subprocess.run(
         [sys.executable, "-c", f"import roughvar.cli\n{run_argv}"
          "print(open('/proc/self/status').read())"],
@@ -957,7 +1078,7 @@ def _vmhwm_mib(argv=None):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmHWM from /proc")
 class TestResidentPeak:
-    """Level-20 fBM jobs' resident high-water mark above an import-only interpreter.
+    """Level-20 fBM jobs' resident high-water mark above ``_vmhwm_mib()``'s baseline.
 
     A pass holds the 8 MiB path, a few arrays of one tile of 2**16 grid
     increments and 16 KiB of finest-level weights; generating the path
@@ -967,21 +1088,21 @@ class TestResidentPeak:
     FBM20 = ("--kind", "fbm", "--H", "0.4", "--level", "20", "--seed", "5")
 
     def test_scaled_qv_to_the_grid_level(self, tmp_path):
-        # 21.6 MiB measured, the generator's; 24.2 with a scratch array of the
-        # grid level and 40.5 with a fresh array for every step of the pass
+        # 20.9-22.2 MiB measured, the generator's; 24.2 with a scratch array of
+        # the grid level and 40.5 with a fresh array for every step of the pass
         peak = _vmhwm_mib(["sqv", *self.FBM20, "--p", "2.5", "--levels", "6:20",
                            "--out", str(tmp_path / "sqv.json")])
         assert peak - _vmhwm_mib() <= 32.0
 
     def test_roughness_search(self, tmp_path):
-        # 22.2 MiB measured, the generator's; 38.6 with the kept grid-level |dx|
-        # and fresh arrays
+        # 20.3-21.7 MiB measured, the generator's; 38.6 with the kept grid-level
+        # |dx| and fresh arrays
         peak = _vmhwm_mib(["roughness", *self.FBM20,
                            "--out", str(tmp_path / "roughness.json")])
         assert peak - _vmhwm_mib() <= 30.0
 
     def test_profiles_out(self, tmp_path):
-        # 44.3 MiB measured: every gathered level's terms (16 MiB) and the
+        # 44.0-45.5 MiB measured: every gathered level's terms (16 MiB) and the
         # path; 56.4 when each profile CSV was written 2**16 rows at a time
         peak = _vmhwm_mib(["pvar", *self.FBM20, "--p", "2.5", "--levels", "6:20",
                            "--profiles-out", str(tmp_path / "prof"),
