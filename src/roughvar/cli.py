@@ -10,7 +10,6 @@ wall-clock timings live only in the manifest.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import platform
@@ -34,6 +33,7 @@ from .errors import FormatError, NumericalError, ValidationError  # noqa: E402
 __all__ = ["main", "build_parser"]
 
 
+
 # ---------------------------------------------------------------------------
 # Small helpers
 # ---------------------------------------------------------------------------
@@ -45,25 +45,6 @@ __all__ = ["main", "build_parser"]
 _BUILTIN_SHA256_MAX = 1 << 20
 
 
-def _hashed(inputs: dict, filename: str, read, *args):
-    """``read(filename, *args, digest=...)``; ``inputs[filename]`` gets the SHA-256 of the bytes read.
-
-    Every input is read once, so that a pipe works and the digest is of the
-    bytes parsed.  A regular file of at most ``_BUILTIN_SHA256_MAX`` bytes
-    is hashed without OpenSSL; a larger file, a pipe, or a name ``os.stat``
-    cannot size, with it.
-    """
-    try:
-        info = os.stat(filename)
-        small = stat.S_ISREG(info.st_mode) and info.st_size <= _BUILTIN_SHA256_MAX
-    except (OSError, ValueError):
-        small = False
-    digest = grid._hash("sha256", *(("_sha2", "_sha256") if small else ()))()
-    result = read(filename, *args, digest=digest)
-    inputs[filename] = digest.hexdigest()
-    return result
-
-
 def _load_json(filename: str, digest):
     with grid._open_text(filename, digest) as fh:
         return json.load(fh)
@@ -72,32 +53,6 @@ def _load_json(filename: str, digest):
 def _manifest_name(out: str) -> str:
     stem, ext = os.path.splitext(out)
     return (stem if ext in (".csv", ".json") else out) + ".manifest.json"
-
-
-def _check_names(args, *writes, dirs=(), report: bool = True) -> None:
-    """Exit 1, before any write, if two files a command reads or writes share a name.
-
-    ``writes`` are ``(role, name)`` pairs, after ``--out`` and before its
-    manifest when ``report``; none may be an existing directory.  ``dirs``
-    are directories the command makes.  Each name is compared by
-    ``os.path.realpath`` with every file an input flag names and every
-    earlier write.
-    """
-    reads = [("--in", name) for name in args.infiles or ()]
-    reads += [(_flag(dest), getattr(args, dest))
-              for dest in ("infile", "coeffs_file", "map_file", "perturb_in")]
-    if report and args.out:
-        writes = (("--out", args.out), *writes, ("the manifest", _manifest_name(args.out)))
-    seen = {}
-    for i, (role, name) in enumerate([*reads, *dirs, *writes]):
-        key = name and os.path.realpath(name)
-        if key in seen and i >= len(reads):
-            raise ValidationError(f"{' '.join(seen[key])} is also {role}'s name; a "
-                                  "command reads and writes each file under its own name")
-        if key and i >= len(reads) + len(dirs) and os.path.isdir(key):
-            raise ValidationError(f"{role} {name} is a directory; it must name a file")
-        if key:
-            seen.setdefault(key, (role, name))
 
 
 def _peak_rss_mib() -> float:
@@ -116,33 +71,6 @@ def _peak_rss_mib() -> float:
     import resource
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1024), 3)
-
-
-def _write_manifest(args, t0: float, path_s: float, inputs: dict, out: str,
-                    extra: dict | None = None, exact_name: bool = False) -> None:
-    """The run manifest of ``out``; ``path_s`` is the time the input took to make or read."""
-    manifest = {
-        "command": args.command,
-        "config": args.config,
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "roughvar": __version__},
-        "timings": {"total_s": round(time.perf_counter() - t0, 6),
-                    "path_s": round(path_s, 6),
-                    "cpu_s": round(sum(os.times()[:2]), 6)},  # user + system
-        "peak_rss_mib": _peak_rss_mib(),
-        "inputs": inputs,
-    }
-    if extra:
-        manifest.update(extra)
-    grid._write_json(manifest, out if exact_name else _manifest_name(out))
-
-
-def _emit(args, payload: dict, lines) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _parse_levels(text: str) -> list:
@@ -212,35 +140,118 @@ def _generator_spec(args) -> pathgen.GeneratorSpec:
                                  seed=args.seed, params=params)
 
 
-def _generate(spec: pathgen.GeneratorSpec, inputs: dict) -> grid.Path:
-    """The path ``spec`` describes; a coefficient file it names is digested into ``inputs``."""
-    if spec.kind != "custom_schauder":
-        return pathgen.generate(spec)
-    return _hashed(inputs, spec.params["coeffs_file"],
-                   lambda name, digest: pathgen.generate(spec, digest))
+class _Run:
+    """One command's run: its clock, the inputs it makes or reads, and its outputs.
 
-
-def _read_path(filename: str, inputs: dict) -> grid.Path:
-    """A path file, JSON by extension and CSV otherwise; digest into ``inputs``."""
-    read = grid.read_path_json if filename.endswith(".json") else grid.read_path_csv
-    return _hashed(inputs, filename, read)
-
-
-def _load_path(args) -> tuple:
-    """Resolve the input path: --in FILE or inline generator flags.
-
-    Returns the path, the input digests, the manifest's extra fields and the
-    seconds taken to generate or read, and hash, the path.
+    ``path_s`` is the time taken to make the path and to read, and hash,
+    every input file; ``inputs`` holds each file's SHA-256 and ``extra`` the
+    manifest's further fields.  The payload goes to the file ``report`` and
+    the manifest to ``manifest``, by default beside ``--out``.
     """
-    t0 = time.perf_counter()
-    inputs, extra = {}, {}
-    if args.infile:
-        x = _read_path(args.infile, inputs)
-    else:
-        spec = _generator_spec(args)
-        x = _generate(spec, inputs)
-        extra["generator"] = spec.metadata()
-    return x, inputs, extra, time.perf_counter() - t0
+
+    def __init__(self, args, report: str | None = None, manifest: str | None = None):
+        self.args, self.report, self.t0 = args, report, time.perf_counter()
+        self.manifest = manifest or (args.out and _manifest_name(args.out))
+        self.path_s, self.inputs, self.extra = 0.0, {}, {}
+
+    def check(self, *writes, dirs=()) -> None:
+        """Exit 1, before any write, if two files the command reads or writes share a name.
+
+        ``writes`` are ``(role, name)`` pairs, after the report and before
+        the manifest; none may be an existing directory.  ``dirs`` are
+        directories the command makes.  Each name is compared by
+        ``os.path.realpath`` with every file an input flag names and every
+        earlier write.
+        """
+        reads = [("--in", name) for name in self.args.infiles or ()]
+        reads += [(_flag(dest), getattr(self.args, dest))
+                  for dest in ("infile", "coeffs_file", "map_file", "perturb_in")]
+        writes = (("--out", self.report), *writes, ("the manifest", self.manifest))
+        seen = {}
+        for i, (role, name) in enumerate([*reads, *dirs, *writes]):
+            key = name and os.path.realpath(name)
+            if key in seen and i >= len(reads):
+                raise ValidationError(f"{' '.join(seen[key])} is also {role}'s name; a "
+                                      "command reads and writes each file under its own name")
+            if key and i >= len(reads) + len(dirs) and os.path.isdir(key):
+                raise ValidationError(f"{role} {name} is a directory; it must name a file")
+            if key:
+                seen.setdefault(key, (role, name))
+
+    def timed(self, make, *args):
+        """``make(*args)``, its seconds added to ``path_s``."""
+        t1 = time.perf_counter()
+        result = make(*args)
+        self.path_s += time.perf_counter() - t1
+        return result
+
+    def read(self, filename: str, read, *args):
+        """``read(filename, *args, digest=...)``, timed; ``inputs[filename]`` gets the SHA-256.
+
+        Every input is read once, so that a pipe works and the digest is of the
+        bytes parsed.  A regular file of at most ``_BUILTIN_SHA256_MAX`` bytes
+        is hashed without OpenSSL; a larger file, a pipe, or a name ``os.stat``
+        cannot size, with it.
+        """
+        t1 = time.perf_counter()
+        try:
+            info = os.stat(filename)
+            small = stat.S_ISREG(info.st_mode) and info.st_size <= _BUILTIN_SHA256_MAX
+        except (OSError, ValueError):
+            small = False
+        digest = grid._hash("sha256", *(("_sha2", "_sha256") if small else ()))()
+        result = read(filename, *args, digest=digest)
+        self.inputs[filename] = digest.hexdigest()
+        self.path_s += time.perf_counter() - t1
+        return result
+
+    def read_path(self, filename: str) -> grid.Path:
+        """A path file, JSON by extension and CSV otherwise."""
+        return self.read(filename, grid.read_path_json if filename.endswith(".json")
+                         else grid.read_path_csv)
+
+    def path(self) -> grid.Path:
+        """``--in``, else the path the generator flags describe; the manifest records its spec."""
+        if self.args.infile:
+            return self.read_path(self.args.infile)
+        spec = _generator_spec(self.args)
+        self.extra["generator"] = spec.metadata()
+        if spec.kind == "custom_schauder":
+            return self.read(spec.params["coeffs_file"],
+                             lambda name, digest: pathgen.generate(spec, digest))
+        return self.timed(pathgen.generate, spec)
+
+    def finish(self, payload: dict, lines, *files) -> int:
+        """Write the payload to ``report``, then ``files``, then the manifest; print; 0.
+
+        ``files`` are ``(name, write)`` pairs: ``write(name)`` where a name
+        is given.  Stdout gets the payload as JSON under ``--json``, else
+        ``lines``.
+        """
+        if self.report:
+            grid._write_json(payload, self.report)
+        for name, write in files:
+            if name:
+                write(name)
+        if self.manifest:
+            grid._write_json({
+                "command": self.args.command,
+                "config": self.args.config,
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__, "roughvar": __version__},
+                "timings": {"total_s": round(time.perf_counter() - self.t0, 6),
+                            "path_s": round(self.path_s, 6),
+                            "cpu_s": round(sum(os.times()[:2]), 6)},  # user + system
+                "peak_rss_mib": _peak_rss_mib(),
+                "inputs": self.inputs,
+                **self.extra,
+            }, self.manifest)
+        if self.args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,40 +259,36 @@ def _load_path(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
-    spec = _generator_spec(args)
-    _check_names(args)
-    inputs, t1 = {}, time.perf_counter()
-    x = _generate(spec, inputs)
-    path_s = time.perf_counter() - t1
+    run = _Run(args)  # --out is the path file, not a report
+    run.check(("--out", args.out))
+    x = run.path()
     write = grid.write_path_json if args.out.endswith(".json") else grid.write_path_csv
-    write(x, args.out)
-    _write_manifest(args, t0, path_s, inputs, args.out, {"generator": spec.metadata()})
-    payload = {"command": "gen", "out": args.out, "generator": spec.metadata(),
+    payload = {"command": "gen", "out": args.out, "generator": run.extra["generator"],
                "samples": int(x.samples.size)}
-    _emit(args, payload, [f"wrote {args.out}: level {x.grid_level}, "
-                          f"{x.samples.size} samples ({x.label})"])
-    return 0
+    return run.finish(payload, [f"wrote {args.out}: level {x.grid_level}, "
+                                f"{x.samples.size} samples ({x.label})"],
+                      (args.out, lambda name: write(x, name)))
 
 
-def _profile_run(args, kind: str) -> int:
-    """pvar / sqv / classical: the ``kind`` functional across levels.
+def _profile_run(args) -> int:
+    """pvar / sqv / classical: the p-th variation, scaled QV or classical scaled QV across levels.
 
     Every level's terminal and metadata come from one pass down the dyadic
     pyramid.  ``--profiles-out`` profiles are built from the terms of that
     same pass, so each sidecar ``terminal`` is its ``per_level`` terminal.
     """
     label = args.command
+    kind = {"pvar": "pth", "sqv": "scaled", "classical": "classical_scaled"}[label]
     src = _resolve_source(args)
-    t0 = time.perf_counter()
-    x, inputs, extra, path_s = _load_path(args)
+    run = _Run(args, args.out)
+    x = run.path()
     levels = _resolve_levels(args, x)
 
     out_dir, write = args.profiles_out, None
     csv = lambda n: os.path.join(out_dir, f"{label}_level{n:02d}.csv")
-    _check_names(args, *(("a --profiles-out file", name) for n in levels if out_dir
-                         for name in (csv(n), variation._sidecar_name(csv(n)))),
-                 dirs=[("--profiles-out", out_dir)] if out_dir else ())
+    run.check(*(("a --profiles-out file", name) for n in levels if out_dir
+                for name in (csv(n), variation._sidecar_name(csv(n)))),
+              dirs=[("--profiles-out", out_dir)] if out_dir else ())
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write = lambda prof: variation.write_profile_csv(prof, csv(prof.level))
@@ -296,121 +303,105 @@ def _profile_run(args, kind: str) -> int:
     payload = {"command": label, "levels": levels, "terminals": terminals,
                "per_level": per_level, flag: getattr(args, flag),
                "limit_report": report.to_dict() if report else None}
-
-    if args.out:
-        grid._write_json(payload, args.out)
-        _write_manifest(args, t0, path_s, inputs, args.out, extra)
-
     lines = [f"{label}: level {n:2d} terminal {v:.12g}"
              for n, v in zip(levels, terminals)]
     if report:
         lines.append(f"classification: {report.classification} "
                      f"(slope {report.trend_slope:+.3f}, window {report.window})")
-    _emit(args, payload, lines)
-    return 0
+    return run.finish(payload, lines)
 
 
 def _cmd_roughness(args) -> int:
-    t0 = time.perf_counter()
-    _check_names(args, ("--per-q-out", args.per_q_out))
+    run = _Run(args, args.out)
+    run.check(("--per-q-out", args.per_q_out))
     src = _resolve_source(args)
-    x, inputs, extra, path_s = _load_path(args)
+    x = run.path()
     levels = _resolve_levels(args, x)
     report = roughness.critical_index_search(
         x, levels=levels, p_range=(args.p_min, args.p_max), iters=args.iters, src=src)
-    payload = {"command": "roughness", **report.to_dict()}
-    if args.per_q_out:
+
+    def write_probes(name):
         header = "q,classification," + ",".join(f"level_{n}" for n in levels)
         rows = [f"{rec.q:.17g},{rec.classification},"
                 + ",".join(f"{v:.17g}" for v in rec.terminal_values)
                 for rec in report.per_q]
-        with open(args.per_q_out, "w") as fh:
+        with open(name, "w") as fh:
             fh.write(header + "\n" + "\n".join(rows) + "\n")
-    if args.out:
-        grid._write_json(payload, args.out)
-        _write_manifest(args, t0, path_s, inputs, args.out, extra)
-    _emit(args, payload, [
+
+    return run.finish({"command": "roughness", **report.to_dict()}, [
         f"p_bar_est {report.p_bar_est:.6g} in bracket "
         f"[{report.bracket[0]:.6g}, {report.bracket[1]:.6g}]",
         f"hurst_est {report.hurst_est:.6g} ({len(report.per_q)} probes, "
         f"src {report.src_mode})",
-    ])
-    return 0
+    ], (args.per_q_out, write_probes))
 
 
-def _map_from_args(args, inputs: dict) -> isometry.SmoothMap:
-    if args.map_file:
-        data = _hashed(inputs, args.map_file, grid._read_csv, "map table")
-        name = os.path.splitext(os.path.basename(args.map_file))[0]
-        return isometry.tabulated_map(name, data[:, 0], data[:, 1])
-    return isometry.builtin_map(args.map)
+def _map_from_args(run) -> isometry.SmoothMap:
+    name = run.args.map_file
+    if name:
+        data = run.read(name, grid._read_csv, "map table")
+        return isometry.tabulated_map(os.path.splitext(os.path.basename(name))[0],
+                                      data[:, 0], data[:, 1])
+    return isometry.builtin_map(run.args.map)
 
 
 def _two_sided_run(args, check) -> int:
     """Common body of isometry / chainrule / invariance.
 
-    ``check(x, levels, inputs)`` returns the report; it records the digests
-    of any further input files in ``inputs``.  The per-level table goes next
-    to the report JSON, as ``--out`` with a ``.csv`` extension.
+    ``check(run, x, levels)`` returns the report; it reads any further input
+    file through ``run``.  The per-level table goes next to the report JSON,
+    as ``--out`` with a ``.csv`` extension.
     """
-    table = os.path.splitext(args.out or "")[0] + ".csv"
-    _check_names(args, ("the per-level table", args.out and table))
-    t0 = time.perf_counter()
-    x, inputs, extra, path_s = _load_path(args)
-    report = check(x, _resolve_levels(args, x), inputs)
-    payload = {"command": args.command, **report.to_dict()}
-    if args.out:
-        grid._write_json(payload, args.out)
-        isometry.write_report_csv(report, table)
-        _write_manifest(args, t0, path_s, inputs, args.out, extra)
+    table = args.out and os.path.splitext(args.out)[0] + ".csv"
+    run = _Run(args, args.out)
+    run.check(("the per-level table", table))
+    x = run.path()
+    report = check(run, x, _resolve_levels(args, x))
     lines = [f"level {n:2d}: lhs {a:.9g} rhs {b:.9g} rel_err {r:.3g}"
              for n, a, b, r in zip(report.levels, report.lhs_terminal,
                                    report.rhs_terminal, report.rel_err)]
     lines.append(f"err trend slope {report.err_trend_slope:+.3f}; "
                  f"success={report.success}")
     lines.extend(f"warning: {w}" for w in report.warnings)
-    _emit(args, payload, lines)
-    return 0
+    return run.finish({"command": args.command, **report.to_dict()}, lines,
+                      (table, lambda name: isometry.write_report_csv(report, name)))
 
 
 def _cmd_isometry(args) -> int:
     src = _resolve_source(args)
-    return _two_sided_run(args, lambda x, levels, inputs: isometry.isometry_check(
-        x, _map_from_args(args, inputs), args.p, levels, src=src))
+    return _two_sided_run(args, lambda run, x, levels: isometry.isometry_check(
+        x, _map_from_args(run), args.p, levels, src=src))
 
 
 def _cmd_chainrule(args) -> int:
-    return _two_sided_run(args, lambda x, levels, inputs: isometry.chain_rule_check(
-        x, _map_from_args(args, inputs), args.p, levels))
-
-
-def _perturbation(args, shape: dict, x: grid.Path, inputs: dict) -> grid.Path:
-    if args.perturb_in:
-        return _read_path(args.perturb_in, inputs)
-    return pathgen.smooth_perturbation(args.smooth_kind, args.amplitude,
-                                       x.grid_level, shape)
+    return _two_sided_run(args, lambda run, x, levels: isometry.chain_rule_check(
+        x, _map_from_args(run), args.p, levels))
 
 
 def _cmd_invariance(args) -> int:
     src = _resolve_source(args)
     shape = None if args.perturb_in else _smooth_params(args)  # checked before any read
-    return _two_sided_run(args, lambda x, levels, inputs: isometry.invariance_check(
-        x, _perturbation(args, shape, x, inputs), args.p, levels, src=src))
+
+    def check(run, x, levels):
+        y = run.read_path(args.perturb_in) if args.perturb_in else pathgen.smooth_perturbation(
+            args.smooth_kind, args.amplitude, x.grid_level, shape)
+        return isometry.invariance_check(x, y, args.p, levels, src=src)
+
+    return _two_sided_run(args, check)
 
 
 def _cmd_counterexample(args) -> int:
-    t0 = time.perf_counter()
     n_max = args.nmax
     if n_max < 3:
         raise ValidationError(f"--nmax must be at least 3, got {n_max}")
-    files = ("path.csv", "coefficients.json", "report.json", "manifest.json")
-    files = [os.path.join(args.out, name) for name in files] if args.out else []
-    _check_names(args, *(("--out", name) for name in files), report=False)
-    t1 = time.perf_counter()
-    coeffs = schauder.counterexample_coefficients(n_max)
+    names = ("path.csv", "coefficients.json", "report.json", "manifest.json")
+    path_csv, coeffs_json, report_json, manifest = (
+        [os.path.join(args.out, name) for name in names] if args.out else [None] * 4)
+    run = _Run(args, report_json, manifest)  # --out is their directory
+    run.check(("--out", path_csv), ("--out", coeffs_json))
+    coeffs = run.timed(schauder.counterexample_coefficients, n_max)
     level = args.level if args.level is not None else coeffs.max_level
-    x = schauder.schauder_eval(coeffs, level)
-    path_s = time.perf_counter() - t1
+    x = run.timed(schauder.schauder_eval, coeffs, level)
 
     # coefficient bursts sit at rows S_n - 1; observation levels are S_n
     burst = [row + 1 for row in schauder.counterexample_burst_levels(n_max)]
@@ -430,37 +421,28 @@ def _cmd_counterexample(args) -> int:
                     "pre": diag(pre_terms, pre).to_dict(),
                     "interleaved": diag(inter_vals, inter_levels).to_dict()},
     }
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        grid.write_path_csv(x, files[0])
-        schauder.write_coefficients_json(coeffs, files[1])
-        grid._write_json(payload, files[2])
-        _write_manifest(args, t0, path_s, {}, files[3], exact_name=True)
     lines = [f"level {n:2d}: quadratic variation {v:.9g}"
              for n, v in zip(inter_levels, inter_vals)]
     lines.append("interleaved classification: "
                  + payload["reports"]["interleaved"]["classification"])
-    _emit(args, payload, lines)
-    return 0
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return run.finish(payload, lines, (path_csv, lambda name: grid.write_path_csv(x, name)),
+                      (coeffs_json, lambda name: schauder.write_coefficients_json(coeffs, name)))
 
 
 def _cmd_report(args) -> int:
-    t0 = time.perf_counter()
-    _check_names(args)
-    inputs = {}
-    entries = []
-    lines = []
-    path_s = 0.0  # the time the bundled reports took to read and hash
+    run = _Run(args, args.out)
+    run.check()
+    entries, lines = [], []
     for name in args.infiles:
-        t1 = time.perf_counter()
         try:
-            payload = _hashed(inputs, name, _load_json)
+            payload = run.read(name, _load_json)
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot parse report {name}: {exc}") from exc
-        path_s += time.perf_counter() - t1
         if not isinstance(payload, dict):
             raise FormatError(f"report {name} is not a JSON object")
-        entries.append({"file": name, "sha256": inputs[name], "report": payload})
+        entries.append({"file": name, "sha256": run.inputs[name], "report": payload})
         headline = payload.get("command", "?")
         for key in ("classification", "p_bar_est", "success"):
             if key in payload:
@@ -469,51 +451,107 @@ def _cmd_report(args) -> int:
                     and key in payload["limit_report"]:
                 headline += f" {key}={payload['limit_report'][key]}"
         lines.append(f"{name}: {headline}")
-    combined = {"command": "report", "reports": entries}
-    if args.out:
-        grid._write_json(combined, args.out)
-        _write_manifest(args, t0, path_s, inputs, args.out)
-    _emit(args, combined, lines)
-    return 0
+    return run.finish({"command": "report", "reports": entries}, lines)
 
 
 # ---------------------------------------------------------------------------
-# Parser and flag contract
+# Flag contract and parser
 # ---------------------------------------------------------------------------
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("inline generator")
-    g.add_argument("--kind", choices=["takagi", "fbm", "counterexample",
-                                      "smooth", "custom_schauder"],
-                   help="generate the input path instead of reading --in")
-    g.add_argument("--H", type=float, help="roughness parameter in (0,1)")
-    g.add_argument("--level", type=int, help="grid level of the generated path")
-    g.add_argument("--seed", type=int, help="RNG seed of fbm and random takagi (default 0)")
-    g.add_argument("--signs", choices=["plus", "minus", "alternating", "random"],
-                   help="coefficient sign pattern for takagi (default plus)")
-    g.add_argument("--max-level", type=int, dest="max_level",
-                   help="truncate takagi coefficients at this level")
-    g.add_argument("--nmax", type=int, help="burst count for counterexample")
-    g.add_argument("--smooth-kind", choices=["sine", "poly"], dest="smooth_kind",
-                   help="shape of --kind smooth or the perturbation (default sine)")
-    g.add_argument("--amplitude", type=float, help="smooth shape's factor (default 1)")
-    g.add_argument("--freq", type=float, help="sine shape's frequency (default 1)")
-    g.add_argument("--coeffs", help="poly shape's comma-separated coefficients, "
-                                    "constant first (default 0,1)")
-    g.add_argument("--coeffs-file", dest="coeffs_file",
-                   help="coefficient JSON for custom_schauder")
+# Rows: the flags (by dest) a command reads whatever its input, then those
+# that "--flag value" adds, or "--flag" at any value.  "a|b" reads the first
+# of a and b given, else b; "a!" must be given.  A flag not given takes its
+# _DEFAULTS value, else None.  Each command's parser has the flags its rows
+# reach, from _SPECS, with no argparse default and none required.
+_INPUT = "infile|kind! levels out"  # a path file, or a generated path
+_PROFILE = _INPUT + " window profiles_out"
+_READS = {
+    "gen": "kind! out!",
+    "pvar": _PROFILE + " p!",
+    "sqv": _PROFILE + " p! src",
+    "classical": _PROFILE + " gamma!",
+    "roughness": _INPUT + " src p_min p_max iters per_q_out",
+    "isometry": _INPUT + " src p! map_file|map",
+    "chainrule": _INPUT + " p! map_file|map",
+    "invariance": _INPUT + " src p! perturb_in|smooth_kind",
+    "counterexample": "nmax! level out",
+    "report": "infiles! out",
+    "--kind fbm": "H! level! seed",
+    "--kind takagi": "H! level! signs max_level",
+    "--kind counterexample": "nmax! level",
+    "--kind smooth": "level! smooth_kind",
+    "--kind custom_schauder": "level! coeffs_file!",
+    "--signs random": "seed",
+    "--smooth-kind": "amplitude",
+    "--smooth-kind sine": "freq",
+    "--smooth-kind poly": "coeffs",
+    "--src analytic": "analytic_c!",
+}
+_DEFAULTS = {"seed": 0, "signs": "plus", "smooth_kind": "sine", "amplitude": 1.0,
+             "freq": 1.0, "coeffs": "0,1", "src": "finest", "map": "identity",
+             "p_min": 1.2, "p_max": 4.0, "iters": 12}
+_FLAGS = set(re.findall(r"\w+", " ".join(_READS.values())))
+
+# Each flag, by dest and in --help's order: its type, its choices, or "+"
+# (one value or more); and its help, which gets its _DEFAULTS value
+_SPECS = {
+    "infile": (str, "input path CSV/JSON"),
+    "infiles": ("+", "report JSONs to bundle"),
+    "kind": (("takagi", "fbm", "counterexample", "smooth", "custom_schauder"), "path generator"),
+    "H": (float, "roughness parameter in (0,1)"),
+    "level": (int, "grid level of the path (counterexample: the finest burst's by default)"),
+    "seed": (int, "RNG seed of fbm and random takagi"),
+    "signs": (("plus", "minus", "alternating", "random"), "takagi's coefficient signs"),
+    "max_level": (int, "truncate takagi coefficients at this level (default the grid level)"),
+    "nmax": (int, "burst count of the counterexample"),
+    "smooth_kind": (("sine", "poly"), "shape of --kind smooth or the perturbation"),
+    "amplitude": (float, "smooth shape's factor"),
+    "freq": (float, "sine shape's frequency"),
+    "coeffs": (str, "poly shape's comma-separated coefficients, constant first"),
+    "coeffs_file": (str, "coefficient JSON for custom_schauder"),
+    "levels": (str, "dyadic levels, N or A:B inclusive"),
+    "p": (float, "variation exponent (> 0)"),
+    "gamma": (float, "time-weight exponent"),
+    "window": (str, "diagnostic tail window (int or 'full')"),
+    "profiles_out": (str, "directory for per-level profile CSVs"),
+    "src": (("finest", "analytic"), "weight source for scaled QV"),
+    "analytic_c": (float, "C for the linear analytic source C*t"),
+    "p_min": (float, "low end of the index search"),
+    "p_max": (float, "high end of the index search"),
+    "iters": (int, "most probes after the endpoints"),
+    "per_q_out": (str, "CSV of per-probe terminal sequences"),
+    "map": (str, "catalog map id (identity, affine:a,b, square_plus_one, sin, exp_clamped)"),
+    "map_file": (str, "CSV (u,f) table for a not-a-knot cubic-spline map"),
+    "perturb_in": (str, "perturbation path CSV/JSON (default: the smooth shape)"),
+    "out": (str, "output file (counterexample: directory); its manifest goes beside it"),
+}
+
+_COMMANDS = {  # name: help, handler
+    "gen": ("generate a path and write it to CSV/JSON", _cmd_gen),
+    "pvar": ("p-th variation profiles across levels", _profile_run),
+    "sqv": ("scaled quadratic variation across levels", _profile_run),
+    "classical": ("time-weighted scaled QV across levels", _profile_run),
+    "roughness": ("secant search for the critical variation index", _cmd_roughness),
+    "isometry": ("two-sided scaled-QV isometry check", _cmd_isometry),
+    "chainrule": ("p-th variation chain-rule check", _cmd_chainrule),
+    "invariance": ("smooth-perturbation invariance check", _cmd_invariance),
+    "counterexample": ("oscillating-QV path and its level diagnostics", _cmd_counterexample),
+    "report": ("bundle report JSONs into one summary", _cmd_report),
+}
 
 
-def _add_common_analysis_flags(p: argparse.ArgumentParser, src: bool = True) -> None:
-    p.add_argument("--in", dest="infile", help="input path CSV/JSON")
-    p.add_argument("--levels", help="dyadic levels, N or A:B inclusive")
-    p.add_argument("--out", help="write the report JSON here (plus manifest)")
-    if src:
-        p.add_argument("--src", choices=["finest", "analytic"],
-                       help="weight source for scaled QV (default finest)")
-        p.add_argument("--analytic-c", dest="analytic_c", type=float,
-                       help="C for the linear analytic source C*t")
-    _add_generator_flags(p)
+def _flag(dest: str) -> str:
+    return "--in" if dest.startswith("infile") else "--" + dest.replace("_", "-")
+
+
+def _reach(command: str) -> set:
+    """The flags (by dest) of ``command``'s row and of every row those flags lead to."""
+    rows, reach = [command], set()
+    for row in rows:
+        for dest in re.findall(r"\w+", _READS[row]):
+            reach.add(dest)
+            rows += [key for key in _READS if key.split()[0] == _flag(dest) and key not in rows]
+    return reach
 
 
 class _Parser(argparse.ArgumentParser):
@@ -542,108 +580,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a path and write it to CSV/JSON")
-    _add_generator_flags(p)
-    p.add_argument("--out", required=True, help="output path file (.csv or .json)")
-    p.set_defaults(func=_cmd_gen)
-
-    for name, helptext, kind in [
-        ("pvar", "p-th variation profiles across levels", "pth"),
-        ("sqv", "scaled quadratic variation across levels", "scaled"),
-        ("classical", "time-weighted scaled QV across levels", "classical_scaled"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common_analysis_flags(p, src=(name == "sqv"))
-        if name == "classical":
-            p.add_argument("--gamma", type=float, help="time-weight exponent")
-        else:
-            p.add_argument("--p", type=float, help="variation exponent (> 0)")
-        p.add_argument("--window", help="diagnostic tail window (int or 'full')")
-        p.add_argument("--profiles-out", dest="profiles_out",
-                       help="directory for per-level profile CSVs")
-        p.set_defaults(func=functools.partial(_profile_run, kind=kind))
-
-    p = sub.add_parser("roughness",
-                       help="secant search for the critical variation index")
-    _add_common_analysis_flags(p)
-    p.add_argument("--p-min", dest="p_min", type=float, default=1.2)
-    p.add_argument("--p-max", dest="p_max", type=float, default=4.0)
-    p.add_argument("--iters", type=int, default=12)
-    p.add_argument("--per-q-out", dest="per_q_out",
-                   help="CSV of per-probe terminal sequences")
-    p.set_defaults(func=_cmd_roughness)
-
-    for name, helptext, func in [
-        ("isometry", "two-sided scaled-QV isometry check", _cmd_isometry),
-        ("chainrule", "p-th variation chain-rule check", _cmd_chainrule),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common_analysis_flags(p, src=(name == "isometry"))
-        p.add_argument("--p", type=float, required=True)
-        p.add_argument("--map", help="catalog map id (identity, the default, "
-                                     "affine:a,b, square_plus_one, sin, exp_clamped)")
-        p.add_argument("--map-file", dest="map_file",
-                       help="CSV (u,f) table for a not-a-knot cubic-spline map")
+    for command, (text, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        reach = _reach(command)
+        for dest, (kind, flag_help) in _SPECS.items():
+            if dest not in reach:
+                continue
+            if dest in _DEFAULTS:
+                flag_help += f" (default {_DEFAULTS[dest]})"
+            p.add_argument(_flag(dest), dest=dest, help=flag_help, **(
+                {"nargs": kind} if kind == "+" else
+                {"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
         p.set_defaults(func=func)
-
-    p = sub.add_parser("invariance", help="smooth-perturbation invariance check")
-    _add_common_analysis_flags(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--perturb-in", dest="perturb_in",
-                   help="perturbation path CSV/JSON (default: the smooth shape)")
-    p.set_defaults(func=_cmd_invariance)
-
-    p = sub.add_parser("counterexample",
-                       help="oscillating-QV path and its level diagnostics")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--level", type=int, help="grid level (default: finest burst)")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("report", help="bundle report JSONs into one summary")
-    p.add_argument("--in", dest="infiles", nargs="+", required=True)
-    p.add_argument("--out", help="combined JSON output")
-    p.set_defaults(func=_cmd_report)
-
     return parser
-
-
-# Rows: the flags (by dest) a command reads whatever its input, then those
-# that "--flag value" adds, or "--flag" at any value.  "a|b" reads the first
-# of a and b given, else b; "a!" must be given.  A flag not given takes its
-# _DEFAULTS value, else None; argparse gives these flags no default.
-_INPUT = "infile|kind! levels out"  # a path file, or a generated path
-_PROFILE = _INPUT + " window profiles_out"
-_READS = {
-    "gen": "kind! out",
-    "pvar": _PROFILE + " p!",
-    "sqv": _PROFILE + " p! src",
-    "classical": _PROFILE + " gamma!",
-    "roughness": _INPUT + " src p_min p_max iters per_q_out",
-    "isometry": _INPUT + " src p map_file|map",
-    "chainrule": _INPUT + " p map_file|map",
-    "invariance": _INPUT + " src p perturb_in|smooth_kind",
-    "counterexample": "nmax level out",
-    "report": "infiles out",
-    "--kind fbm": "H! level! seed",
-    "--kind takagi": "H! level! signs max_level",
-    "--kind counterexample": "nmax! level",
-    "--kind smooth": "level! smooth_kind",
-    "--kind custom_schauder": "level! coeffs_file!",
-    "--signs random": "seed",
-    "--smooth-kind": "amplitude",
-    "--smooth-kind sine": "freq",
-    "--smooth-kind poly": "coeffs",
-    "--src analytic": "analytic_c!",
-}
-_DEFAULTS = {"seed": 0, "signs": "plus", "smooth_kind": "sine", "amplitude": 1.0,
-             "freq": 1.0, "coeffs": "0,1", "src": "finest", "map": "identity"}
-_FLAGS = set(re.findall(r"\w+", " ".join(_READS.values())))
-
-
-def _flag(dest: str) -> str:
-    return "--in" if dest.startswith("infile") else "--" + dest.replace("_", "-")
 
 
 def _apply_contract(args) -> None:

@@ -506,7 +506,7 @@ def write_path_csv(x: Path, filename) -> None:
         np.arange(start, stop, dtype=np.float64) * step, x.samples[start:stop]))
 
 
-def read_path_csv(filename, label: str | None = None, digest=None) -> Path:
+def read_path_csv(filename, digest=None) -> Path:
     """A path CSV; the bytes read update the hashlib ``digest``, if given.
 
     The values go into one array as the file is read, and the time column is
@@ -520,8 +520,7 @@ def read_path_csv(filename, label: str | None = None, digest=None) -> Path:
                           "expected 2**L + 1 for integer L")
     if not times.of_level(grid_level):
         raise FormatError(f"path CSV {filename}: time column is not the dyadic grid")
-    return Path(grid_level=grid_level, samples=samples,
-                label=label if label is not None else os.path.basename(filename))
+    return Path(grid_level=grid_level, samples=samples, label=os.path.basename(filename))
 
 
 def write_path_json(x: Path, filename) -> None:

@@ -305,7 +305,7 @@ def _fgn_circulant(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     return m.reshape(-1).view(np.float64)[:N]
 
 
-def fbm_path(H: float, grid_level: int, seed: int | None, label: str | None = None) -> Path:
+def fbm_path(H: float, grid_level: int, seed: int | None) -> Path:
     """Fractional Brownian motion on [0, 1] sampled at 2**grid_level + 1 points.
 
     Increments are exact-in-distribution via circulant embedding of the
@@ -335,8 +335,7 @@ def fbm_path(H: float, grid_level: int, seed: int | None, label: str | None = No
         # a tracer or profiler holds more references to buf, so numpy cannot
         # tell that no view of it would dangle, and refuses: copy them out
         samples = buf.view(np.float64)[:N + 1].copy()
-    return Path(grid_level=grid_level, samples=samples,
-                label=label if label is not None else f"fbm(H={H}, seed={seed})")
+    return Path(grid_level=grid_level, samples=samples, label=f"fbm(H={H}, seed={seed})")
 
 
 def _shifted_cumsum(x: np.ndarray, N: int) -> None:
@@ -415,6 +414,7 @@ def takagi_path(H: float, grid_level: int, signs: str = "plus",
     made a block at a time as the recursion writes each level: no row or
     triangle of them is held.
     """
+    _check_max_level(grid_level)
     M = grid_level if max_level is None else max_level
     rows, label = _takagi_rows(H, M, signs, seed)
     return _midpoint_path(rows, M, grid_level, label)

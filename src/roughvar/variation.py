@@ -695,12 +695,10 @@ def _sidecar_name(csv_filename) -> str:
     return (name[:-4] if name.endswith(".csv") else name) + ".meta.json"
 
 
-def write_profile_csv(profile: VariationProfile, csv_filename,
-                      sidecar_filename=None) -> None:
+def write_profile_csv(profile: VariationProfile, csv_filename) -> None:
     _write_csv(csv_filename, "t,value", profile.times.size,
                lambda start, stop: (profile.times[start:stop], profile.values[start:stop]))
-    _write_json(profile.metadata(), sidecar_filename if sidecar_filename is not None
-                else _sidecar_name(csv_filename))
+    _write_json(profile.metadata(), _sidecar_name(csv_filename))
 
 
 # Each sidecar field, what it must be, and its check (a JSON boolean is no number)
@@ -731,7 +729,7 @@ _SIDECAR_CLASHES = (
      lambda m: m["divergent"] and m["terminal"] != math.inf))
 
 
-def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
+def read_profile_csv(csv_filename) -> VariationProfile:
     """Read a profile CSV: times rise from 0 to 1, values end at the sidecar terminal.
 
     The atoms are the values' differences; past a divergent profile's first
@@ -740,8 +738,7 @@ def read_profile_csv(csv_filename, sidecar_filename=None) -> VariationProfile:
     data = _read_csv(csv_filename, "profile")
     times, values = data[:, 0], data[:, 1]
     try:
-        sidecar = sidecar_filename if sidecar_filename is not None else _sidecar_name(csv_filename)
-        with open(sidecar) as fh:
+        with open(_sidecar_name(csv_filename)) as fh:
             meta = {"clamped": 0, "divergent": False, "gamma": None, "source_mode": None,
                     **json.load(fh)}
         for key, what, ok in _SIDECAR:

@@ -961,6 +961,12 @@ class TestFlagContract:
         (("invariance", "--kind", "smooth", "--level", "10", "--p", "2", "--amplitude", "3",
           "--smooth-kind", "poly", "--coeffs", "0,1"),
          "--smooth-kind is read with --kind smooth, so invariance requires --perturb-in"),
+        # flags that argparse once required, with its usage text
+        (("gen", "--kind", "takagi", "--H", "0.5", "--level", "4"), "gen requires --out"),
+        *(((command, "--kind", "takagi", "--H", "0.5", "--level", "6", "--out", "r.json"),
+           f"{command} requires --p") for command in ("isometry", "chainrule", "invariance")),
+        (("counterexample", "--level", "8", "--out", "cx"), "counterexample requires --nmax"),
+        (("report", "--out", "r.json"), "report requires --in"),
     ])
     def test_flag_not_read_or_not_given_exits_one(self, argv, message, tmp_path, monkeypatch,
                                                   capsys):
@@ -980,6 +986,14 @@ class TestZeroLevelTakagi:
 
 
 class TestLevelCap:
+    @pytest.mark.parametrize("level", ["23", "-1"])
+    def test_takagi_level_error_names_the_grid_level(self, level, capsys):
+        # --level is takagi_path's grid_level; the message named max_level
+        rc, out, err = run(capsys, "pvar", "--kind", "takagi", "--H", "0.5",
+                           "--level", level, "--p", "2")
+        assert (rc, out, err) == (
+            1, "", f"error: grid_level must be in [0, 22] (memory guard), got {level}\n")
+
     def test_deep_smooth_path_exits_one_before_allocating(self, tmp_path, capsys):
         rc, _, err = run(capsys, "gen", "--kind", "smooth", "--level", "40",
                          "--out", str(tmp_path / "p.csv"))

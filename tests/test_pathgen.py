@@ -342,6 +342,9 @@ class TestFbmPath:
             rv.fbm_path(0.5, 23, seed=0)
         with pytest.raises(ValidationError, match="memory guard"):
             rv.smooth_perturbation("sine", 1.0, 40)
+        for level in (23, -1):
+            with pytest.raises(ValidationError, match=r"^grid_level .*memory guard"):
+                rv.takagi_path(0.5, level)
 
 
 def _lipschitz_bound(kind, amplitude, params):

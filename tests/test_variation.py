@@ -814,6 +814,23 @@ class TestTakagiExactTerminals:
             got = terminals(rv.takagi_path(H, 14, signs=signs, seed=seed))
             npt.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=signs)
 
+    @pytest.mark.parametrize("H, rtol", [(0.1, 7e-15), (0.3, 2e-14), (0.4, 6e-14),
+                                         (0.6, 2.5e-13), (0.7, 8e-13), (0.9, 2e-12)])
+    def test_classical_scaled_qv_is_the_paper_constant(self, H, rtol):
+        # Each level-n increment is 2**-n times a sum of slopes +-2**(m(1-H)),
+        # m < n, whose cross terms cancel over the level, so at gamma = 1 - 2H
+        # C_n = (1 - 4**(-n(1-H))) / (4**(1-H) - 1) for every sign rule.  The
+        # tolerances are about three times the worst relative error measured
+        # at grid level 20 (2.1e-15 at H 0.1 to 6.8e-13 at H 0.9), which grows
+        # with the midpoint recursion's rounding.
+        levels = range(1, 19)
+        n = np.arange(1, 19)
+        want = (1.0 - 4.0 ** (-n * (1.0 - H))) / (4.0 ** (1.0 - H) - 1.0)
+        for signs, seed in [*_SIGN_RULES[:3], ("random", 3)]:
+            x = rv.takagi_path(H, 18, signs=signs, seed=seed)
+            got = _level_terminals(x, levels, "classical_scaled", gamma=1.0 - 2.0 * H)
+            npt.assert_allclose(got, want, rtol=rtol, atol=0, err_msg=signs)
+
 
 # ---------------------------------------------------------------------------
 # The pyramid pass against the allocate-per-step pass it replaced
@@ -1066,13 +1083,6 @@ class TestProfileSerialization:
         assert back.level == 6 and back.p == 2.5 and back.kind == "scaled"
         assert back.src_mode == "finest_level"
         npt.assert_allclose(back.terminal, prof.terminal, rtol=0)
-
-    def test_explicit_sidecar_location(self, tmp_path):
-        x = rv.takagi_path(0.5, 6)
-        prof = rv.pth_variation(x, rv.dyadic_partition(4, 6), 2.0)
-        rv.write_profile_csv(prof, tmp_path / "p.csv", tmp_path / "meta.json")
-        back = rv.read_profile_csv(tmp_path / "p.csv", tmp_path / "meta.json")
-        assert back.p == 2.0
 
     def test_garbage_csv_is_format_error(self, tmp_path):
         (tmp_path / "bad.csv").write_text("t,value\nx,y\n")
